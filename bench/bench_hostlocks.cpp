@@ -12,11 +12,11 @@
 //     the measurement refresh rate.
 #include <cstdio>
 
+#include "api/session.hpp"
 #include "bench_util.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
-#include "core/autodeploy.hpp"
 
 using namespace envnws;
 
@@ -57,19 +57,19 @@ int main() {
   for (const bool locks : {false, true}) {
     simnet::Scenario scenario = simnet::ens_lyon();
     simnet::Network net(simnet::Scenario(scenario).topology);
-    core::AutoDeployOptions options;
+    api::SessionOptions options;
     options.planner.use_host_locks = locks;
-    auto result = core::auto_deploy(net, scenario, options);
-    if (!result.ok()) {
+    api::Session session(net, scenario, options);
+    if (!session.run_all().ok()) {
       std::fprintf(stderr, "auto-deploy failed\n");
       return 1;
     }
-    const auto& report = result.value().validation;
+    const auto& report = session.validation();
     plans.add_row({locks ? "with host locks (extension)" : "classic (paper Fig. 3 plan)",
                    report.collision_free ? "yes" : "NO",
                    strings::format_double(report.worst_collision_error * 100.0, 1) + "%",
                    report.complete ? "yes" : "no"});
-    result.value().system->stop();
+    session.system().stop();
   }
   std::printf("--- ENS-Lyon deployment ---\n%s\n", plans.to_string().c_str());
 

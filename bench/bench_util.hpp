@@ -1,6 +1,7 @@
 // Shared helpers for the figure-reproduction bench binaries.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "api/scenario_registry.hpp"
+#include "common/codec.hpp"
 #include "simnet/scenario.hpp"
 
 namespace envnws::bench {
@@ -101,14 +103,8 @@ class JsonWriter {
     return out + "\"";
   }
   static std::string number(double value) {
-    char text[40];
-    std::snprintf(text, sizeof(text), "%.17g", value);
     // JSON has no inf/nan literals.
-    const std::string out = text;
-    if (out.find("inf") != std::string::npos || out.find("nan") != std::string::npos) {
-      return "null";
-    }
-    return out;
+    return std::isfinite(value) ? codec::format_full(value) : "null";
   }
 
   std::string out_;

@@ -9,8 +9,9 @@
 //
 // Pulls in the staged pipeline (api/session.hpp), the progress-event
 // interface (api/observer.hpp), the named scenario registry
-// (api/scenario_registry.hpp) and the one-call compatibility wrapper
-// (core/autodeploy.hpp).
+// (api/scenario_registry.hpp), the persistent map cache
+// (api/map_cache.hpp) and GridML-described platforms
+// (api/gridml_scenario.hpp).
 #pragma once
 
 #include "api/gridml_scenario.hpp"
@@ -18,4 +19,3 @@
 #include "api/observer.hpp"
 #include "api/scenario_registry.hpp"
 #include "api/session.hpp"
-#include "core/autodeploy.hpp"

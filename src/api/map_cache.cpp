@@ -5,16 +5,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <system_error>
 #include <vector>
 
-#include "common/parse.hpp"
+#include "common/codec.hpp"
+#include "common/hash.hpp"
 #include "env/env_tree.hpp"
 #include "gridml/xml.hpp"
 
@@ -27,50 +26,28 @@ namespace {
 constexpr const char* kFileExtension = ".envmap.xml";
 constexpr const char* kFormatVersion = "1";
 
-/// Full-precision double formatting: the cache must restore bandwidths
-/// bit-identically so a re-plan from the cache matches a fresh plan
-/// (GridML's human-facing 2-decimal properties are too lossy for that).
-std::string full(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
+// Bandwidths are stored at full precision: a re-plan from the cache must
+// match a fresh plan bit for bit, and GridML's human-facing 2-decimal
+// properties are too lossy for that.
+using codec::format_full;
+using codec::numeric_field;
 
-Result<double> parse_double(const std::string& text, const std::string& what) {
-  if (const auto value = parse::to_double(text); value.has_value()) return *value;
-  return make_error(ErrorCode::protocol, "bad " + what + " '" + text + "' in map cache entry");
-}
-
-Result<std::uint64_t> parse_u64(const std::string& text, const std::string& what) {
-  if (const auto value = parse::to_u64(text); value.has_value()) return *value;
-  return make_error(ErrorCode::protocol, "bad " + what + " '" + text + "' in map cache entry");
-}
-
-Result<std::int64_t> parse_i64(const std::string& text, const std::string& what) {
-  if (const auto value = parse::to_i64(text); value.has_value()) return *value;
-  return make_error(ErrorCode::protocol, "bad " + what + " '" + text + "' in map cache entry");
-}
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
+/// Where numeric-field errors say the bad value came from.
+constexpr std::string_view kEntry = "map cache entry";
 
 gridml::XmlElement envnet_to_xml(const env::EnvNetwork& net) {
   gridml::XmlElement element("ENVNET");
   element.set_attribute("kind", env::to_string(net.kind));
   if (!net.label.empty()) element.set_attribute("label", net.label);
   if (!net.label_ip.empty()) element.set_attribute("ip", net.label_ip);
-  if (net.base_bw_bps != 0.0) element.set_attribute("base-bw-bps", full(net.base_bw_bps));
+  if (net.base_bw_bps != 0.0) {
+    element.set_attribute("base-bw-bps", format_full(net.base_bw_bps));
+  }
   if (net.base_local_bw_bps != 0.0) {
-    element.set_attribute("local-bw-bps", full(net.base_local_bw_bps));
+    element.set_attribute("local-bw-bps", format_full(net.base_local_bw_bps));
   }
   if (net.base_reverse_bw_bps != 0.0) {
-    element.set_attribute("reverse-bw-bps", full(net.base_reverse_bw_bps));
+    element.set_attribute("reverse-bw-bps", format_full(net.base_reverse_bw_bps));
   }
   if (net.route_asymmetric) element.set_attribute("asymmetric", "true");
   if (!net.gateway.empty()) element.set_attribute("gateway", net.gateway);
@@ -100,7 +77,7 @@ Result<env::EnvNetwork> envnet_from_xml(const gridml::XmlElement& element) {
   net.label_ip = element.attribute("ip");
   for (const auto* name : {"base-bw-bps", "local-bw-bps", "reverse-bw-bps"}) {
     if (!element.has_attribute(name)) continue;
-    auto value = parse_double(element.attribute(name), name);
+    auto value = numeric_field<double>(element.attribute(name), name, kEntry);
     if (!value.ok()) return value.error();
     if (std::string(name) == "base-bw-bps") net.base_bw_bps = value.value();
     if (std::string(name) == "local-bw-bps") net.base_local_bw_bps = value.value();
@@ -123,17 +100,20 @@ Result<env::EnvNetwork> envnet_from_xml(const gridml::XmlElement& element) {
 void add_stats(gridml::XmlElement& element, const env::MapStats& stats) {
   element.set_attribute("experiments", std::to_string(stats.experiments));
   element.set_attribute("bytes-sent", std::to_string(stats.bytes_sent));
-  element.set_attribute("duration-s", full(stats.duration_s));
+  element.set_attribute("duration-s", format_full(stats.duration_s));
 }
 
 Status read_stats(const gridml::XmlElement& element, env::MapStats& stats) {
-  auto experiments = parse_u64(element.attribute("experiments", "0"), "experiments");
+  auto experiments =
+      numeric_field<std::uint64_t>(element.attribute("experiments", "0"), "experiments", kEntry);
   if (!experiments.ok()) return experiments.error();
   stats.experiments = experiments.value();
-  auto bytes = parse_i64(element.attribute("bytes-sent", "0"), "bytes-sent");
+  auto bytes =
+      numeric_field<std::int64_t>(element.attribute("bytes-sent", "0"), "bytes-sent", kEntry);
   if (!bytes.ok()) return bytes.error();
   stats.bytes_sent = bytes.value();
-  auto duration = parse_double(element.attribute("duration-s", "0"), "duration-s");
+  auto duration =
+      numeric_field<double>(element.attribute("duration-s", "0"), "duration-s", kEntry);
   if (!duration.ok()) return duration.error();
   stats.duration_s = duration.value();
   return {};
@@ -176,16 +156,15 @@ std::string MapCache::key_for(const std::string& scenario_label,
   // Every option that changes what the probes would measure; NOT
   // map_threads (the result is thread-count independent).
   std::ostringstream fields;
-  fields << full(options.bw_split_ratio) << '|' << full(options.pairwise_independence_ratio)
-         << '|' << full(options.jam_shared_max) << '|' << full(options.jam_switched_min) << '|'
-         << options.jam_repetitions << '|' << options.probe_bytes << '|'
-         << full(options.stabilization_gap_s) << '|' << options.site_domain_labels << '|'
+  fields << format_full(options.bw_split_ratio) << '|'
+         << format_full(options.pairwise_independence_ratio) << '|'
+         << format_full(options.jam_shared_max) << '|' << format_full(options.jam_switched_min)
+         << '|' << options.jam_repetitions << '|' << options.probe_bytes << '|'
+         << format_full(options.stabilization_gap_s) << '|' << options.site_domain_labels << '|'
          << options.purpose << '|' << (options.bidirectional_probes ? 1 : 0) << '|'
-         << full(options.asymmetry_ratio) << '|' << options.max_pairwise << '|'
-         << options.sample_seed << '|' << full(options.sample_confidence_ratio);
-  char hash[17];
-  std::snprintf(hash, sizeof(hash), "%016" PRIx64, fnv1a(fields.str()));
-  return label + "-" + hash;
+         << format_full(options.asymmetry_ratio) << '|' << options.max_pairwise << '|'
+         << options.sample_seed << '|' << format_full(options.sample_confidence_ratio);
+  return label + "-" + hash::hex64(hash::fnv1a64(fields.str()));
 }
 
 std::string MapCache::platform_fingerprint(const simnet::Topology& topology) {
@@ -194,11 +173,11 @@ std::string MapCache::platform_fingerprint(const simnet::Topology& topology) {
   // ideal map must never serve a lossy/tcp/wifi-decorated spec (and
   // vice versa); same for background load.
   fields << topology.link_model().fingerprint() << '|'
-         << topology.background().flows << '|' << full(topology.background().intensity) << '|'
-         << topology.background().seed << ';';
+         << topology.background().flows << '|' << format_full(topology.background().intensity)
+         << '|' << topology.background().seed << ';';
   for (const simnet::Node& node : topology.nodes()) {
     fields << node.name << '|' << node.fqdn << '|' << node.ip.to_string() << '|'
-           << static_cast<int>(node.kind) << '|' << full(node.hub_capacity_bps) << '|';
+           << static_cast<int>(node.kind) << '|' << format_full(node.hub_capacity_bps) << '|';
     for (const auto& zone : node.zones) fields << zone << ',';
     for (const auto& alias : node.aliases) {
       fields << alias.fqdn << '/' << alias.ip.to_string() << '/' << alias.zone << ',';
@@ -206,14 +185,12 @@ std::string MapCache::platform_fingerprint(const simnet::Topology& topology) {
     fields << ';';
   }
   for (const simnet::Link& link : topology.links()) {
-    fields << link.a.index() << '-' << link.b.index() << '|' << full(link.bw_ab_bps) << '|'
-           << full(link.bw_ba_bps) << '|' << full(link.latency_s) << '|'
-           << (link.half_duplex ? 1 : 0) << '|' << full(link.weight_ab) << '|'
-           << full(link.weight_ba) << ';';
+    fields << link.a.index() << '-' << link.b.index() << '|' << format_full(link.bw_ab_bps)
+           << '|' << format_full(link.bw_ba_bps) << '|' << format_full(link.latency_s) << '|'
+           << (link.half_duplex ? 1 : 0) << '|' << format_full(link.weight_ab) << '|'
+           << format_full(link.weight_ba) << ';';
   }
-  char hash[17];
-  std::snprintf(hash, sizeof(hash), "%016" PRIx64, fnv1a(fields.str()));
-  return hash;
+  return hash::hex64(hash::fnv1a64(fields.str()));
 }
 
 std::string MapCache::path_for(const std::string& key) const {

@@ -1,9 +1,13 @@
 #include "api/scenario_registry.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "api/gridml_scenario.hpp"
+#include "common/parse.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
 
@@ -12,27 +16,22 @@ namespace envnws::api {
 namespace {
 
 Result<int> parse_int(const std::string& piece, const std::string& what) {
-  try {
-    std::size_t used = 0;
-    const int value = std::stoi(piece, &used);
-    if (used != piece.size()) throw std::invalid_argument(piece);
-    return value;
-  } catch (const std::exception&) {
+  const auto value = parse::to_i64(strings::trim(piece));
+  if (!value.has_value() || *value < std::numeric_limits<int>::min() ||
+      *value > std::numeric_limits<int>::max()) {
     return make_error(ErrorCode::invalid_argument,
                       "bad " + what + " '" + piece + "' (expected an integer)");
   }
+  return static_cast<int>(*value);
 }
 
 Result<double> parse_rate(const std::string& piece) {
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(piece, &used);
-    if (used != piece.size() || value <= 0.0) throw std::invalid_argument(piece);
-    return value;
-  } catch (const std::exception&) {
+  const auto value = parse::to_double(strings::trim(piece));
+  if (!value.has_value() || !(*value > 0.0) || !std::isfinite(*value)) {
     return make_error(ErrorCode::invalid_argument,
-                      "bad rate '" + piece + "' (expected Mbps > 0)");
+                      "bad rate '" + piece + "' (expected a finite Mbps > 0)");
   }
+  return *value;
 }
 
 /// Reject specs carrying more parameters than the builder understands —
@@ -68,22 +67,17 @@ double rate_bps_or(const ScenarioSpec& spec, std::size_t i, double fallback_mbps
 }
 
 /// `"2%"` / `"0.5%"` -> 2.0 / 0.5; anything else (missing '%', trailing
-/// junk, negative, NaN) is an invalid_argument error, never a throw.
+/// junk, negative, NaN, infinite) is an invalid_argument error.
 Result<double> parse_percent(const std::string& piece, const std::string& what) {
-  if (piece.empty() || piece.back() != '%') {
+  std::optional<double> value;
+  if (!piece.empty() && piece.back() == '%') {
+    value = parse::to_double(strings::trim(std::string_view(piece).substr(0, piece.size() - 1)));
+  }
+  if (!value.has_value() || !(*value >= 0.0) || !std::isfinite(*value)) {
     return make_error(ErrorCode::invalid_argument,
                       "bad " + what + " '" + piece + "' (expected '<value>%')");
   }
-  const std::string digits = piece.substr(0, piece.size() - 1);
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(digits, &used);
-    if (used != digits.size() || !(value >= 0.0)) throw std::invalid_argument(digits);
-    return value;
-  } catch (const std::exception&) {
-    return make_error(ErrorCode::invalid_argument,
-                      "bad " + what + " '" + piece + "' (expected '<value>%')");
-  }
+  return *value;
 }
 
 /// Peels `tcp-lv08:` / `lossy:...` / `wifi:` / `bg:<flows>:` prefixes off

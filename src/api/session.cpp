@@ -701,7 +701,7 @@ deploy::DeploymentPlan& Session::plan_result() {
   return *plan_;
 }
 nws::NwsSystem& Session::system() {
-  assert(system_ != nullptr);  // apply() has run and take_system() hasn't
+  assert(system_ != nullptr);
   return *system_;
 }
 deploy::QueryService& Session::queries() {

@@ -193,11 +193,6 @@ class Session {
   Result<std::unique_ptr<monitor::MonitorDaemon>> make_monitor(
       monitor::MonitorOptions options = {});
 
-  /// Transfer ownership of the running system / query service out of the
-  /// session (the core::auto_deploy compatibility wrapper uses these).
-  std::unique_ptr<nws::NwsSystem> take_system() { return std::move(system_); }
-  std::unique_ptr<deploy::QueryService> take_queries() { return std::move(queries_); }
-
   /// One-page report of every stage that has run so far.
   [[nodiscard]] std::string render() const;
 

@@ -1,6 +1,9 @@
 #include "common/parse.hpp"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace envnws::parse {
@@ -17,14 +20,16 @@ bool leading_whitespace(const std::string& text) {
 
 std::optional<double> to_double(const std::string& text) {
   if (leading_whitespace(text)) return std::nullopt;
-  try {
-    std::size_t used = 0;
-    const double value = std::stod(text, &used);
-    if (used != text.size()) return std::nullopt;
-    return value;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size()) return std::nullopt;
+  // ERANGE flags overflow and underflow alike. A subnormal result is
+  // still the nearest double — the 17-digit form of denorm_min must parse
+  // back bit-identically — so only a magnitude that overflowed to
+  // infinity or flushed to zero is out of range.
+  if (errno == ERANGE && (std::isinf(value) || value == 0.0)) return std::nullopt;
+  return value;
 }
 
 std::optional<std::int64_t> to_i64(const std::string& text) {

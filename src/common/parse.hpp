@@ -16,8 +16,8 @@ namespace envnws::parse {
 
 /// Strict double: the whole string must be one numeric token — no
 /// leading whitespace, no trailing junk. An explicit '+' sign is
-/// allowed (it is part of the token); out-of-range magnitudes are
-/// rejected.
+/// allowed (it is part of the token); magnitudes that overflow to
+/// infinity or underflow to zero are rejected, subnormals accepted.
 [[nodiscard]] std::optional<double> to_double(const std::string& text);
 
 /// Strict signed 64-bit integer (same token rules as to_double).

@@ -5,7 +5,6 @@
 #include "common/parse.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
-#include "env/env_tree_arena.hpp"
 
 namespace envnws::env {
 
@@ -157,12 +156,61 @@ void canonicalize(EnvNetwork& network,
   for (auto& child : network.children) canonicalize(child, canon);
 }
 
+namespace {
+
+/// Depth-first, one line per network plus one per machine list, all
+/// appended to one string.
+void render_network(const EnvNetwork& network, std::size_t depth, std::string& out) {
+  const std::size_t indent = 2 * depth;
+  out.append(indent, ' ');
+  if (network.kind == NetKind::structural) {
+    out += "* ";
+    out += network.label.empty() ? "(net)" : network.label;
+    if (!network.label_ip.empty() && network.label_ip != network.label) {
+      out += " [";
+      out += network.label_ip;
+      out += ']';
+    }
+  } else {
+    out += "+ ";
+    out += network.label.empty() ? "(lan)" : network.label;
+    out += " <";
+    out += to_string(network.kind);
+    out += '>';
+    const auto bandwidth = [&out](const char* name, double bps) {
+      if (!(bps > 0.0)) return;
+      out += name;
+      out += strings::format_double(units::to_mbps(bps), 2);
+      out += "Mbps";
+    };
+    bandwidth(" base=", network.base_bw_bps);
+    bandwidth(" local=", network.base_local_bw_bps);
+    bandwidth(" reverse=", network.base_reverse_bw_bps);
+    if (network.route_asymmetric) out += " [ASYMMETRIC ROUTE]";
+  }
+  if (!network.gateway.empty()) {
+    out += " via ";
+    out += network.gateway;
+  }
+  out += '\n';
+  if (!network.machines.empty()) {
+    out.append(indent, ' ');
+    out += "    machines: ";
+    for (std::size_t i = 0; i < network.machines.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += network.machines[i];
+    }
+    out += '\n';
+  }
+  for (const auto& child : network.children) render_network(child, depth + 1, out);
+}
+
+}  // namespace
+
 std::string render_effective(const EnvNetwork& root) {
-  // Flatten first, render the flat columns: one sequential pass instead
-  // of a recursive descent re-allocating an indent string per level —
-  // the rendering is digested for every zone, so at 10k machines this
-  // sits on the mapping hot path.
-  return render_effective(EnvTreeArena::from_tree(root));
+  std::string out;
+  render_network(root, 0, out);
+  return out;
 }
 
 }  // namespace envnws::env

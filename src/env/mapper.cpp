@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
 #include <future>
 #include <limits>
 #include <map>
@@ -11,6 +10,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/codec.hpp"
+#include "common/hash.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -77,18 +78,6 @@ double median_of(std::vector<double> values) {
   return stats::median(values);
 }
 
-/// FNV-1a of a label: stable per-node seed material for the sampling
-/// Rng, so the sampled experiment stream depends only on (sample_seed,
-/// node label) — never on zone order or thread timing.
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ULL;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-
 Error null_engine_error(const ZoneSpec& spec) {
   return make_error(ErrorCode::internal,
                     "zone engine factory returned no engine for zone '" + spec.zone_name + "'");
@@ -122,14 +111,9 @@ std::string MapResult::canonical(const std::string& name) const {
 }
 
 std::string MapResult::identity_digest() const {
-  const auto full = [](double value) {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    return std::string(buffer);
-  };
-  const auto digest_stats = [&full](std::ostringstream& out, const MapStats& stats) {
+  const auto digest_stats = [](std::ostringstream& out, const MapStats& stats) {
     out << "stats: " << stats.experiments << ' ' << stats.bytes_sent << ' '
-        << full(stats.duration_s) << '\n';
+        << codec::format_full(stats.duration_s) << '\n';
   };
   std::ostringstream out;
   out << "master: " << master_fqdn << '\n';
@@ -405,7 +389,7 @@ std::vector<EnvNetwork> Mapper::refine(ProbeEngine& engine, const BatchContext& 
     std::size_t rep_count = buckets.size();
     // Extra representative slots go round-robin over the buckets, each
     // picked deterministically from the sampling seed.
-    Rng rng(options_.sample_seed ^ fnv1a64(label));
+    Rng rng(options_.sample_seed ^ hash::fnv1a64(label));
     while (rep_count < rep_budget) {
       bool placed = false;
       for (const auto& bucket : buckets) {
@@ -571,7 +555,7 @@ std::vector<EnvNetwork> Mapper::refine(ProbeEngine& engine, const BatchContext& 
       // issued in ascending pair-index order — a canonical-order
       // subsequence of the full enumeration. The median below is then
       // over the sample instead of every pair.
-      Rng rng(options_.sample_seed ^ fnv1a64(net.label) ^ 0x9e3779b97f4a7c15ULL);
+      Rng rng(options_.sample_seed ^ hash::fnv1a64(net.label) ^ 0x9e3779b97f4a7c15ULL);
       std::set<std::uint64_t> picked;
       while (picked.size() < static_cast<std::size_t>(options_.max_pairwise)) {
         picked.insert(rng.next_below(full_internal));

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <sstream>
 
+#include "common/codec.hpp"
+
 namespace envnws::env {
 
 namespace {
@@ -39,9 +41,9 @@ std::string encode_properties(const std::map<std::string, std::string>& properti
   std::string out;
   for (const auto& [key, value] : properties) {
     if (!out.empty()) out += ',';
-    out += wire::escape(key);
+    codec::append_escaped(out, key);
     out += ':';
-    out += wire::escape(value);
+    codec::append_escaped(out, value);
   }
   return out;
 }

@@ -11,13 +11,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 
+#include "common/codec.hpp"
 #include "common/parse.hpp"
 #include "common/strings.hpp"
 
@@ -76,17 +76,6 @@ Result<struct sockaddr_in> make_address(const std::string& ipv4, std::uint16_t p
     return make_error(ErrorCode::invalid_argument, "bad IPv4 address '" + ipv4 + "'");
   }
   return addr;
-}
-
-bool needs_escape(unsigned char c) {
-  return c <= 0x20 || c == 0x7f || c == '%' || c == '=' || c == ',' || c == ':';
-}
-
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
 }
 
 }  // namespace
@@ -154,43 +143,6 @@ std::string FrameBuffer::take_raw(std::size_t max) {
 
 // --- messages ---------------------------------------------------------------
 
-std::string escape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (const unsigned char c : value) {
-    if (needs_escape(c)) {
-      char buffer[4];
-      std::snprintf(buffer, sizeof(buffer), "%%%02X", c);
-      out += buffer;
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  return out;
-}
-
-Result<std::string> unescape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (std::size_t i = 0; i < value.size(); ++i) {
-    if (value[i] != '%') {
-      out += value[i];
-      continue;
-    }
-    if (i + 2 >= value.size()) {
-      return protocol_error("truncated %-escape in '" + value + "'");
-    }
-    const int hi = hex_digit(value[i + 1]);
-    const int lo = hex_digit(value[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return protocol_error("bad %-escape in '" + value + "'");
-    }
-    out += static_cast<char>(hi * 16 + lo);
-    i += 2;
-  }
-  return out;
-}
-
 WireMessage& WireMessage::add(const std::string& key, const std::string& value) {
   fields.emplace_back(key, value);
   return *this;
@@ -201,9 +153,7 @@ WireMessage& WireMessage::add_u64(const std::string& key, std::uint64_t value) {
 }
 
 WireMessage& WireMessage::add_f64(const std::string& key, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return add(key, buffer);
+  return add(key, codec::format_full(value));
 }
 
 bool WireMessage::has(const std::string& key) const {
@@ -222,16 +172,12 @@ std::string WireMessage::get(const std::string& key, const std::string& fallback
 
 Result<double> WireMessage::f64(const std::string& key) const {
   if (!has(key)) return protocol_error(type + " frame carries no '" + key + "' field");
-  const std::string text = get(key);
-  if (const auto value = parse::to_double(text); value.has_value()) return *value;
-  return protocol_error("bad numeric field " + key + "='" + text + "' in " + type + " frame");
+  return codec::numeric_field<double>(get(key), key, type + " frame");
 }
 
 Result<std::uint64_t> WireMessage::u64(const std::string& key) const {
   if (!has(key)) return protocol_error(type + " frame carries no '" + key + "' field");
-  const std::string text = get(key);
-  if (const auto value = parse::to_u64(text); value.has_value()) return *value;
-  return protocol_error("bad numeric field " + key + "='" + text + "' in " + type + " frame");
+  return codec::numeric_field<std::uint64_t>(get(key), key, type + " frame");
 }
 
 std::string WireMessage::serialize() const {
@@ -240,7 +186,7 @@ std::string WireMessage::serialize() const {
     out += ' ';
     out += key;
     out += '=';
-    out += escape(value);
+    codec::append_escaped(out, value);
   }
   return out;
 }
@@ -261,7 +207,7 @@ Result<WireMessage> WireMessage::parse(const std::string& payload) {
     if (token.empty() || eq == std::string::npos || eq == 0) {
       return protocol_error("bad field token '" + token + "' in " + message.type + " frame");
     }
-    auto value = unescape(token.substr(eq + 1));
+    auto value = codec::unescape(std::string_view(token).substr(eq + 1));
     if (!value.ok()) return value.error();
     message.fields.emplace_back(token.substr(0, eq), std::move(value.value()));
   }

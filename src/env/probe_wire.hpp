@@ -6,7 +6,8 @@
 //   "ENVP <payload-bytes>\n" <payload>
 //
 // The payload is one line: a TYPE token followed by `key=value` fields
-// (values percent-escaped, so names and error messages survive spaces).
+// (values percent-escaped by common/codec.hpp, so names and error
+// messages survive spaces).
 // Control frames are HELLO / PING / BWXFER / STATS (engine -> agent) and
 // BULK (agent -> agent bulk transfer); replies are `<TYPE>-OK`, `PONG`
 // or `ERR code=<ErrorCode> msg=<text>`.
@@ -101,12 +102,6 @@ struct WireMessage {
   [[nodiscard]] std::string serialize() const;
   static Result<WireMessage> parse(const std::string& payload);
 };
-
-/// Percent-escape a field value (space, %, =, comma, colon, control
-/// bytes) so it survives the space-separated payload grammar.
-[[nodiscard]] std::string escape(const std::string& value);
-/// Inverse of escape(); `protocol` error on truncated or non-hex `%xx`.
-[[nodiscard]] Result<std::string> unescape(const std::string& value);
 
 /// Build an `ERR` reply frame payload.
 [[nodiscard]] std::string error_payload(const Error& error);

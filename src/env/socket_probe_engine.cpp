@@ -5,6 +5,7 @@
 #include <condition_variable>
 #include <thread>
 
+#include "common/codec.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "env/batch_schedule.hpp"
@@ -163,8 +164,8 @@ Result<HostIdentity> SocketProbeEngine::lookup(const std::string& hostname) {
     if (colon == std::string::npos) {
       return make_error(ErrorCode::protocol, "bad HELLO-OK property token '" + pair + "'");
     }
-    auto key = wire::unescape(pair.substr(0, colon));
-    auto value = wire::unescape(pair.substr(colon + 1));
+    auto key = codec::unescape(pair.substr(0, colon));
+    auto value = codec::unescape(pair.substr(colon + 1));
     if (!key.ok()) return key.error();
     if (!value.ok()) return value.error();
     identity.properties[key.value()] = value.value();

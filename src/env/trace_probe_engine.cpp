@@ -1,93 +1,30 @@
 #include "env/trace_probe_engine.hpp"
 
-#include <cstdio>
 #include <filesystem>
 #include <sstream>
 
-#include "common/parse.hpp"
+#include "common/codec.hpp"
 #include "common/strings.hpp"
 
 namespace envnws::env {
 
 namespace {
 
-/// Full-precision double formatting: replayed bandwidths must be
-/// bit-identical to the recorded ones (17 significant digits round-trip
-/// IEEE doubles exactly).
-std::string full(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-// Trace tokens are space-separated, so strings are percent-escaped:
-// '%', whitespace, '|' (hop field separator) and '=' (property
-// separator) encode as %XX. The empty string — legal for e.g. a failed
-// reverse DNS fqdn — encodes as the otherwise-unproducible token "%e".
+// Trace tokens are whitespace-separated, so strings are percent-escaped
+// (common/codec.hpp). The empty string — legal for e.g. a failed reverse
+// DNS fqdn — encodes as the otherwise-unproducible token "%e".
 constexpr const char* kEmptyToken = "%e";
 
-bool needs_escape(char c) {
-  return c == '%' || c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '|' || c == '=';
-}
+/// Where numeric-field errors say the bad value came from.
+constexpr std::string_view kTrace = "probe trace";
 
 std::string escape(const std::string& text) {
-  if (text.empty()) return kEmptyToken;
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (needs_escape(c)) {
-      char buffer[4];
-      std::snprintf(buffer, sizeof(buffer), "%%%02X", static_cast<unsigned char>(c));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
+  return text.empty() ? std::string(kEmptyToken) : codec::escape(text);
 }
 
 Result<std::string> unescape(const std::string& token) {
   if (token == kEmptyToken) return std::string();
-  std::string out;
-  out.reserve(token.size());
-  for (std::size_t i = 0; i < token.size(); ++i) {
-    if (token[i] != '%') {
-      out.push_back(token[i]);
-      continue;
-    }
-    if (i + 2 >= token.size()) {
-      return make_error(ErrorCode::protocol, "truncated %-escape in trace token '" + token + "'");
-    }
-    const auto hex = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-      return -1;
-    };
-    const int hi = hex(token[i + 1]);
-    const int lo = hex(token[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return make_error(ErrorCode::protocol, "bad %-escape in trace token '" + token + "'");
-    }
-    out.push_back(static_cast<char>(hi * 16 + lo));
-    i += 2;
-  }
-  return out;
-}
-
-Result<double> parse_double(const std::string& text, const std::string& what) {
-  if (const auto value = parse::to_double(text); value.has_value()) return *value;
-  return make_error(ErrorCode::protocol, "bad " + what + " '" + text + "' in probe trace");
-}
-
-Result<std::uint64_t> parse_u64(const std::string& text, const std::string& what) {
-  if (const auto value = parse::to_u64(text); value.has_value()) return *value;
-  return make_error(ErrorCode::protocol, "bad " + what + " '" + text + "' in probe trace");
-}
-
-Result<std::int64_t> parse_i64(const std::string& text, const std::string& what) {
-  if (const auto value = parse::to_i64(text); value.has_value()) return *value;
-  return make_error(ErrorCode::protocol, "bad " + what + " '" + text + "' in probe trace");
+  return codec::unescape(token);
 }
 
 /// "err <code> <message>" suffix shared by every record kind.
@@ -150,7 +87,7 @@ std::string serialize_record(const TraceRecord& record) {
       const auto& entry = record.entries.front();
       out << "B " << escape(entry.from) << ' ' << escape(entry.to) << ' ';
       if (entry.ok) {
-        out << "ok " << full(entry.bandwidth_bps);
+        out << "ok " << codec::format_full(entry.bandwidth_bps);
       } else {
         write_error_tokens(out, entry.error);
       }
@@ -161,7 +98,7 @@ std::string serialize_record(const TraceRecord& record) {
       for (const auto& entry : record.entries) {
         out << ' ' << escape(entry.from) << ' ' << escape(entry.to) << ' ';
         if (entry.ok) {
-          out << "ok " << full(entry.bandwidth_bps);
+          out << "ok " << codec::format_full(entry.bandwidth_bps);
         } else {
           write_error_tokens(out, entry.error);
         }
@@ -170,7 +107,7 @@ std::string serialize_record(const TraceRecord& record) {
     }
   }
   out << "\nS " << record.stats_after.experiments << ' ' << record.stats_after.bytes_sent << ' '
-      << full(record.stats_after.busy_time_s) << '\n';
+      << codec::format_full(record.stats_after.busy_time_s) << '\n';
   return out.str();
 }
 
@@ -286,7 +223,7 @@ Result<TraceRecord> parse_record_line(const std::vector<std::string>& tokens) {
       if (tokens.size() != 5) {
         return make_error(ErrorCode::protocol, "truncated bandwidth trace record");
       }
-      auto bps = parse_double(tokens[4], "bandwidth");
+      auto bps = codec::numeric_field<double>(tokens[4], "bandwidth", kTrace);
       if (!bps.ok()) return bps.error();
       entry.bandwidth_bps = bps.value();
     }
@@ -298,7 +235,7 @@ Result<TraceRecord> parse_record_line(const std::vector<std::string>& tokens) {
     if (tokens.size() < 2) {
       return make_error(ErrorCode::protocol, "truncated concurrent trace record");
     }
-    auto count = parse_u64(tokens[1], "batch size");
+    auto count = codec::numeric_field<std::uint64_t>(tokens[1], "batch size", kTrace);
     if (!count.ok()) return count.error();
     std::size_t at = 2;
     for (std::uint64_t i = 0; i < count.value(); ++i) {
@@ -320,7 +257,7 @@ Result<TraceRecord> parse_record_line(const std::vector<std::string>& tokens) {
         if (at + 1 >= tokens.size()) {
           return make_error(ErrorCode::protocol, "truncated concurrent trace record");
         }
-        auto bps = parse_double(tokens[at + 1], "bandwidth");
+        auto bps = codec::numeric_field<double>(tokens[at + 1], "bandwidth", kTrace);
         if (!bps.ok()) return bps.error();
         entry.bandwidth_bps = bps.value();
         at += 2;
@@ -399,9 +336,9 @@ Result<ProbeTrace> ProbeTrace::parse(const std::string& text, std::string source
       if (tokens.size() != 4) {
         return make_error(ErrorCode::protocol, "'" + trace.source + "': malformed stats line");
       }
-      auto experiments = parse_u64(tokens[1], "experiments");
-      auto bytes = parse_i64(tokens[2], "bytes-sent");
-      auto busy = parse_double(tokens[3], "busy-time");
+      auto experiments = codec::numeric_field<std::uint64_t>(tokens[1], "experiments", kTrace);
+      auto bytes = codec::numeric_field<std::int64_t>(tokens[2], "bytes-sent", kTrace);
+      auto busy = codec::numeric_field<double>(tokens[3], "busy-time", kTrace);
       if (!experiments.ok()) return experiments.error();
       if (!bytes.ok()) return bytes.error();
       if (!busy.ok()) return busy.error();

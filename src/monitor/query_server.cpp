@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/codec.hpp"
 #include "common/strings.hpp"
 
 namespace envnws::monitor {
@@ -196,9 +197,9 @@ std::string QueryServer::handle_series(const wire::WireMessage& request) const {
   std::string joined;
   for (const nws::Measurement& point : points) {
     if (!joined.empty()) joined += ',';
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g:%.17g", point.time, point.value);
-    joined += buffer;
+    codec::append_full(joined, point.time);
+    joined += ':';
+    codec::append_full(joined, point.value);
   }
   wire::WireMessage reply("SERIES-OK");
   reply.add_u64("count", points.size());

@@ -1,24 +1,16 @@
 #include "monitor/snapshot.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "common/codec.hpp"
 #include "common/hash.hpp"
 
 namespace envnws::monitor {
 
-namespace {
-
-/// 17 significant digits: enough to round-trip any double, the same
-/// full-precision convention as MapResult::identity_digest().
-std::string f64(double value) {
-  char out[40];
-  std::snprintf(out, sizeof(out), "%.17g", value);
-  return out;
-}
-
-}  // namespace
+// Doubles render with 17 significant digits, the same full-precision
+// convention as MapResult::identity_digest().
+using codec::format_full;
 
 const PairReading* MonitorSnapshot::find(const nws::SeriesKey& key) const {
   const auto it = std::lower_bound(
@@ -31,7 +23,7 @@ const PairReading* MonitorSnapshot::find(const nws::SeriesKey& key) const {
 std::string MonitorSnapshot::render() const {
   std::ostringstream out;
   out << "monitor snapshot v" << version << "\n";
-  out << "cycles " << cycles << " time " << f64(time_s) << "\n";
+  out << "cycles " << cycles << " time " << format_full(time_s) << "\n";
   out << "measurements " << measurements << " failures " << probe_failures << "\n";
   out << "remaps " << remaps << " remap-experiments " << remap_experiments << "\n";
   out << "drifting";
@@ -39,11 +31,12 @@ std::string MonitorSnapshot::render() const {
   out << "\n";
   out << "pairs " << pairs.size() << "\n";
   for (const PairReading& pair : pairs) {
-    out << pair.key.to_string() << " t=" << f64(pair.time) << " v=" << f64(pair.value)
-        << " forecast=" << f64(pair.forecast.value) << " mae=" << f64(pair.forecast.mae)
-        << " rmse=" << f64(pair.forecast.rmse) << " winner=" << pair.forecast.winner
-        << " samples=" << pair.forecast.samples << " drift=" << f64(pair.drift_relative_mae)
-        << (pair.drifting ? " DRIFTING" : "") << "\n";
+    out << pair.key.to_string() << " t=" << format_full(pair.time)
+        << " v=" << format_full(pair.value) << " forecast=" << format_full(pair.forecast.value)
+        << " mae=" << format_full(pair.forecast.mae) << " rmse=" << format_full(pair.forecast.rmse)
+        << " winner=" << pair.forecast.winner << " samples=" << pair.forecast.samples
+        << " drift=" << format_full(pair.drift_relative_mae) << (pair.drifting ? " DRIFTING" : "")
+        << "\n";
   }
   return out.str();
 }

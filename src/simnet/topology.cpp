@@ -24,6 +24,10 @@ double hashed_normal(std::uint64_t seed, std::int64_t bucket) {
   const double u2 = static_cast<double>(h2 >> 11) * 0x1.0p-53;  // [0,1)
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * std::numbers::pi * u2);
 }
+
+/// Positive and finite; NaN fails the `c > 0.0` test.
+bool usable_capacity(double c) { return c > 0.0 && std::isfinite(c); }
+
 }  // namespace
 
 double LoadModel::at(double t) const {
@@ -195,9 +199,10 @@ Status Topology::validate() const {
     return make_error(ErrorCode::invalid_argument, "duplicate node names");
   }
   for (const auto& l : links_) {
-    if (l.bw_ab_bps <= 0.0 || l.bw_ba_bps <= 0.0) {
+    if (!usable_capacity(l.bw_ab_bps) || !usable_capacity(l.bw_ba_bps)) {
       return make_error(ErrorCode::invalid_argument,
-                        "link " + std::to_string(l.id.value()) + " has non-positive capacity");
+                        "link " + std::to_string(l.id.value()) +
+                            " has a non-positive or non-finite capacity");
     }
     if (l.latency_s < 0.0) {
       return make_error(ErrorCode::invalid_argument,
@@ -209,9 +214,9 @@ Status Topology::validate() const {
     }
   }
   for (const auto& n : nodes_) {
-    if (n.kind == NodeKind::hub && n.hub_capacity_bps <= 0.0) {
+    if (n.kind == NodeKind::hub && !usable_capacity(n.hub_capacity_bps)) {
       return make_error(ErrorCode::invalid_argument,
-                        "hub '" + n.name + "' has non-positive capacity");
+                        "hub '" + n.name + "' has a non-positive or non-finite capacity");
     }
     if (n.is_host() && n.zones.empty()) {
       return make_error(ErrorCode::invalid_argument,

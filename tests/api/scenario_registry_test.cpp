@@ -26,6 +26,10 @@ TEST(ScenarioSpec, ParsesFullForm) {
 
 TEST(ScenarioSpec, ParsesNameOnlyAndPartialForms) {
   EXPECT_TRUE(ScenarioSpec::parse("ens-lyon").ok());
+  // Every dimension, rate and percentage piece is trimmed.
+  EXPECT_TRUE(ScenarioSpec::parse("dumbbell:3x3@ 100").ok());
+  EXPECT_TRUE(ScenarioSpec::parse("dumbbell: 3x 3@100/ 10").ok());
+  EXPECT_TRUE(ScenarioSpec::parse("lossy:p= 1%:star:6").ok());
   auto dims_only = ScenarioSpec::parse("star:8");
   ASSERT_TRUE(dims_only.ok());
   EXPECT_TRUE(dims_only.value().rates_mbps.empty());
@@ -51,7 +55,8 @@ TEST(ScenarioSpec, RoundTripsThroughToString) {
 TEST(ScenarioSpec, RejectsMalformedSpecs) {
   for (const char* text : {"", "  ", ":3x3", "star:", "star:x", "star:3x", "star@",
                            "star@fast", "star@-10", "star@0", "dumbbell:axb",
-                           "dumbbell:3.5"}) {
+                           "dumbbell:3.5", "star@nan", "star@inf", "star@-inf",
+                           "lossy:p=inf%:star:6"}) {
     auto spec = ScenarioSpec::parse(text);
     EXPECT_FALSE(spec.ok()) << "'" << text << "' should not parse";
     if (!spec.ok()) EXPECT_EQ(spec.error().code, ErrorCode::invalid_argument) << text;

@@ -1,6 +1,6 @@
 // The staged pipeline: stage reuse, observer event ordering, probe
-// backend pluggability, and equivalence with the core::auto_deploy
-// compatibility wrapper.
+// backend pluggability, and equivalence of staged runs with one-call
+// run_all() pipelines.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -29,16 +29,17 @@ TEST(Session, PlanFromCachedMapIsIdenticalToAutoDeploy) {
   const auto scenario = test_scenario();
 
   simnet::Network reference_net(simnet::Scenario(scenario).topology);
-  auto reference = core::auto_deploy(reference_net, scenario);
-  ASSERT_TRUE(reference.ok()) << reference.error().to_string();
+  Session reference(reference_net, scenario);
+  const Status status = reference.run_all();
+  ASSERT_TRUE(status.ok()) << status.error().to_string();
 
   simnet::Network net(simnet::Scenario(scenario).topology);
   Session session(net, scenario);
   ASSERT_TRUE(session.map().ok());
   ASSERT_TRUE(session.plan().ok());
-  EXPECT_EQ(session.config_text(), reference.value().config_text);
-  EXPECT_EQ(session.plan_result().render(), reference.value().plan.render());
-  reference.value().system->stop();
+  EXPECT_EQ(session.config_text(), reference.config_text());
+  EXPECT_EQ(session.plan_result().render(), reference.plan_result().render());
+  reference.system().stop();
 }
 
 TEST(Session, RePlanningReusesTheCachedMapWithoutReProbing) {
@@ -284,11 +285,13 @@ TEST(Session, GridmlSeededSessionMatchesDeployFromGridml) {
   EXPECT_EQ(probe_flows(net), 0u);
 
   simnet::Network reference_net(simnet::Scenario(test_scenario()).topology);
-  auto reference = core::deploy_from_gridml(reference_net, published, "l0.lan");
-  ASSERT_TRUE(reference.ok()) << reference.error().to_string();
-  EXPECT_EQ(session.config_text(), reference.value().config_text);
-  EXPECT_EQ(session.plan_result().memory_hosts, reference.value().plan.memory_hosts);
-  reference.value().system->stop();
+  Session reference(reference_net);
+  ASSERT_TRUE(reference.load_map_from_gridml(published, "l0.lan").ok());
+  const Status deployed = reference.run_all();
+  ASSERT_TRUE(deployed.ok()) << deployed.error().to_string();
+  EXPECT_EQ(session.config_text(), reference.config_text());
+  EXPECT_EQ(session.plan_result().memory_hosts, reference.plan_result().memory_hosts);
+  reference.system().stop();
   session.system().stop();
 
   // Garbage documents fail loudly.

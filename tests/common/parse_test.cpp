@@ -3,6 +3,8 @@
 // properties, deploy configs, fault specs).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/parse.hpp"
 
 namespace envnws::parse {
@@ -17,6 +19,9 @@ TEST(Parse, DoubleAcceptsFullNumericTokensOnly) {
   EXPECT_FALSE(to_double("1.5x").has_value());     // trailing junk
   EXPECT_FALSE(to_double("1.5 2").has_value());    // embedded junk
   EXPECT_FALSE(to_double("1e999").has_value());    // out of range
+  EXPECT_FALSE(to_double("1e-400").has_value());   // underflows to zero
+  EXPECT_EQ(to_double("4.9406564584124654e-324").value(),  // denorm_min
+            std::numeric_limits<double>::denorm_min());
   EXPECT_FALSE(to_double(" ").has_value());
   // std::stod counts skipped whitespace as consumed; the helpers must
   // not let that satisfy the full-token rule.

@@ -1,8 +1,8 @@
 // Planner / manager / validator behaviour of the host-lock extension.
 #include <gtest/gtest.h>
 
+#include "api/session.hpp"
 #include "common/units.hpp"
-#include "core/autodeploy.hpp"
 #include "deploy/manager.hpp"
 #include "deploy/planner.hpp"
 #include "deploy/validate.hpp"
@@ -72,27 +72,27 @@ TEST(HostLockPlan, EnsLyonBecomesCollisionFreeWithHostLocks) {
   // proposed fix — host locks — eliminates every finding.
   simnet::Scenario scenario = simnet::ens_lyon();
   simnet::Network net(simnet::Scenario(scenario).topology);
-  core::AutoDeployOptions options;
+  api::SessionOptions options;
   options.planner.use_host_locks = true;
-  auto result = core::auto_deploy(net, scenario, options);
-  ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_TRUE(result.value().validation.collision_free)
-      << result.value().validation.render();
-  EXPECT_TRUE(result.value().validation.complete);
+  api::Session session(net, scenario, options);
+  const Status status = session.run_all();
+  ASSERT_TRUE(status.ok()) << status.error().to_string();
+  EXPECT_TRUE(session.validation().collision_free) << session.validation().render();
+  EXPECT_TRUE(session.validation().complete);
   // And the deployed system actually runs with locks.
-  EXPECT_NE(result.value().system->host_locks(), nullptr);
+  EXPECT_NE(session.system().host_locks(), nullptr);
   net.run_until(net.now() + 300.0);
-  EXPECT_GT(result.value().system->host_locks()->acquisitions(), 10u);
-  result.value().system->stop();
+  EXPECT_GT(session.system().host_locks()->acquisitions(), 10u);
+  session.system().stop();
 }
 
 TEST(HostLockPlan, WithoutLocksTheSamePlanHasCollisions) {
   simnet::Scenario scenario = simnet::ens_lyon();
   simnet::Network net(simnet::Scenario(scenario).topology);
-  auto result = core::auto_deploy(net, scenario);
-  ASSERT_TRUE(result.ok());
-  EXPECT_FALSE(result.value().validation.collision_free);
-  result.value().system->stop();
+  api::Session session(net, scenario);
+  ASSERT_TRUE(session.run_all().ok());
+  EXPECT_FALSE(session.validation().collision_free);
+  session.system().stop();
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "api/session.hpp"
 #include "common/strings.hpp"
 #include "common/units.hpp"
-#include "core/autodeploy.hpp"
 #include "deploy/plan.hpp"
 #include "deploy/validate.hpp"
 
@@ -81,16 +81,16 @@ TEST(ValidateMisc, RenderShowsViolations) {
 TEST(ValidateMisc, ToleranceOptionControlsFindings) {
   simnet::Scenario scenario = simnet::ens_lyon();
   simnet::Network net(simnet::Scenario(scenario).topology);
-  auto result = core::auto_deploy(net, scenario);
-  ASSERT_TRUE(result.ok());
+  api::Session session(net, scenario);
+  ASSERT_TRUE(session.run_all().ok());
   // With a 60% tolerance even the asymmetric-return collisions pass.
   ValidatorOptions relaxed;
   relaxed.collision_tolerance = 0.6;
-  const ValidationReport report = validate_plan(result.value().plan, net, relaxed);
+  const ValidationReport report = validate_plan(session.plan_result(), net, relaxed);
   EXPECT_TRUE(report.collision_free);
   // The worst error is still *reported* regardless of tolerance.
   EXPECT_GT(report.worst_collision_error, 0.4);
-  result.value().system->stop();
+  session.system().stop();
 }
 
 TEST(QueryMisc, UnknownHostsAreNotCoverable) {

@@ -4,10 +4,10 @@
 
 #include <algorithm>
 
+#include "api/session.hpp"
 #include "common/units.hpp"
-#include "core/autodeploy.hpp"
 
-namespace envnws::core {
+namespace envnws::api {
 namespace {
 
 using units::mbps;
@@ -17,14 +17,14 @@ class EnsLyonDeploy : public ::testing::Test {
   static void SetUpTestSuite() {
     scenario_ = new simnet::Scenario(simnet::ens_lyon());
     net_ = new simnet::Network(simnet::Scenario(*scenario_).topology);
-    auto result = auto_deploy(*net_, *scenario_);
-    ASSERT_TRUE(result.ok()) << result.error().to_string();
-    deploy_ = new AutoDeployResult(std::move(result.value()));
+    deploy_ = new Session(*net_, *scenario_);
+    const Status status = deploy_->run_all();
+    ASSERT_TRUE(status.ok()) << status.error().to_string();
     // Let the monitoring run for a while.
     net_->run_until(net_->now() + 900.0);
   }
   static void TearDownTestSuite() {
-    if (deploy_ != nullptr) deploy_->system->stop();
+    if (deploy_ != nullptr && deploy_->has(Stage::apply)) deploy_->system().stop();
     delete deploy_;
     deploy_ = nullptr;
     delete net_;
@@ -35,15 +35,15 @@ class EnsLyonDeploy : public ::testing::Test {
 
   static simnet::Scenario* scenario_;
   static simnet::Network* net_;
-  static AutoDeployResult* deploy_;
+  static Session* deploy_;
 };
 
 simnet::Scenario* EnsLyonDeploy::scenario_ = nullptr;
 simnet::Network* EnsLyonDeploy::net_ = nullptr;
-AutoDeployResult* EnsLyonDeploy::deploy_ = nullptr;
+Session* EnsLyonDeploy::deploy_ = nullptr;
 
 TEST_F(EnsLyonDeploy, PlanMatchesPaperFigure3) {
-  const deploy::DeploymentPlan& plan = deploy_->plan;
+  const deploy::DeploymentPlan& plan = deploy_->plan_result();
   ASSERT_EQ(plan.cliques.size(), 5u);
 
   const auto members_of = [&](deploy::CliqueRole role,
@@ -81,23 +81,23 @@ TEST_F(EnsLyonDeploy, PlanMatchesPaperFigure3) {
 }
 
 TEST_F(EnsLyonDeploy, ProcessPlacementIsHierarchical) {
-  EXPECT_EQ(deploy_->plan.nameserver_host, "the-doors.ens-lyon.fr");
-  EXPECT_EQ(deploy_->plan.forecaster_host, "the-doors.ens-lyon.fr");
+  EXPECT_EQ(deploy_->plan_result().nameserver_host, "the-doors.ens-lyon.fr");
+  EXPECT_EQ(deploy_->plan_result().forecaster_host, "the-doors.ens-lyon.fr");
   // One memory per site: the master's and the private zone's.
-  ASSERT_EQ(deploy_->plan.memory_hosts.size(), 2u);
-  EXPECT_EQ(deploy_->plan.memory_hosts[0], "the-doors.ens-lyon.fr");
-  EXPECT_EQ(deploy_->plan.memory_hosts[1], "popc.ens-lyon.fr");
+  ASSERT_EQ(deploy_->plan_result().memory_hosts.size(), 2u);
+  EXPECT_EQ(deploy_->plan_result().memory_hosts[0], "the-doors.ens-lyon.fr");
+  EXPECT_EQ(deploy_->plan_result().memory_hosts[1], "popc.ens-lyon.fr");
 }
 
 TEST_F(EnsLyonDeploy, DeploymentIsComplete) {
-  EXPECT_TRUE(deploy_->validation.complete);
-  EXPECT_EQ(deploy_->validation.max_clique_size, 7u);
+  EXPECT_TRUE(deploy_->validation().complete);
+  EXPECT_EQ(deploy_->validation().max_clique_size, 7u);
   // 15 hosts monitored with ~50 experiments/cycle instead of 15*14=210.
-  EXPECT_LE(deploy_->validation.experiments_per_cycle, 60u);
+  EXPECT_LE(deploy_->validation().experiments_per_cycle, 60u);
 }
 
 TEST_F(EnsLyonDeploy, DirectQueryMatchesGroundTruth) {
-  auto reply = deploy_->queries->bandwidth("the-doors", "canaria.ens-lyon.fr",
+  auto reply = deploy_->queries().bandwidth("the-doors", "canaria.ens-lyon.fr",
                                            "moby.cri2000.ens-lyon.fr");
   ASSERT_TRUE(reply.ok()) << reply.error().to_string();
   EXPECT_EQ(reply.value().method, deploy::QueryMethod::direct);
@@ -106,7 +106,7 @@ TEST_F(EnsLyonDeploy, DirectQueryMatchesGroundTruth) {
 
 TEST_F(EnsLyonDeploy, SubstitutedQueryUsesRepresentativePair) {
   // (the-doors, moby) is not measured directly: hub1's pair answers.
-  auto reply = deploy_->queries->bandwidth("the-doors", "the-doors.ens-lyon.fr",
+  auto reply = deploy_->queries().bandwidth("the-doors", "the-doors.ens-lyon.fr",
                                            "moby.cri2000.ens-lyon.fr");
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply.value().method, deploy::QueryMethod::substituted);
@@ -116,7 +116,7 @@ TEST_F(EnsLyonDeploy, SubstitutedQueryUsesRepresentativePair) {
 TEST_F(EnsLyonDeploy, AggregatedQueryFindsBottleneck) {
   // the-doors -> sci3 crosses the 10 Mbps link: min along the chain.
   auto reply =
-      deploy_->queries->bandwidth("the-doors", "the-doors.ens-lyon.fr", "sci3.popc.private");
+      deploy_->queries().bandwidth("the-doors", "the-doors.ens-lyon.fr", "sci3.popc.private");
   ASSERT_TRUE(reply.ok()) << reply.error().to_string();
   EXPECT_EQ(reply.value().method, deploy::QueryMethod::aggregated);
   EXPECT_GE(reply.value().segments.size(), 3u);
@@ -125,7 +125,7 @@ TEST_F(EnsLyonDeploy, AggregatedQueryFindsBottleneck) {
 
 TEST_F(EnsLyonDeploy, AggregatedLatencyAddsUp) {
   auto reply =
-      deploy_->queries->latency("the-doors", "the-doors.ens-lyon.fr", "sci3.popc.private");
+      deploy_->queries().latency("the-doors", "the-doors.ens-lyon.fr", "sci3.popc.private");
   ASSERT_TRUE(reply.ok());
   const double truth =
       2.0 * net_->ground_truth_latency(scenario_->id("the-doors").value(),
@@ -137,10 +137,10 @@ TEST_F(EnsLyonDeploy, AggregatedLatencyAddsUp) {
 }
 
 TEST_F(EnsLyonDeploy, EveryHostPairIsAnswerable) {
-  const auto& hosts = deploy_->plan.hosts;
+  const auto& hosts = deploy_->plan_result().hosts;
   for (std::size_t i = 0; i < hosts.size(); ++i) {
     for (std::size_t j = i + 1; j < hosts.size(); ++j) {
-      auto reply = deploy_->queries->bandwidth("the-doors", hosts[i], hosts[j]);
+      auto reply = deploy_->queries().bandwidth("the-doors", hosts[i], hosts[j]);
       EXPECT_TRUE(reply.ok()) << hosts[i] << " <-> " << hosts[j] << ": "
                               << (reply.ok() ? "" : reply.error().to_string());
       if (reply.ok()) EXPECT_GT(reply.value().value, 0.0);
@@ -149,11 +149,11 @@ TEST_F(EnsLyonDeploy, EveryHostPairIsAnswerable) {
 }
 
 TEST_F(EnsLyonDeploy, ConfigTextDescribesDeployment) {
-  EXPECT_NE(deploy_->config_text.find("[global]"), std::string::npos);
-  EXPECT_NE(deploy_->config_text.find("master = the-doors.ens-lyon.fr"), std::string::npos);
-  const auto parsed = deploy::parse_config(deploy_->config_text);
+  EXPECT_NE(deploy_->config_text().find("[global]"), std::string::npos);
+  EXPECT_NE(deploy_->config_text().find("master = the-doors.ens-lyon.fr"), std::string::npos);
+  const auto parsed = deploy::parse_config(deploy_->config_text());
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().cliques.size(), deploy_->plan.cliques.size());
+  EXPECT_EQ(parsed.value().cliques.size(), deploy_->plan_result().cliques.size());
   // Per-host duties extractable for every host.
   const auto assignment =
       deploy::local_assignment(parsed.value(), "the-doors.ens-lyon.fr");
@@ -170,7 +170,7 @@ TEST_F(EnsLyonDeploy, CollisionReportSeparatesTwoInterferenceRegimes) {
   //    route, contends at full speed, and can halve a hub measurement.
   double worst_forward = 0.0;
   double worst_return = 0.0;
-  for (const auto& finding : deploy_->validation.collisions) {
+  for (const auto& finding : deploy_->validation().collisions) {
     const bool involves_return = finding.pair_a.find("popc->canaria") != std::string::npos ||
                                  finding.pair_b.find("popc->canaria") != std::string::npos;
     if (involves_return) {
@@ -181,7 +181,7 @@ TEST_F(EnsLyonDeploy, CollisionReportSeparatesTwoInterferenceRegimes) {
   }
   EXPECT_NEAR(worst_return, 0.50, 0.02);
   EXPECT_LE(worst_forward, 0.12);
-  EXPECT_NEAR(deploy_->validation.worst_collision_error, 0.50, 0.02);
+  EXPECT_NEAR(deploy_->validation().worst_collision_error, 0.50, 0.02);
 }
 
 TEST_F(EnsLyonDeploy, RenderedReportIsComprehensive) {
@@ -194,39 +194,40 @@ TEST_F(EnsLyonDeploy, RenderedReportIsComprehensive) {
 TEST(AutoDeploySynthetic, WanConstellationDeploysHierarchically) {
   auto scenario = simnet::wan_constellation(3, 4, mbps(100), mbps(10));
   simnet::Network net(simnet::Scenario(scenario).topology);
-  auto result = auto_deploy(net, scenario);
-  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  Session session(net, scenario);
+  const Status status = session.run_all();
+  ASSERT_TRUE(status.ok()) << status.error().to_string();
   // Per-site cliques plus a root inter-site clique.
   std::size_t inter_cliques = 0;
-  for (const auto& clique : result.value().plan.cliques) {
+  for (const auto& clique : session.plan_result().cliques) {
     if (clique.role == deploy::CliqueRole::inter) ++inter_cliques;
   }
   EXPECT_GE(inter_cliques, 1u);
-  EXPECT_TRUE(result.value().validation.complete);
+  EXPECT_TRUE(session.validation().complete);
   net.run_until(net.now() + 400.0);
-  auto reply = result.value().queries->bandwidth("site0n0", "site0n0.site0.org",
+  auto reply = session.queries().bandwidth("site0n0", "site0n0.site0.org",
                                                  "site2n1.site2.org");
   ASSERT_TRUE(reply.ok()) << reply.error().to_string();
   EXPECT_NEAR(reply.value().value, mbps(10), mbps(2));
-  result.value().system->stop();
+  session.system().stop();
 }
 
 TEST(AutoDeploySynthetic, SingleLanNeedsNoInterClique) {
   auto scenario = simnet::star_hub(5, mbps(100));
   simnet::Network net(simnet::Scenario(scenario).topology);
-  auto result = auto_deploy(net, scenario);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().plan.cliques.size(), 1u);
-  EXPECT_EQ(result.value().plan.cliques[0].role, deploy::CliqueRole::shared_pair);
-  EXPECT_TRUE(result.value().validation.ok());
-  result.value().system->stop();
+  Session session(net, scenario);
+  ASSERT_TRUE(session.run_all().ok());
+  ASSERT_EQ(session.plan_result().cliques.size(), 1u);
+  EXPECT_EQ(session.plan_result().cliques[0].role, deploy::CliqueRole::shared_pair);
+  EXPECT_TRUE(session.validation().ok());
+  session.system().stop();
 }
 
 TEST(AutoDeployFailure, MonitoringSurvivesHostDeath) {
   auto scenario = simnet::star_switch(4, mbps(100));
   simnet::Network net(simnet::Scenario(scenario).topology);
-  auto result = auto_deploy(net, scenario);
-  ASSERT_TRUE(result.ok());
+  Session session(net, scenario);
+  ASSERT_TRUE(session.run_all().ok());
   net.run_until(net.now() + 120.0);
   net.set_host_up(net.topology().find_by_name("h1").value(), false);
   net.run_until(net.now() + 400.0);
@@ -234,14 +235,14 @@ TEST(AutoDeployFailure, MonitoringSurvivesHostDeath) {
   // the dead member or was regenerated — both are recovery paths; the
   // deterministic regeneration case is covered in the nws suite).
   const auto* series =
-      result.value().system->find_series({nws::ResourceKind::bandwidth, "h2", "h3"});
+      session.system().find_series({nws::ResourceKind::bandwidth, "h2", "h3"});
   ASSERT_NE(series, nullptr);
   EXPECT_GT(series->latest().time, net.now() - 100.0);
   // Queries about dead-host pairs still answer from history.
-  auto reply = result.value().queries->bandwidth("h0", "h0.lan", "h1.lan");
+  auto reply = session.queries().bandwidth("h0", "h0.lan", "h1.lan");
   EXPECT_TRUE(reply.ok());
-  result.value().system->stop();
+  session.system().stop();
 }
 
 }  // namespace
-}  // namespace envnws::core
+}  // namespace envnws::api

@@ -4,10 +4,10 @@
 // every other test in the suite trustworthy.
 #include <gtest/gtest.h>
 
+#include "api/session.hpp"
 #include "common/units.hpp"
-#include "core/autodeploy.hpp"
 
-namespace envnws::core {
+namespace envnws::api {
 namespace {
 
 using units::mbps;
@@ -30,20 +30,20 @@ RunDigest run_once(bool with_jitter) {
     net_options.seed = 99;
   }
   simnet::Network net(simnet::Scenario(scenario).topology, net_options);
-  auto result = auto_deploy(net, scenario);
-  EXPECT_TRUE(result.ok());
+  Session session(net, scenario);
+  EXPECT_TRUE(session.run_all().ok());
   net.run_until(net.now() + 300.0);
   RunDigest digest;
-  digest.effective_view = env::render_effective(result.value().map.root);
-  digest.config = result.value().config_text;
-  digest.map_experiments = result.value().map.stats.experiments;
-  digest.map_bytes = result.value().map.stats.bytes_sent;
-  digest.map_duration = result.value().map.stats.duration_s;
-  digest.measurements = result.value().system->total_measurements();
-  const auto* series = result.value().system->find_series(
+  digest.effective_view = env::render_effective(session.map_result().root);
+  digest.config = session.config_text();
+  digest.map_experiments = session.map_result().stats.experiments;
+  digest.map_bytes = session.map_result().stats.bytes_sent;
+  digest.map_duration = session.map_result().stats.duration_s;
+  digest.measurements = session.system().total_measurements();
+  const auto* series = session.system().find_series(
       {nws::ResourceKind::bandwidth, "canaria", "moby"});
   if (series != nullptr) digest.series_values = series->values();
-  result.value().system->stop();
+  session.system().stop();
   return digest;
 }
 
@@ -86,4 +86,4 @@ TEST(Determinism, JitteredRunDiffersFromCleanRun) {
 }
 
 }  // namespace
-}  // namespace envnws::core
+}  // namespace envnws::api

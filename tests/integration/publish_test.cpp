@@ -3,14 +3,24 @@
 // ENV probe. Plus the memory-server dump/restore persistence.
 #include <gtest/gtest.h>
 
+#include "api/session.hpp"
 #include "common/units.hpp"
-#include "core/autodeploy.hpp"
 #include "nws/memory.hpp"
 
-namespace envnws::core {
+namespace envnws::api {
 namespace {
 
 using units::mbps;
+
+/// Deploy from published GridML text: seed a scenario-less session's map
+/// stage with the view, then plan, apply and validate.
+Status deploy_from_gridml(Session& session, const std::string& gridml_text,
+                          const std::string& master) {
+  if (auto loaded = session.load_map_from_gridml(gridml_text, master); !loaded.ok()) {
+    return loaded;
+  }
+  return session.run_all();
+}
 
 TEST(PublishWorkflow, DeployFromPublishedGridmlWithoutProbes) {
   // First operator maps the platform and publishes the result.
@@ -18,62 +28,66 @@ TEST(PublishWorkflow, DeployFromPublishedGridmlWithoutProbes) {
   {
     simnet::Scenario scenario = simnet::ens_lyon();
     simnet::Network net(simnet::Scenario(scenario).topology);
-    auto result = auto_deploy(net, scenario);
-    ASSERT_TRUE(result.ok());
-    published = result.value().map.grid.to_string();
-    result.value().system->stop();
+    Session session(net, scenario);
+    ASSERT_TRUE(session.run_all().ok());
+    published = session.map_result().grid.to_string();
+    session.system().stop();
   }
 
   // Second operator deploys from the file on a fresh platform instance.
   simnet::Scenario scenario = simnet::ens_lyon();
   simnet::Network net(simnet::Scenario(scenario).topology);
-  auto result = deploy_from_gridml(net, published, "the-doors.ens-lyon.fr");
-  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  Session session(net);
+  const Status status = deploy_from_gridml(session, published, "the-doors.ens-lyon.fr");
+  ASSERT_TRUE(status.ok()) << status.error().to_string();
 
   // Not a single mapping probe was injected on this network.
   EXPECT_EQ(net.stats().by_purpose.count("env-probe"), 0u);
 
   // The deployment is complete and the monitoring works.
-  EXPECT_TRUE(result.value().validation.complete);
+  EXPECT_TRUE(session.validation().complete);
   net.run_until(net.now() + 600.0);
-  auto reply = result.value().queries->bandwidth("the-doors", "the-doors.ens-lyon.fr",
-                                                 "sci3.popc.private");
+  auto reply = session.queries().bandwidth("the-doors", "the-doors.ens-lyon.fr",
+                                           "sci3.popc.private");
   ASSERT_TRUE(reply.ok()) << reply.error().to_string();
   EXPECT_NEAR(reply.value().value, mbps(10), mbps(1.5));
 
   // Memory servers were placed on the master + the gateways named in
   // the published view (no zone data is available in this workflow).
-  EXPECT_GE(result.value().plan.memory_hosts.size(), 2u);
-  result.value().system->stop();
+  EXPECT_GE(session.plan_result().memory_hosts.size(), 2u);
+  session.system().stop();
 }
 
 TEST(PublishWorkflow, SameCliqueStructureAsLiveMapping) {
   simnet::Scenario scenario = simnet::ens_lyon();
   simnet::Network net(simnet::Scenario(scenario).topology);
-  auto live = auto_deploy(net, scenario);
-  ASSERT_TRUE(live.ok());
-  const std::string published = live.value().map.grid.to_string();
-  live.value().system->stop();
+  Session live(net, scenario);
+  ASSERT_TRUE(live.run_all().ok());
+  const std::string published = live.map_result().grid.to_string();
+  live.system().stop();
 
   simnet::Network net2(simnet::Scenario(scenario).topology);
-  auto replay = deploy_from_gridml(net2, published, "the-doors.ens-lyon.fr");
-  ASSERT_TRUE(replay.ok());
+  Session replay(net2);
+  ASSERT_TRUE(deploy_from_gridml(replay, published, "the-doors.ens-lyon.fr").ok());
   // Same number of cliques with the same member counts (representative
   // *choice* may differ: zone-master preference is lost in publication).
-  ASSERT_EQ(replay.value().plan.cliques.size(), live.value().plan.cliques.size());
-  for (std::size_t i = 0; i < live.value().plan.cliques.size(); ++i) {
-    EXPECT_EQ(replay.value().plan.cliques[i].members.size(),
-              live.value().plan.cliques[i].members.size());
-    EXPECT_EQ(replay.value().plan.cliques[i].role, live.value().plan.cliques[i].role);
+  const auto& live_cliques = live.plan_result().cliques;
+  const auto& replay_cliques = replay.plan_result().cliques;
+  ASSERT_EQ(replay_cliques.size(), live_cliques.size());
+  for (std::size_t i = 0; i < live_cliques.size(); ++i) {
+    EXPECT_EQ(replay_cliques[i].members.size(), live_cliques[i].members.size());
+    EXPECT_EQ(replay_cliques[i].role, live_cliques[i].role);
   }
-  replay.value().system->stop();
+  replay.system().stop();
 }
 
 TEST(PublishWorkflow, RejectsDocumentsWithoutNetworkTree) {
   simnet::Scenario scenario = simnet::ens_lyon();
   simnet::Network net(simnet::Scenario(scenario).topology);
-  EXPECT_FALSE(deploy_from_gridml(net, "<GRID />", "the-doors.ens-lyon.fr").ok());
-  EXPECT_FALSE(deploy_from_gridml(net, "not xml at all", "x").ok());
+  Session no_tree(net);
+  EXPECT_FALSE(deploy_from_gridml(no_tree, "<GRID />", "the-doors.ens-lyon.fr").ok());
+  Session not_xml(net);
+  EXPECT_FALSE(deploy_from_gridml(not_xml, "not xml at all", "x").ok());
 }
 
 TEST(MemoryPersistence, DumpRestoreRoundTrip) {
@@ -113,4 +127,4 @@ TEST(MemoryPersistence, RestoreRejectsGarbage) {
 }
 
 }  // namespace
-}  // namespace envnws::core
+}  // namespace envnws::api

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/rng.hpp"
 #include "nws/forecast.hpp"
@@ -155,6 +156,11 @@ struct TraceCase {
   const char* name;
   int kind;  // 0 constant, 1 ramp, 2 noisy, 3 periodic
 };
+
+// Prints a case by its name. Without it gtest dumps the struct's raw bytes,
+// which hold the name pointer, so the listed test names (and the ctest names
+// discovered from them) changed with every run under ASLR.
+void PrintTo(const TraceCase& trace_case, std::ostream* os) { *os << trace_case.name; }
 
 class ForecastFamilies : public ::testing::TestWithParam<TraceCase> {};
 

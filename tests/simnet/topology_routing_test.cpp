@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/units.hpp"
 #include "simnet/routing.hpp"
 #include "simnet/topology.hpp"
@@ -81,6 +83,20 @@ TEST(Topology, ValidateCatchesProblems) {
     const NodeId a = topo.add_host("a", "a.lan", Ipv4(10, 0, 0, 1));
     const NodeId b = topo.add_host("b", "b.lan", Ipv4(10, 0, 0, 2));
     topo.connect(a, b, mbps(1), -1.0);
+    EXPECT_FALSE(topo.validate().ok());
+  }
+  {
+    Topology topo;
+    const NodeId a = topo.add_host("a", "a.lan", Ipv4(10, 0, 0, 1));
+    const NodeId b = topo.add_host("b", "b.lan", Ipv4(10, 0, 0, 2));
+    topo.connect(a, b, std::numeric_limits<double>::quiet_NaN(), 1e-6);
+    EXPECT_FALSE(topo.validate().ok());
+  }
+  {
+    Topology topo;
+    const NodeId a = topo.add_host("a", "a.lan", Ipv4(10, 0, 0, 1));
+    const NodeId b = topo.add_host("b", "b.lan", Ipv4(10, 0, 0, 2));
+    topo.connect(a, b, std::numeric_limits<double>::infinity(), 1e-6);
     EXPECT_FALSE(topo.validate().ok());
   }
   {
