@@ -160,9 +160,8 @@ std::string MapCache::key_for(const std::string& scenario_label,
          << format_full(options.pairwise_independence_ratio) << '|'
          << format_full(options.jam_shared_max) << '|' << format_full(options.jam_switched_min)
          << '|' << options.jam_repetitions << '|' << options.probe_bytes << '|'
-         << format_full(options.stabilization_gap_s) << '|' << options.site_domain_labels << '|'
-         << options.purpose << '|' << (options.bidirectional_probes ? 1 : 0) << '|'
-         << format_full(options.asymmetry_ratio) << '|' << options.max_pairwise << '|'
+         << format_full(options.stabilization_gap_s) << '|'
+         << (options.bidirectional_probes ? 1 : 0) << '|' << options.max_pairwise << '|'
          << options.sample_seed << '|' << format_full(options.sample_confidence_ratio);
   return label + "-" + hash::hex64(hash::fnv1a64(fields.str()));
 }

@@ -21,11 +21,13 @@ ProbeEngineFactory sim_engine_factory() {
   };
 }
 
-/// A probe engine bundled with the private platform replica it observes.
-/// Concurrent zone mapping builds one of these per zone *inside* the
-/// factory call — i.e. on the worker, when the zone actually starts — so
-/// peak memory is bounded by the zones in flight (<= map_threads), not
-/// by the zone count.
+/// A zone's probe engine, decorators included, bundled with the private
+/// platform replica it observes. It wraps outermost and forwards every
+/// call, run_batch too, so the decorators inside it see exactly what a
+/// sequential engine would. Concurrent zone mapping builds one of these
+/// per zone *inside* the factory call — i.e. on the worker, when the
+/// zone actually starts — so peak memory is bounded by the zones in
+/// flight (<= map_threads), not by the zone count.
 class ReplicaEngine final : public env::ProbeEngine {
  public:
   ReplicaEngine(std::unique_ptr<simnet::Network> replica,
@@ -45,6 +47,10 @@ class ReplicaEngine final : public env::ProbeEngine {
   std::vector<Result<double>> concurrent_bandwidth(
       const std::vector<env::BandwidthRequest>& requests) override {
     return inner_->concurrent_bandwidth(requests);
+  }
+  std::vector<env::ProbeExperimentOutcome> run_batch(
+      const std::vector<env::ProbeExperiment>& experiments, std::size_t workers) override {
+    return inner_->run_batch(experiments, workers);
   }
   [[nodiscard]] env::ProbeStats stats() const override { return inner_->stats(); }
 
@@ -182,109 +188,76 @@ Status Session::set_probe_engine_spec(const std::string& spec_text) {
   return {};
 }
 
-std::unique_ptr<env::ProbeEngine> Session::make_base_engine(simnet::Network& net) {
-  if (socket_roster_.has_value()) {
-    // Each call builds an independent engine over the shared roster:
-    // separate connection pools, so per-zone engines probe concurrently
-    // without sharing sockets.
-    return std::make_unique<env::SocketProbeEngine>(*socket_roster_, options_.mapper);
-  }
-  return engine_factory_(net, options_.mapper);
-}
-
 void Session::record_trace_issue(const Error& error) {
   std::lock_guard<std::mutex> lock(trace_issue_mutex_);
   if (!trace_issue_.has_value()) trace_issue_ = error;
 }
 
-Result<std::unique_ptr<env::ProbeEngine>> Session::make_sequential_engine() {
+Result<std::unique_ptr<env::ProbeEngine>> Session::make_engine(std::optional<std::size_t> zone) {
+  // A zone engine probes concurrently with its siblings, so it observes
+  // a private replica of the scenario platform — built with the session
+  // network's own options, so it measures what the shared network
+  // would. Socket engines observe the real agents and strict replay
+  // observes nothing: neither needs one.
+  std::unique_ptr<simnet::Network> replica;
+  if (zone.has_value() && !socket_roster_.has_value() &&
+      probe_mode_ != ProbeMode::replay_strict) {
+    replica = std::make_unique<simnet::Network>(scenario_->topology, net_.options());
+  }
+  simnet::Network& net = replica != nullptr ? *replica : net_;
+  const auto base = [&]() -> std::unique_ptr<env::ProbeEngine> {
+    // Each call builds an independent engine: per-zone socket engines
+    // get separate connection pools, so they probe concurrently.
+    if (socket_roster_.has_value()) {
+      return std::make_unique<env::SocketProbeEngine>(*socket_roster_, options_.mapper);
+    }
+    return engine_factory_(net, options_.mapper);
+  };
+  const std::string path =
+      zone.has_value() ? env::zone_trace_path(trace_path_, *zone) : trace_path_;
+
+  std::unique_ptr<env::ProbeEngine> engine;
   switch (probe_mode_) {
     case ProbeMode::factory:
-      return std::unique_ptr<env::ProbeEngine>(make_base_engine(net_));
+      engine = base();
+      break;
     case ProbeMode::record: {
-      auto recorder = env::RecordingProbeEngine::open(make_base_engine(net_), trace_path_);
+      auto recorder = env::RecordingProbeEngine::open(base(), path);
       if (!recorder.ok()) return recorder.error();
       recorder.value()->set_error_handler([this](const Error& error) { record_trace_issue(error); });
-      return std::unique_ptr<env::ProbeEngine>(std::move(recorder.value()));
+      engine = std::move(recorder.value());
+      break;
     }
     case ProbeMode::replay_strict:
     case ProbeMode::replay_lenient: {
-      if (!replay_trace_.has_value()) {
+      // A single-file trace was parsed by set_probe_engine_spec; each
+      // zone of a per-zone recording loads its own file here.
+      if (!zone.has_value() && !replay_trace_.has_value()) {
         return make_error(ErrorCode::invalid_argument,
                           "probe trace '" + trace_path_ +
                               "' is a per-zone (threaded) recording; replay it with "
                               "options().mapper.map_threads > 1");
       }
+      auto trace = zone.has_value() ? env::ProbeTrace::load(path)
+                                    : Result<env::ProbeTrace>(*replay_trace_);
+      if (!trace.ok()) return trace.error();
       const bool lenient = probe_mode_ == ProbeMode::replay_lenient;
       auto replayer = std::make_unique<env::TraceProbeEngine>(
-          *replay_trace_,
+          std::move(trace.value()),
           lenient ? env::TraceProbeEngine::Mode::lenient : env::TraceProbeEngine::Mode::strict,
-          lenient ? make_base_engine(net_) : nullptr);
+          lenient ? base() : nullptr);
       replayer->set_violation_handler([this](const Error& error) { record_trace_issue(error); });
-      return std::unique_ptr<env::ProbeEngine>(std::move(replayer));
+      engine = std::move(replayer);
+      break;
     }
     case ProbeMode::fault:
-      return std::unique_ptr<env::ProbeEngine>(std::make_unique<env::FaultInjectingProbeEngine>(
-          make_base_engine(net_), fault_spec_));
+      engine = std::make_unique<env::FaultInjectingProbeEngine>(base(), fault_spec_);
+      break;
   }
-  return make_error(ErrorCode::internal, "unhandled probe engine mode");
-}
-
-std::unique_ptr<env::ProbeEngine> Session::make_zone_engine(std::size_t zone_index) {
-  const std::string path =
-      trace_path_.empty() ? std::string() : env::zone_trace_path(trace_path_, zone_index);
-  if (probe_mode_ == ProbeMode::replay_strict || probe_mode_ == ProbeMode::replay_lenient) {
-    auto trace = env::ProbeTrace::load(path);
-    if (!trace.ok()) {
-      record_trace_issue(trace.error());
-      return nullptr;
-    }
-    const bool lenient = probe_mode_ == ProbeMode::replay_lenient;
-    std::unique_ptr<simnet::Network> replica;
-    std::unique_ptr<env::ProbeEngine> delegate;
-    if (lenient) {
-      if (socket_roster_.has_value()) {
-        delegate = make_base_engine(net_);  // sockets need no replica
-      } else {
-        replica = std::make_unique<simnet::Network>(scenario_->topology, net_.options());
-        delegate = engine_factory_(*replica, options_.mapper);
-      }
-    }
-    auto replayer = std::make_unique<env::TraceProbeEngine>(
-        std::move(trace.value()),
-        lenient ? env::TraceProbeEngine::Mode::lenient : env::TraceProbeEngine::Mode::strict,
-        std::move(delegate));
-    replayer->set_violation_handler([this](const Error& error) { record_trace_issue(error); });
-    if (replica == nullptr) return replayer;
-    // Keep the lenient delegate's replica alive for the engine's lifetime.
-    return std::make_unique<ReplicaEngine>(std::move(replica), std::move(replayer));
+  if (replica != nullptr) {
+    engine = std::make_unique<ReplicaEngine>(std::move(replica), std::move(engine));
   }
-  std::unique_ptr<env::ProbeEngine> wrapped;
-  if (socket_roster_.has_value()) {
-    // Socket engines observe the real agents, not the simulated
-    // platform: no replica needed, each zone just gets its own engine
-    // (private connection pool) so zones can probe concurrently.
-    wrapped = make_base_engine(net_);
-  } else {
-    auto replica = std::make_unique<simnet::Network>(scenario_->topology, net_.options());
-    auto engine = engine_factory_(*replica, options_.mapper);
-    wrapped = std::make_unique<ReplicaEngine>(std::move(replica), std::move(engine));
-  }
-  switch (probe_mode_) {
-    case ProbeMode::record: {
-      auto recorder = env::RecordingProbeEngine::open(std::move(wrapped), path);
-      if (!recorder.ok()) {
-        record_trace_issue(recorder.error());
-        return nullptr;
-      }
-      recorder.value()->set_error_handler([this](const Error& error) { record_trace_issue(error); });
-      return std::move(recorder.value());
-    }
-    case ProbeMode::fault:
-      return std::make_unique<env::FaultInjectingProbeEngine>(std::move(wrapped), fault_spec_);
-    default:
-      return wrapped;
-  }
+  return engine;
 }
 
 Session& Session::set_map_cache(std::string directory, std::string label) {
@@ -387,25 +360,26 @@ Result<env::MapResult> Session::probe_map() {
   }
   std::optional<Result<env::MapResult>> mapped;
   if (threads > 1) {
-    // Concurrent zones need independent engines. Each zone's engine
-    // observes a private replica of the scenario platform — built with
-    // the session network's own options, so the replicas measure what
-    // the shared network would — and the session's network is left
-    // untouched (no probe traffic, no clock advance), exactly as if the
-    // mapping had happened offline. Note the bit-identical-to-sequential
-    // guarantee assumes deterministic engines: with measurement jitter
-    // enabled, each replica draws its own noise stream. Trace specs
-    // record/replay one file per zone (env::zone_trace_path).
-    env::Mapper mapper(env::ZoneEngineFactory([this](const env::ZoneSpec&,
-                                                     std::size_t zone_index) {
-                         return make_zone_engine(zone_index);
-                       }),
-                       options_.mapper);
+    // Concurrent zones need independent engines: make_engine(zone) gives
+    // each its own platform replica (the session's network is left
+    // untouched — no probe traffic, no clock advance — exactly as if the
+    // mapping had happened offline) and its own `.zone<k>` trace file.
+    // Note the bit-identical-to-sequential guarantee assumes
+    // deterministic engines: with measurement jitter enabled, each
+    // replica draws its own noise stream.
+    const auto zone_engine = [this](const env::ZoneSpec&,
+                                    std::size_t zone_index) -> std::unique_ptr<env::ProbeEngine> {
+      auto engine = make_engine(zone_index);
+      if (engine.ok()) return std::move(engine.value());
+      record_trace_issue(engine.error());
+      return nullptr;
+    };
+    env::Mapper mapper(env::ZoneEngineFactory(zone_engine), options_.mapper);
     mapper.set_progress(progress);
     mapper.set_batch_progress(batch_progress);
     mapped = mapper.map(zones.value(), aliases);
   } else {
-    auto engine = make_sequential_engine();
+    auto engine = make_engine(std::nullopt);
     if (!engine.ok()) {
       mapped = Result<env::MapResult>(engine.error());
     } else {
@@ -554,7 +528,7 @@ Status Session::apply() {
   }
   invalidate(Stage::apply);
   emit(Event::Kind::stage_started, Stage::apply);
-  auto system = deploy::apply_plan(*plan_, net_, options_.manager);
+  auto system = deploy::apply_plan(*plan_, net_);
   if (!system.ok()) return fail(Stage::apply, system.error());
   system_ = std::move(system.value());
   queries_ = std::make_unique<deploy::QueryService>(*system_, *plan_);
@@ -570,9 +544,7 @@ Status Session::validate() {
   }
   invalidate(Stage::validate);
   emit(Event::Kind::stage_started, Stage::validate);
-  auto options = options_.validator;
-  options.bandwidth_probe_bytes = options_.manager.bandwidth_probe_bytes;
-  validation_ = deploy::validate_plan(*plan_, net_, options);
+  validation_ = deploy::validate_plan(*plan_, net_, options_.validator);
   emit(Event::Kind::stage_finished, Stage::validate,
        std::string(validation_->complete ? "complete" : "INCOMPLETE") + ", worst collision error " +
            strings::format_double(validation_->worst_collision_error * 100.0, 1) + "%");
@@ -584,7 +556,7 @@ Result<std::unique_ptr<monitor::MonitorDaemon>> Session::make_monitor(
   if (!plan_.has_value()) {
     if (auto status = plan(); !status.ok()) return status.error();
   }
-  auto engine = make_sequential_engine();
+  auto engine = make_engine(std::nullopt);
   if (!engine.ok()) return engine.error();
   // Incremental re-maps probe with the same tunables the map stage used
   // (probe payload, stabilization gap, thresholds).

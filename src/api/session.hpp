@@ -61,7 +61,6 @@ namespace envnws::api {
 struct SessionOptions {
   env::MapperOptions mapper;
   deploy::PlannerOptions planner;
-  deploy::ManagerOptions manager;
   deploy::ValidatorOptions validator;
 };
 
@@ -88,7 +87,8 @@ class Session {
   /// Replace the probe backend (default: env::SimProbeEngine). With
   /// `map_threads > 1` the factory is invoked once per firewall zone,
   /// each call receiving a private replica of the scenario platform, so
-  /// the engines can probe concurrently.
+  /// the engines can probe concurrently. Either way every call reaches
+  /// the factory's engine, its run_batch override included.
   Session& set_probe_engine_factory(ProbeEngineFactory factory);
   /// Configure the probe backend from a spec string (docs/TESTING.md,
   /// docs/SOCKET_ENGINE.md):
@@ -201,18 +201,19 @@ class Session {
             int zone_index = -1);
   Status fail(Stage stage, const Error& error);
   [[nodiscard]] std::string map_cache_key() const;
-  /// The base (undecorated) engine of the current spec: a
-  /// SocketProbeEngine when a "socket:" roster is configured, the
-  /// engine factory otherwise.
-  std::unique_ptr<env::ProbeEngine> make_base_engine(simnet::Network& net);
   /// Probe every zone (sequentially on net_, or concurrently on private
   /// platform replicas when map_threads > 1) and merge.
   Result<env::MapResult> probe_map();
-  /// The engine of a sequential map run, wrapped per the probe spec.
-  Result<std::unique_ptr<env::ProbeEngine>> make_sequential_engine();
-  /// One zone's engine for a concurrent map run (nullptr on failure, the
-  /// reason recorded through record_trace_issue).
-  std::unique_ptr<env::ProbeEngine> make_zone_engine(std::size_t zone_index);
+  /// The one engine builder of the probe spec. The base engine (a
+  /// SocketProbeEngine over the "socket:" roster, the engine factory
+  /// otherwise) is wrapped once in the spec's decorator (record, replay
+  /// or fault). Without `zone` the engine probes net_ and uses the trace
+  /// path as given: the sequential map run and the monitor. With `zone`
+  /// it is one zone's engine of a concurrent map run: it uses that
+  /// zone's `.zone<k>` trace file and, unless the base is socket or the
+  /// spec is strict replay, probes a private replica of the platform,
+  /// which a ReplicaEngine around the decorated engine keeps alive.
+  Result<std::unique_ptr<env::ProbeEngine>> make_engine(std::optional<std::size_t> zone);
   /// First replay violation / trace build failure of the current map run
   /// (thread-safe: zone engines report from pool workers).
   void record_trace_issue(const Error& error);

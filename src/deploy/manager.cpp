@@ -1,6 +1,7 @@
 #include "deploy/manager.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/parse.hpp"
@@ -23,6 +24,8 @@ std::vector<std::string> parse_list(const std::string& text) {
   }
   return out;
 }
+
+bool valid_period(double period_s) { return std::isfinite(period_s) && period_s > 0.0; }
 
 Result<CliqueRole> role_from_string(const std::string& text) {
   if (text == "shared-pair") return CliqueRole::shared_pair;
@@ -120,15 +123,16 @@ Result<DeploymentPlan> parse_config(const std::string& text) {
       } else if (key == "period") {
         // Guarded numeric parsing (common/parse.hpp): a hand-edited
         // config with "period = fast" must be a protocol error, not a
-        // std::stod exception out of parse_config.
+        // std::stod exception out of parse_config. A zero, negative or
+        // non-finite period would hang the token ring: malformed too.
         const auto period = parse::to_double(value);
-        if (!period.has_value()) {
+        if (!period.has_value() || !valid_period(*period)) {
           return make_error(ErrorCode::protocol, "bad clique period '" + value + "'");
         }
         clique->period_s = *period;
       } else if (key == "probe") {
         const auto probe = parse::to_i64(value);
-        if (!probe.has_value()) {
+        if (!probe.has_value() || *probe <= 0) {
           return make_error(ErrorCode::protocol, "bad clique probe size '" + value + "'");
         }
         clique->probe_bytes = *probe;
@@ -196,8 +200,15 @@ std::string HostAssignment::render() const {
 }
 
 Result<std::unique_ptr<nws::NwsSystem>> apply_plan(const DeploymentPlan& plan,
-                                                   simnet::Network& net,
-                                                   ManagerOptions options) {
+                                                   simnet::Network& net) {
+  for (const auto& planned : plan.cliques) {
+    if (!valid_period(planned.period_s)) {
+      return make_error(ErrorCode::invalid_argument,
+                        "clique '" + planned.name + "' has period " +
+                            strings::format_double(planned.period_s, 3) +
+                            " s; it must be finite and > 0");
+    }
+  }
   const auto resolve = topology_resolver(net.topology());
   const auto check = [&net](const std::string& node_name) -> Status {
     if (!net.topology().find_by_name(node_name).ok()) {
@@ -211,7 +222,6 @@ Result<std::unique_ptr<nws::NwsSystem>> apply_plan(const DeploymentPlan& plan,
   config.nameserver_host = resolve(plan.nameserver_host);
   config.forecaster_host = resolve(plan.forecaster_host);
   for (const auto& memory : plan.memory_hosts) config.memory_hosts.push_back(resolve(memory));
-  config.host_sensor_period_s = options.host_sensor_period_s;
   config.enable_host_locks = plan.use_host_locks;
   if (Status status = check(config.nameserver_host); !status.ok()) return status.error();
   if (Status status = check(config.forecaster_host); !status.ok()) return status.error();
@@ -224,8 +234,7 @@ Result<std::unique_ptr<nws::NwsSystem>> apply_plan(const DeploymentPlan& plan,
     nws::CliqueSpec spec;
     spec.name = planned.name;
     spec.period_s = planned.period_s;
-    spec.bandwidth_probe_bytes =
-        planned.probe_bytes > 0 ? planned.probe_bytes : options.bandwidth_probe_bytes;
+    spec.bandwidth_probe_bytes = planned.probe_bytes > 0 ? planned.probe_bytes : kLanProbeBytes;
     spec.parallel_tokens = planned.parallel_tokens;
     for (const auto& member : planned.members) {
       const std::string node_name = resolve(member);
@@ -234,12 +243,10 @@ Result<std::unique_ptr<nws::NwsSystem>> apply_plan(const DeploymentPlan& plan,
     }
     system->add_clique(spec);
   }
-  if (options.start_host_sensors) {
-    for (const auto& host : plan.hosts) {
-      const std::string node_name = resolve(host);
-      if (Status status = check(node_name); !status.ok()) return status.error();
-      system->add_host_sensor(node_name);
-    }
+  for (const auto& host : plan.hosts) {
+    const std::string node_name = resolve(host);
+    if (Status status = check(node_name); !status.ok()) return status.error();
+    system->add_host_sensor(node_name);
   }
   system->start();
   return system;

@@ -41,16 +41,13 @@ struct HostAssignment {
 [[nodiscard]] HostAssignment local_assignment(const DeploymentPlan& plan,
                                               const std::string& host);
 
-struct ManagerOptions {
-  std::int64_t bandwidth_probe_bytes = 64 * 1024;
-  bool start_host_sensors = true;
-  double host_sensor_period_s = 10.0;
-};
-
-/// Launch every process of the plan on the simulated platform. The
-/// returned system is started (cliques circulating, sensors ticking).
+/// Launch every process of the plan on the simulated platform: the
+/// nameserver, forecaster and memories, one clique per planned clique
+/// and a host sensor on every host. The returned system is started
+/// (cliques circulating, sensors ticking). A clique whose period is not
+/// finite and positive is an invalid_argument error: its token would
+/// never advance the simulated clock.
 Result<std::unique_ptr<nws::NwsSystem>> apply_plan(const DeploymentPlan& plan,
-                                                   simnet::Network& net,
-                                                   ManagerOptions options = {});
+                                                   simnet::Network& net);
 
 }  // namespace envnws::deploy

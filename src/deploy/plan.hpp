@@ -10,6 +10,7 @@
 // pair stands for.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,12 @@ enum class CliqueRole {
 
 [[nodiscard]] const char* to_string(CliqueRole role);
 
+/// Bandwidth-experiment payload of LAN cliques: the NWS default.
+inline constexpr std::int64_t kLanProbeBytes = 64 * 1024;
+/// Payload of inter-network cliques: larger, or the transfer time drowns
+/// in WAN round-trip latency and bandwidth is underestimated by ~2x.
+inline constexpr std::int64_t kWanProbeBytes = 1024 * 1024;
+
 struct PlannedClique {
   std::string name;
   CliqueRole role = CliqueRole::inter;
@@ -32,11 +39,9 @@ struct PlannedClique {
   /// The ENV network this clique monitors (label, for reports).
   std::string network_label;
   double period_s = 10.0;
-  /// Bandwidth-experiment payload. LAN cliques keep the NWS default of
-  /// 64 KiB; inter-network cliques need larger probes or the transfer
-  /// time drowns in WAN round-trip latency and bandwidth is
-  /// underestimated by ~2x.
-  std::int64_t probe_bytes = 64 * 1024;
+  /// Bandwidth-experiment payload (kLanProbeBytes or kWanProbeBytes; a
+  /// hand-built plan's non-positive value falls back to kLanProbeBytes).
+  std::int64_t probe_bytes = kLanProbeBytes;
   /// Extension: tokens circulating concurrently (switched segments with
   /// host locking only; >1 multiplies the refresh rate).
   std::size_t parallel_tokens = 1;

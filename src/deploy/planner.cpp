@@ -82,9 +82,7 @@ class Planner {
     clique.role = role;
     clique.members = std::move(members);
     clique.network_label = network_label;
-    clique.period_s = options_.clique_period_s;
-    clique.probe_bytes =
-        role == CliqueRole::inter ? options_.wan_probe_bytes : options_.lan_probe_bytes;
+    clique.probe_bytes = role == CliqueRole::inter ? kWanProbeBytes : kLanProbeBytes;
     if (options_.use_host_locks && role == CliqueRole::switched_all) {
       clique.parallel_tokens =
           std::min(options_.switched_parallel_tokens, clique.members.size() / 2);

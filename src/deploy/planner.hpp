@@ -13,12 +13,6 @@
 namespace envnws::deploy {
 
 struct PlannerOptions {
-  double clique_period_s = 10.0;
-  /// Payload for LAN clique bandwidth experiments (the NWS default).
-  std::int64_t lan_probe_bytes = 64 * 1024;
-  /// Payload for inter-network cliques: larger, so WAN latency does not
-  /// dominate the timed transfer.
-  std::int64_t wan_probe_bytes = 1024 * 1024;
   /// Split switched cliques larger than this into sub-cliques (0 = never).
   /// Splitting a *switched* network is collision-safe because its pairs
   /// are independent; the sub-cliques are stitched with one shared member.

@@ -119,8 +119,7 @@ ValidationReport validate_plan(const DeploymentPlan& plan, simnet::Network& net,
   for (const auto& planned : plan.cliques) {
     const auto n = static_cast<std::int64_t>(planned.members.size());
     if (n < 2) continue;
-    const std::int64_t probe =
-        planned.probe_bytes > 0 ? planned.probe_bytes : options.bandwidth_probe_bytes;
+    const std::int64_t probe = planned.probe_bytes > 0 ? planned.probe_bytes : kLanProbeBytes;
     report.bytes_per_cycle += n * (n - 1) * (probe + 2 * 4 /*latency*/ + 64 /*store*/);
   }
   return report;

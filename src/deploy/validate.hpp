@@ -60,7 +60,6 @@ struct ValidatorOptions {
   /// barely dents a WAN experiment capped at 10 Mbps), so the tolerance
   /// is configurable.
   double collision_tolerance = 0.05;
-  std::int64_t bandwidth_probe_bytes = 64 * 1024;
 };
 
 [[nodiscard]] ValidationReport validate_plan(const DeploymentPlan& plan,

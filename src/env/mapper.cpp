@@ -25,16 +25,22 @@ namespace envnws::env {
 
 namespace {
 
-/// SITE key for a machine: the trailing `labels` DNS labels of the fqdn;
-/// when reverse DNS failed, the classful IP network (paper §4.3,
-/// "Machines without hostname").
-std::string site_key(const HostIdentity& identity, int labels) {
+/// Trailing DNS labels that constitute a SITE domain
+/// ("moby.cri2000.ens-lyon.fr" -> "ens-lyon.fr").
+constexpr std::size_t kSiteDomainLabels = 2;
+/// Bidirectional probing flags a network as route-asymmetric when its
+/// forward and reverse base bandwidths differ by at least this factor.
+constexpr double kAsymmetryRatio = 1.5;
+
+/// SITE key for a machine: the trailing kSiteDomainLabels DNS labels of
+/// the fqdn; when reverse DNS failed, the classful IP network (paper
+/// §4.3, "Machines without hostname").
+std::string site_key(const HostIdentity& identity) {
   if (!identity.fqdn.empty()) {
     const auto parts = strings::split_nonempty(identity.fqdn, '.');
     if (parts.size() < 2) return identity.fqdn;
     // Always drop at least the host label itself ("h0.lan" -> "lan").
-    const auto take = std::min<std::size_t>(static_cast<std::size_t>(labels),
-                                            parts.size() - 1);
+    const auto take = std::min(kSiteDomainLabels, parts.size() - 1);
     std::vector<std::string> tail(parts.end() - static_cast<std::ptrdiff_t>(take),
                                   parts.end());
     return strings::join(tail, ".");
@@ -521,7 +527,7 @@ std::vector<EnvNetwork> Mapper::refine(ProbeEngine& engine, const BatchContext& 
       net.base_reverse_bw_bps = median_of(member_reverse);
       const double lo = std::min(net.base_bw_bps, net.base_reverse_bw_bps);
       const double hi = std::max(net.base_bw_bps, net.base_reverse_bw_bps);
-      net.route_asymmetric = lo > 0.0 && hi / lo >= options_.asymmetry_ratio;
+      net.route_asymmetric = lo > 0.0 && hi / lo >= kAsymmetryRatio;
     }
 
     // Lone machine (and no master next to it): no LAN to characterize.
@@ -752,7 +758,7 @@ Result<ZoneMapResult> Mapper::map_zone_with(ProbeEngine& engine, const ZoneSpec&
   // SITE grouping.
   std::map<std::string, gridml::Site> sites;
   for (const auto& machine : machines) {
-    const std::string domain = site_key(machine.identity, options_.site_domain_labels);
+    const std::string domain = site_key(machine.identity);
     auto [it, inserted] = sites.try_emplace(domain);
     if (inserted) {
       it->second.domain = domain;

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/units.hpp"
 
@@ -38,22 +37,16 @@ struct MapperOptions {
   /// Settle time after each experiment (the reason the paper budgets
   /// half a minute per experiment for the naive approach).
   double stabilization_gap_s = 2.0;
-  /// Number of trailing DNS labels that constitute a SITE domain
-  /// ("moby.cri2000.ens-lyon.fr" -> "ens-lyon.fr" with the default 2).
-  int site_domain_labels = 2;
-  /// Accounting tag attached to every probe flow.
-  std::string purpose = "env-probe";
 
   // --- extension: bidirectional probing (paper §4.3 lists asymmetric
   // route detection as undone future work: "Since ENV bandwidth tests
   // are conducted in only one way, the system cannot detect such
   // problems. Solving this ... is still to do.") ---
   /// Also measure host->master bandwidth in phase 2a (doubles the
-  /// host-bandwidth experiment count) and record the reverse medians.
+  /// host-bandwidth experiment count), record the reverse medians and
+  /// flag a network as route-asymmetric when forward and reverse base
+  /// bandwidths differ by at least a factor of 1.5.
   bool bidirectional_probes = false;
-  /// Flag a network as route-asymmetric when forward and reverse base
-  /// bandwidths differ by at least this factor.
-  double asymmetry_ratio = 1.5;
 
   // --- extension: concurrent zone mapping (paper §4.2: each zone is an
   // independent ENV run; §4.3 merges the per-zone views only at the end,

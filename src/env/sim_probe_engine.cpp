@@ -7,7 +7,7 @@ using simnet::NodeId;
 SimProbeEngine::SimProbeEngine(simnet::Network& net, const MapperOptions& options)
     : net_(net),
       options_(options),
-      session_(net, simnet::ProbeOptions{options.purpose, options.stabilization_gap_s}) {}
+      session_(net, simnet::ProbeOptions{"env-probe", options.stabilization_gap_s}) {}
 
 Result<NodeId> SimProbeEngine::resolve(const std::string& hostname) const {
   if (auto by_name = net_.topology().find_by_name(hostname); by_name.ok()) {

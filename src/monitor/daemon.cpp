@@ -33,6 +33,11 @@ const char* to_string(MonitorEvent::Kind kind) {
 
 namespace {
 
+/// Store shards (lock granularity of the write path).
+constexpr std::size_t kStoreShards = 8;
+/// Measurement history kept per series.
+constexpr std::size_t kSeriesHistory = 512;
+
 /// The drift/re-map unit of a clique: its network label, falling back to
 /// the clique name for cliques without one (inter-network cliques).
 std::string segment_of(const deploy::PlannedClique& clique) {
@@ -48,7 +53,7 @@ MonitorDaemon::MonitorDaemon(deploy::DeploymentPlan plan, std::unique_ptr<env::P
       options_(options),
       clock_(options.period_s > 0 ? options.period_s : 1.0),
       scheduler_(plan_),
-      store_(options.shards, options.history, options.drift) {
+      store_(kStoreShards, kSeriesHistory, options.drift) {
   for (const deploy::PlannedClique& clique : plan_.cliques) {
     if (clique.members.size() < 2) continue;
     const std::string segment = segment_of(clique);
@@ -208,11 +213,7 @@ void MonitorDaemon::run_one_cycle() {
   }
   cycles_done_.store(clock_.cycles());
 
-  std::vector<std::string> drifting = drift_pass();
-
-  if (options_.snapshot_every > 0 && clock_.cycles() % options_.snapshot_every == 0) {
-    publish_snapshot(std::move(drifting));
-  }
+  publish_snapshot(drift_pass());
 
   std::ostringstream detail;
   detail << "probes=" << probes.size() << " failures=" << cycle_failures;

@@ -5,7 +5,7 @@
 // deploy::DeploymentPlan, schedules that plan's clique experiments over
 // any ProbeEngine (live socket fleet, simulator, or a recorded trace —
 // the engine spec decides, the daemon never knows), streams the results
-// into the sharded series store, periodically folds store + forecasts
+// into the sharded series store, folds store + forecasts every cycle
 // into an immutable MonitorSnapshot (RCU publication, see
 // monitor/snapshot.hpp), and watches per-pair forecast error for drift.
 // When a segment drifts it re-probes ONLY that segment through the ENV
@@ -48,16 +48,10 @@ namespace envnws::monitor {
 struct MonitorOptions {
   /// Virtual seconds per measurement cycle (the series timestamp step).
   double period_s = 1.0;
-  /// Store shards (lock granularity of the write path).
-  std::size_t shards = 8;
-  /// Measurement history kept per series.
-  std::size_t history = 512;
   /// Endpoint-disjoint experiments one cycle's batch may overlap
   /// (forwarded to ProbeEngine::run_batch; never changes what is
   /// measured).
   std::size_t probe_jobs = 1;
-  /// Publish a snapshot every N cycles.
-  std::uint64_t snapshot_every = 1;
   DriftPolicy drift;
   /// Re-probe a drifting segment through the ENV mapper (false: detect
   /// and report only).

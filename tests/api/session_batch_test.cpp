@@ -1,17 +1,21 @@
 // Batched within-zone probe scheduling at the api::Session level: the
 // MapResult of every registry family is bit-identical for probe_jobs in
 // {1, 2, 8}; the committed golden traces replay batched runs unchanged;
-// batch events obey the ordering guarantees; and probe_jobs never
-// touches the persistent map-cache key.
+// batch events obey the ordering guarantees; probe_jobs never touches
+// the persistent map-cache key; and a factory engine's run_batch
+// override runs whether zones map sequentially or on replicas.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "api/envnws.hpp"
 #include "env/env_tree.hpp"
+#include "env/sim_probe_engine.hpp"
 
 namespace envnws::api {
 namespace {
@@ -168,6 +172,62 @@ TEST(BatchedSchedule, ProbeJobsDoesNotTouchTheMapCacheKey) {
   batched.set_map_cache(dir.string());
   ASSERT_TRUE(batched.map().ok());
   EXPECT_EQ(batched.map_result().stats.experiments, 0u);  // cache hit
+}
+
+/// Forwards to a simulator engine and counts the run_batch calls that
+/// reach it (shared across the engines of a threaded run).
+class BatchCountingEngine final : public env::ProbeEngine {
+ public:
+  BatchCountingEngine(std::unique_ptr<env::ProbeEngine> inner, std::atomic<std::size_t>& calls)
+      : inner_(std::move(inner)), calls_(calls) {}
+
+  Result<env::HostIdentity> lookup(const std::string& hostname) override {
+    return inner_->lookup(hostname);
+  }
+  Result<std::vector<env::TraceHop>> traceroute(const std::string& from,
+                                                const std::string& target) override {
+    return inner_->traceroute(from, target);
+  }
+  Result<double> bandwidth(const std::string& from, const std::string& to) override {
+    return inner_->bandwidth(from, to);
+  }
+  std::vector<Result<double>> concurrent_bandwidth(
+      const std::vector<env::BandwidthRequest>& requests) override {
+    return inner_->concurrent_bandwidth(requests);
+  }
+  std::vector<env::ProbeExperimentOutcome> run_batch(
+      const std::vector<env::ProbeExperiment>& experiments, std::size_t workers) override {
+    calls_.fetch_add(1);
+    return inner_->run_batch(experiments, workers);
+  }
+  [[nodiscard]] env::ProbeStats stats() const override { return inner_->stats(); }
+
+ private:
+  std::unique_ptr<env::ProbeEngine> inner_;
+  std::atomic<std::size_t>& calls_;
+};
+
+TEST(SessionBatch, FactoryRunBatchOverrideRunsUnderZoneReplicas) {
+  // With map_threads > 1 each zone's factory engine sits inside the
+  // wrapper that owns its platform replica; that wrapper must forward
+  // run_batch, or the factory's override is silently skipped.
+  auto scenario = make_scenario("multi-firewall:2x3");
+  std::map<int, std::size_t> calls;
+  for (const int threads : {1, 2}) {
+    std::atomic<std::size_t> count{0};
+    simnet::Network net(simnet::Scenario(scenario).topology);
+    Session session(net, scenario);
+    session.options().mapper.map_threads = threads;
+    session.set_probe_engine_factory(
+        [&count](simnet::Network& probed, const env::MapperOptions& options) {
+          return std::make_unique<BatchCountingEngine>(
+              std::make_unique<env::SimProbeEngine>(probed, options), count);
+        });
+    ASSERT_TRUE(session.map().ok()) << "map_threads=" << threads;
+    calls[threads] = count.load();
+  }
+  EXPECT_GT(calls[1], 0u);
+  EXPECT_EQ(calls[2], calls[1]);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 
 #include "api/envnws.hpp"
@@ -163,6 +164,63 @@ TEST(SessionProbeSpec, ThreadedRecordingWritesAndReplaysPerZoneTraces) {
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.error().message.find("per-zone"), std::string::npos)
       << status.error().message;
+}
+
+TEST(SessionProbeSpec, ThreadedFaultSpecMatchesTheSequentialRun) {
+  // Every zone engine gets its own fault decorator; a selector that
+  // matches every experiment of a kind perturbs the same experiments as
+  // the one sequential decorator does.
+  auto scenario = make_scenario("multi-firewall:2x2");
+  std::map<int, env::MapResult> results;
+  for (const int threads : {1, 3}) {
+    simnet::Network net(simnet::Scenario(scenario).topology);
+    Session session(net, scenario);
+    session.options().mapper.map_threads = threads;
+    ASSERT_TRUE(session.set_probe_engine_spec("fault:cbw*=scale:0.5").ok());
+    ASSERT_TRUE(session.map().ok()) << "map_threads=" << threads;
+    results[threads] = session.map_result();
+  }
+  EXPECT_EQ(env::render_effective(results[3].root), env::render_effective(results[1].root));
+  EXPECT_EQ(results[3].warnings, results[1].warnings);
+
+  // The faults really were injected: halved concurrent transfers change
+  // the view a clean run derives.
+  simnet::Network clean_net(simnet::Scenario(scenario).topology);
+  Session clean(clean_net, scenario);
+  ASSERT_TRUE(clean.map().ok());
+  EXPECT_NE(env::render_effective(results[3].root), env::render_effective(clean.map_result().root));
+}
+
+TEST(SessionProbeSpec, ThreadedLenientReplayFallsBackOnTheZoneReplica) {
+  const std::string path = (fs::path(::testing::TempDir()) / "session-lenient.envtrace").string();
+  auto scenario = make_scenario("multi-firewall:2x2");
+
+  simnet::Network record_net(simnet::Scenario(scenario).topology);
+  Session recorder(record_net, scenario);
+  recorder.options().mapper.map_threads = 3;
+  ASSERT_TRUE(recorder.set_probe_engine_spec("record:" + path).ok());
+  ASSERT_TRUE(recorder.map().ok());
+
+  // Cut zone 1's file in half.
+  const std::string zone1 = env::zone_trace_path(path, 1);
+  auto trace = env::ProbeTrace::load(zone1);
+  ASSERT_TRUE(trace.ok());
+  ASSERT_GT(trace.value().records.size(), 1u);
+  trace.value().records.resize(trace.value().records.size() / 2);
+  ASSERT_TRUE(trace.value().save(zone1).ok());
+
+  simnet::Network replay_net(simnet::Scenario(scenario).topology);
+  Session replayer(replay_net, scenario);
+  replayer.options().mapper.map_threads = 3;
+  ASSERT_TRUE(replayer.set_probe_engine_spec("replay-lenient:" + path).ok());
+  auto status = replayer.map();
+  ASSERT_TRUE(status.ok()) << status.error().to_string();
+  EXPECT_EQ(env::render_effective(replayer.map_result().root),
+            env::render_effective(recorder.map_result().root));
+  // The missing tail was probed on zone 1's private replica, never on
+  // the session's own network.
+  const auto& purposes = replay_net.stats().by_purpose;
+  EXPECT_EQ(purposes.find("env-probe"), purposes.end());
 }
 
 TEST(SessionProbeSpec, ReRecordingScrubsStaleTraceFilesAtThePath) {

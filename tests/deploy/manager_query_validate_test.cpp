@@ -78,10 +78,13 @@ TEST(ManagerConfig, ParseRejectsGarbage) {
 TEST(ManagerConfig, ParseRejectsMalformedNumbersAsProtocolErrors) {
   // A hand-edited config with a non-numeric period/probe/tokens value
   // used to throw a bare std::stod/stoll/stoull exception through
-  // parse_config; every case must come back as a Result instead.
+  // parse_config; every case must come back as a Result instead. A
+  // period that is not finite and positive, or a non-positive probe
+  // size, is malformed too: such a period would hang the simulator.
   for (const char* line :
-       {"period = fast", "period = 7.5s", "probe = lots", "probe = 1e3x",
-        "tokens = -1", "tokens = many", "tokens = 99999999999999999999999"}) {
+       {"period = fast", "period = 7.5s", "period = 0", "period = nan", "period = -1",
+        "period = inf", "probe = lots", "probe = 1e3x", "probe = 0", "tokens = -1",
+        "tokens = many", "tokens = 99999999999999999999999"}) {
     const std::string text = std::string("[clique c]\n") + line + "\nmembers = a.x\n";
     auto parsed = parse_config(text);
     ASSERT_FALSE(parsed.ok()) << line;
@@ -120,6 +123,29 @@ TEST(Manager, ApplyPlanRejectsUnknownHosts) {
   plan.forecaster_host = "ghost";
   plan.hosts = {"ghost"};
   EXPECT_FALSE(apply_plan(plan, net).ok());
+}
+
+TEST(Manager, ApplyPlanRejectsAZeroCliquePeriod) {
+  // A clique whose token never advances the clock would make the next
+  // run_until() spin forever; apply_plan refuses it up front.
+  auto scenario = simnet::star_switch(3, mbps(100));
+  simnet::Network net(std::move(scenario.topology));
+  DeploymentPlan plan;
+  plan.master = "h0.lan";
+  plan.nameserver_host = "h0.lan";
+  plan.forecaster_host = "h0.lan";
+  plan.memory_hosts = {"h0.lan"};
+  plan.hosts = {"h0.lan", "h1.lan", "h2.lan"};
+  PlannedClique clique;
+  clique.name = "all";
+  clique.role = CliqueRole::switched_all;
+  clique.members = plan.hosts;
+  clique.period_s = 0.0;
+  plan.cliques.push_back(clique);
+  auto system = apply_plan(plan, net);
+  ASSERT_FALSE(system.ok());
+  EXPECT_EQ(system.error().code, ErrorCode::invalid_argument);
+  EXPECT_NE(system.error().message.find("'all'"), std::string::npos) << system.error().message;
 }
 
 TEST(Manager, ApplyPlanStartsWorkingSystem) {
