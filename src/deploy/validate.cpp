@@ -77,10 +77,10 @@ ValidationReport validate_plan(const DeploymentPlan& plan, simnet::Network& net,
                           [&set_a](std::uint32_t r) { return set_a.count(r) > 0; });
           if (!overlap) continue;
           // Quantify: max-min rate of experiment (a) alone vs concurrent.
-          simnet::FairShareProblem alone{capacities, {res_a.value()}};
-          simnet::FairShareProblem together{capacities, {res_a.value(), res_b.value()}};
-          const double rate_alone = simnet::solve_max_min(alone)[0];
-          const double rate_together = simnet::solve_max_min(together)[0];
+          const auto uses_a = simnet::flow_uses(res_a.value());
+          const double rate_alone = simnet::solve_max_min(capacities, {uses_a})[0];
+          const double rate_together =
+              simnet::solve_max_min(capacities, {uses_a, simnet::flow_uses(res_b.value())})[0];
           const double error =
               rate_alone > 0.0 ? 1.0 - rate_together / rate_alone : 0.0;
           report.worst_collision_error = std::max(report.worst_collision_error, error);

@@ -1,28 +1,94 @@
 #include "simnet/fairshare.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
 namespace envnws::simnet {
 
-std::vector<double> solve_max_min(const FairShareProblem& problem) {
-  const std::size_t flow_count = problem.flows.size();
-  const std::size_t resource_count = problem.capacities.size();
+std::vector<WeightedUse> flow_uses(const std::vector<std::uint32_t>& forward,
+                                   const std::vector<std::uint32_t>& reverse,
+                                   double reverse_weight) {
+  std::vector<WeightedUse> uses;
+  uses.reserve(forward.size() + reverse.size());
+  for (const std::uint32_t r : forward) uses.push_back(WeightedUse{r, 1.0});
+  const std::size_t forward_count = uses.size();
+  for (const std::uint32_t r : reverse) {
+    const auto end = uses.begin() + static_cast<std::ptrdiff_t>(forward_count);
+    const auto shared = std::find_if(uses.begin(), end,
+                                     [r](const WeightedUse& use) { return use.resource == r; });
+    if (shared != end) {
+      shared->weight += reverse_weight;
+    } else {
+      uses.push_back(WeightedUse{r, reverse_weight});
+    }
+  }
+  return uses;
+}
+
+std::vector<double> solve_max_min(const std::vector<double>& capacities,
+                                  const std::vector<std::vector<WeightedUse>>& flows) {
+  const std::size_t flow_count = flows.size();
   std::vector<double> rates(flow_count, std::numeric_limits<double>::infinity());
-  std::vector<double> residual = problem.capacities;
-  std::vector<bool> fixed(flow_count, false);
-  // users[r] = number of still-unfixed flows crossing resource r.
-  std::vector<std::uint32_t> users(resource_count, 0);
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    for (const std::uint32_t r : problem.flows[f]) {
-      assert(r < resource_count);
-      ++users[r];
+
+  // Remap the touched resources to dense local indices, in order of first
+  // use, so the filling loop never scans a resource no flow crosses. The
+  // rates do not depend on that order: the bottleneck is a minimum, and
+  // each resource still sums and subtracts its flows in flow order.
+  // `local_of` maps a resource to its local index during one solve; it
+  // outlives the solve (one per thread) and only the touched entries are
+  // reset, so a solve costs nothing per untouched resource.
+  constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
+  thread_local std::vector<std::uint32_t> local_of;
+  if (local_of.size() < capacities.size()) local_of.resize(capacities.size(), kUnmapped);
+  std::size_t term_count = 0;
+  for (const auto& uses : flows) term_count += uses.size();
+  std::vector<std::uint32_t> local;    // local index of every term, flows concatenated
+  std::vector<std::uint32_t> touched;  // resource of every local index
+  // Reserved up front: nothing between marking and resetting `local_of`
+  // may throw, or a stale entry would outlive this solve.
+  local.reserve(term_count);
+  touched.reserve(std::min(term_count, capacities.size()));
+  for (const auto& uses : flows) {
+    for (const WeightedUse& use : uses) {
+      assert(use.resource < capacities.size());
+      std::uint32_t& slot = local_of[use.resource];
+      if (slot == kUnmapped) {
+        slot = static_cast<std::uint32_t>(touched.size());
+        touched.push_back(use.resource);
+      }
+      local.push_back(slot);
+    }
+  }
+  for (const std::uint32_t r : touched) local_of[r] = kUnmapped;
+  const std::size_t touched_count = touched.size();
+
+  std::vector<double> residual(touched_count);
+  for (std::size_t t = 0; t < touched_count; ++t) residual[t] = capacities[touched[t]];
+  // weight_sum[t] = total weight of still-unfixed flows crossing t; the
+  // equal-rate share of t is residual[t] / weight_sum[t]. The integer
+  // live-user count, not the floating-point weight sum, decides whether
+  // a resource still constrains anyone: subtracting frozen weights
+  // leaves dust (~1e-17) on a fully-drained resource, and its dust
+  // share residual/dust can undercut every live flow's share — a
+  // bottleneck no flow crosses, so no flow freezes and the filling
+  // loop never terminates.
+  std::vector<double> weight_sum(touched_count, 0.0);
+  std::vector<std::uint32_t> live_users(touched_count, 0);
+  const std::uint32_t* term = local.data();
+  for (const auto& uses : flows) {
+    for (const WeightedUse& use : uses) {
+      assert(use.weight > 0.0);
+      weight_sum[*term] += use.weight;
+      ++live_users[*term];
+      ++term;
     }
   }
 
+  std::vector<bool> fixed(flow_count, false);
   std::size_t remaining = 0;
   for (std::size_t f = 0; f < flow_count; ++f) {
-    if (problem.flows[f].empty()) {
+    if (flows[f].empty()) {
       fixed[f] = true;  // rate stays infinite: no shared resource involved
     } else {
       ++remaining;
@@ -32,116 +98,44 @@ std::vector<double> solve_max_min(const FairShareProblem& problem) {
   // Progressive filling: repeatedly saturate the most contended resource.
   while (remaining > 0) {
     double bottleneck_share = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < resource_count; ++r) {
-      if (users[r] == 0) continue;
-      const double share = residual[r] / static_cast<double>(users[r]);
+    for (std::size_t t = 0; t < touched_count; ++t) {
+      if (live_users[t] == 0) continue;
+      const double share = residual[t] / weight_sum[t];
       if (share < bottleneck_share) bottleneck_share = share;
     }
     assert(bottleneck_share < std::numeric_limits<double>::infinity());
 
-    // Every unfixed flow crossing a resource whose fair share equals the
+    // Every unfixed flow crossing a resource whose share equals the
     // bottleneck share is frozen at that rate.
     bool froze_any = false;
+    const std::uint32_t* next = local.data();
     for (std::size_t f = 0; f < flow_count; ++f) {
+      const std::vector<WeightedUse>& uses = flows[f];
+      const std::uint32_t* terms = next;  // local indices of uses[0 .. size)
+      next += uses.size();
       if (fixed[f]) continue;
-      bool at_bottleneck = false;
-      for (const std::uint32_t r : problem.flows[f]) {
-        // Tolerate floating-point noise when comparing shares.
-        const double share = residual[r] / static_cast<double>(users[r]);
-        if (share <= bottleneck_share * (1.0 + 1e-12)) {
-          at_bottleneck = true;
-          break;
-        }
-      }
+      // weight_sum here is ≥ this flow's own weight: an unfixed flow
+      // counts itself among the resource's live users. Tolerate
+      // floating-point noise when comparing shares.
+      const bool at_bottleneck = std::any_of(terms, next, [&](std::uint32_t t) {
+        return residual[t] / weight_sum[t] <= bottleneck_share * (1.0 + 1e-12);
+      });
       if (!at_bottleneck) continue;
       fixed[f] = true;
       froze_any = true;
       --remaining;
       rates[f] = bottleneck_share;
-      for (const std::uint32_t r : problem.flows[f]) {
-        residual[r] -= bottleneck_share;
-        if (residual[r] < 0.0) residual[r] = 0.0;
-        --users[r];
-      }
-    }
-    assert(froze_any);
-    (void)froze_any;
-  }
-  return rates;
-}
-
-std::vector<double> solve_max_min_weighted(const WeightedFairShareProblem& problem) {
-  const std::size_t flow_count = problem.flows.size();
-  const std::size_t resource_count = problem.capacities.size();
-  std::vector<double> rates(flow_count, std::numeric_limits<double>::infinity());
-  std::vector<double> residual = problem.capacities;
-  std::vector<bool> fixed(flow_count, false);
-  // weight_sum[r] = total weight of still-unfixed flows crossing r; the
-  // equal-rate share of r is residual[r] / weight_sum[r]. The integer
-  // live-user count, not the floating-point weight sum, decides whether
-  // a resource still constrains anyone: subtracting frozen weights
-  // leaves dust (~1e-17) on a fully-drained resource, and its dust
-  // share residual/dust can undercut every live flow's share — a
-  // bottleneck no flow crosses, so no flow freezes and the filling
-  // loop never terminates.
-  std::vector<double> weight_sum(resource_count, 0.0);
-  std::vector<std::uint32_t> live_users(resource_count, 0);
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    for (const WeightedUse& use : problem.flows[f]) {
-      assert(use.resource < resource_count);
-      assert(use.weight > 0.0);
-      weight_sum[use.resource] += use.weight;
-      ++live_users[use.resource];
-    }
-  }
-
-  std::size_t remaining = 0;
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    if (problem.flows[f].empty()) {
-      fixed[f] = true;  // rate stays infinite: no shared resource involved
-    } else {
-      ++remaining;
-    }
-  }
-
-  while (remaining > 0) {
-    double bottleneck_share = std::numeric_limits<double>::infinity();
-    for (std::size_t r = 0; r < resource_count; ++r) {
-      if (live_users[r] == 0) continue;
-      const double share = residual[r] / weight_sum[r];
-      if (share < bottleneck_share) bottleneck_share = share;
-    }
-    assert(bottleneck_share < std::numeric_limits<double>::infinity());
-
-    bool froze_any = false;
-    for (std::size_t f = 0; f < flow_count; ++f) {
-      if (fixed[f]) continue;
-      bool at_bottleneck = false;
-      for (const WeightedUse& use : problem.flows[f]) {
-        // weight_sum here is ≥ this flow's own weight: an unfixed flow
-        // counts itself among the resource's live users.
-        const double share = residual[use.resource] / weight_sum[use.resource];
-        if (share <= bottleneck_share * (1.0 + 1e-12)) {
-          at_bottleneck = true;
-          break;
-        }
-      }
-      if (!at_bottleneck) continue;
-      fixed[f] = true;
-      froze_any = true;
-      --remaining;
-      rates[f] = bottleneck_share;
-      for (const WeightedUse& use : problem.flows[f]) {
-        residual[use.resource] -= bottleneck_share * use.weight;
-        if (residual[use.resource] < 0.0) residual[use.resource] = 0.0;
-        weight_sum[use.resource] -= use.weight;
+      for (std::size_t i = 0; i < uses.size(); ++i) {
+        const std::uint32_t t = terms[i];
+        residual[t] -= bottleneck_share * uses[i].weight;
+        if (residual[t] < 0.0) residual[t] = 0.0;
+        weight_sum[t] -= uses[i].weight;
         // A drained resource drops out exactly; the dust the subtraction
         // left behind must never re-enter a share quotient.
-        if (--live_users[use.resource] == 0 || weight_sum[use.resource] < 0.0) {
-          weight_sum[use.resource] = 0.0;
-        }
+        if (--live_users[t] == 0 || weight_sum[t] < 0.0) weight_sum[t] = 0.0;
       }
     }
+    // Each round freezes at least one flow, so a solve ends within F rounds.
     assert(froze_any);
     (void)froze_any;
   }

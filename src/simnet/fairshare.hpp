@@ -1,4 +1,4 @@
-// Max-min fair bandwidth allocation (progressive filling).
+// Max-min fair bandwidth allocation (weighted progressive filling).
 //
 // This is the heart of the fluid traffic model: given capacitated
 // resources and flows that each consume a set of resources, compute the
@@ -6,6 +6,17 @@
 // thresholds key on — two flows crossing a hub each get half the medium;
 // flows on distinct switch ports do not interact; a 10 Mbps uplink caps
 // everything behind it.
+//
+// A flow consumes each of its resources at `weight * rate`. Weight 1.0
+// everywhere is the plain model (sums of 1.0 are exact counts, so the
+// arithmetic is that of an unweighted solver); the lv08 TCP model adds
+// light reverse-path terms for ack cross-traffic.
+//
+// The solver works on the resources the flows touch only: it remaps
+// them to dense local indices through a per-thread resource -> index
+// table whose touched entries it resets afterwards, so one solve costs
+// O(T + F·U) per filling round for T touched resources, F flows and U
+// terms per flow — independent of how many resources the platform has.
 #pragma once
 
 #include <cstdint>
@@ -13,18 +24,7 @@
 
 namespace envnws::simnet {
 
-struct FairShareProblem {
-  /// capacity[r] = bits/s available on resource r.
-  std::vector<double> capacities;
-  /// flows[f] = the (deduplicated) resource indices flow f consumes.
-  std::vector<std::vector<std::uint32_t>> flows;
-};
-
-/// Returns the max-min fair rate of every flow. Flows that use no
-/// resources get an infinite rate (the caller treats them as local).
-std::vector<double> solve_max_min(const FairShareProblem& problem);
-
-/// One (resource, weight) term of a weighted flow: the flow consumes
+/// One (resource, weight) term of a flow: the flow consumes
 /// `weight * rate` bits/s of the resource. The lv08 TCP model expresses
 /// ack cross-traffic this way: weight 1.0 on the forward path, 0.05 on
 /// the reverse path (1.05 where the two coincide on half-duplex media).
@@ -33,15 +33,21 @@ struct WeightedUse {
   double weight = 1.0;
 };
 
-struct WeightedFairShareProblem {
-  std::vector<double> capacities;
-  /// flows[f] = deduplicated (resource, weight) terms of flow f.
-  std::vector<std::vector<WeightedUse>> flows;
-};
+/// Deduplicated terms of a flow that loads `forward` at weight 1.0 and
+/// `reverse` at `reverse_weight`; a resource on both carries the sum.
+/// Both inputs must be duplicate-free.
+[[nodiscard]] std::vector<WeightedUse> flow_uses(const std::vector<std::uint32_t>& forward,
+                                                 const std::vector<std::uint32_t>& reverse = {},
+                                                 double reverse_weight = 0.0);
 
-/// Weighted progressive filling. With all weights 1.0 this computes the
-/// same allocation as `solve_max_min` (kept separate so the unweighted
-/// hot path stays bit-identical to the historical solver).
-std::vector<double> solve_max_min_weighted(const WeightedFairShareProblem& problem);
+/// Returns the max-min fair rate of every flow: rates are equalized, and
+/// a flow's consumption of resource r is its rate times its weight on r.
+/// `capacities[r]` is the bits/s available on resource r; `flows[f]`
+/// holds flow f's deduplicated terms, each weight > 0. Flows that use no
+/// resources get an infinite rate (the caller treats them as local).
+/// Every filling round freezes at least one flow, so a solve runs at most
+/// F rounds (asserted in Debug builds).
+[[nodiscard]] std::vector<double> solve_max_min(
+    const std::vector<double>& capacities, const std::vector<std::vector<WeightedUse>>& flows);
 
 }  // namespace envnws::simnet

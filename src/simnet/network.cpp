@@ -14,20 +14,6 @@ namespace envnws::simnet {
 
 namespace {
 constexpr std::uint32_t kNoResource = std::numeric_limits<std::uint32_t>::max();
-
-/// Collapse forward (weight 1.0) and ack cross-traffic (weight `share`)
-/// resource sets into deduplicated weighted terms; a resource on both
-/// paths (half-duplex media) carries the summed weight.
-std::vector<WeightedUse> weighted_uses(const std::vector<std::uint32_t>& forward,
-                                       const std::vector<std::uint32_t>& reverse, double share) {
-  std::map<std::uint32_t, double> weights;
-  for (const std::uint32_t r : forward) weights[r] += 1.0;
-  for (const std::uint32_t r : reverse) weights[r] += share;
-  std::vector<WeightedUse> uses;
-  uses.reserve(weights.size());
-  for (const auto& [resource, weight] : weights) uses.push_back(WeightedUse{resource, weight});
-  return uses;
-}
 }
 
 std::int64_t NetStats::total_bytes() const {
@@ -177,7 +163,7 @@ Result<FlowId> Network::start_flow(NodeId src, NodeId dst, std::int64_t bytes,
   flow.total_bits = static_cast<double>(bytes) * 8.0;
   flow.remaining_bits = flow.total_bits;
   const LinkModelSpec& model = topo_.link_model();
-  flow.resources = std::move(resources.value());
+  std::vector<std::uint32_t> cross_resources;
   flow.fwd_latency = model.effective_latency(path.value().total_latency(topo_));
   // The ack travels the reverse path (may differ under asymmetric routes).
   if (options.ack || model.weighted()) {
@@ -190,10 +176,11 @@ Result<FlowId> Network::start_flow(NodeId src, NodeId dst, std::int64_t bytes,
     // with `cross_traffic_share` of its rate.
     if (model.weighted() && reverse.ok()) {
       if (auto rev_resources = resources_for_path(reverse.value()); rev_resources.ok()) {
-        flow.cross_resources = std::move(rev_resources.value());
+        cross_resources = std::move(rev_resources.value());
       }
     }
   }
+  flow.uses = flow_uses(resources.value(), cross_resources, model.cross_traffic_share);
   flow.ack = options.ack;
   flow.start_time = now_;
   flow.on_done = std::move(on_done);
@@ -217,6 +204,7 @@ void Network::activate_flow(FlowId id) {
   flow.active = true;
   flow.last_settle = now_;
   active_order_.push_back(id);
+  active_uses_.push_back(std::move(flow.uses));
   recompute_rates();
 }
 
@@ -234,27 +222,7 @@ void Network::settle_flows() {
 }
 
 void Network::recompute_rates() {
-  const LinkModelSpec& model = topo_.link_model();
-  std::vector<double> rates;
-  if (model.weighted()) {
-    WeightedFairShareProblem problem;
-    problem.capacities = resource_capacity_;
-    problem.flows.reserve(active_order_.size());
-    for (const FlowId id : active_order_) {
-      const FlowState& flow = flows_[id.index()];
-      problem.flows.push_back(
-          weighted_uses(flow.resources, flow.cross_resources, model.cross_traffic_share));
-    }
-    rates = solve_max_min_weighted(problem);
-  } else {
-    FairShareProblem problem;
-    problem.capacities = resource_capacity_;
-    problem.flows.reserve(active_order_.size());
-    for (const FlowId id : active_order_) {
-      problem.flows.push_back(flows_[id.index()].resources);
-    }
-    rates = solve_max_min(problem);
-  }
+  const std::vector<double> rates = solve_max_min(resource_capacity_, active_uses_);
 
   for (std::size_t i = 0; i < active_order_.size(); ++i) {
     const FlowId id = active_order_[i];
@@ -281,7 +249,10 @@ void Network::finish_flow(FlowId id) {
   flow.done = true;
   flow.completion_scheduled = false;
   flow.remaining_bits = 0.0;
-  active_order_.erase(std::find(active_order_.begin(), active_order_.end(), id));
+  const auto slot =
+      std::find(active_order_.begin(), active_order_.end(), id) - active_order_.begin();
+  active_order_.erase(active_order_.begin() + slot);
+  active_uses_.erase(active_uses_.begin() + slot);
   recompute_rates();
   ++stats_.flows_completed;
 
@@ -417,31 +388,20 @@ Result<std::vector<std::uint32_t>> Network::path_resources(NodeId src, NodeId ds
 Result<std::vector<double>> Network::predicted_rates(
     const std::vector<std::pair<NodeId, NodeId>>& pairs) const {
   const LinkModelSpec& model = topo_.link_model();
-  std::vector<std::vector<std::uint32_t>> forward(pairs.size());
-  std::vector<std::vector<std::uint32_t>> reverse(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    auto fwd = path_resources(pairs[i].first, pairs[i].second);
-    if (!fwd.ok()) return fwd.error();
-    forward[i] = std::move(fwd.value());
+  std::vector<std::vector<WeightedUse>> flows;
+  flows.reserve(pairs.size());
+  for (const auto& [src, dst] : pairs) {
+    const auto forward = path_resources(src, dst);
+    if (!forward.ok()) return forward.error();
+    std::vector<std::uint32_t> reverse;
     if (model.weighted()) {
-      auto rev = path_resources(pairs[i].second, pairs[i].first);
+      auto rev = path_resources(dst, src);
       if (!rev.ok()) return rev.error();
-      reverse[i] = std::move(rev.value());
+      reverse = std::move(rev.value());
     }
+    flows.push_back(flow_uses(forward.value(), reverse, model.cross_traffic_share));
   }
-  if (model.weighted()) {
-    WeightedFairShareProblem problem;
-    problem.capacities = resource_capacity_;
-    problem.flows.reserve(pairs.size());
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      problem.flows.push_back(weighted_uses(forward[i], reverse[i], model.cross_traffic_share));
-    }
-    return solve_max_min_weighted(problem);
-  }
-  FairShareProblem problem;
-  problem.capacities = resource_capacity_;
-  problem.flows = std::move(forward);
-  return solve_max_min(problem);
+  return solve_max_min(resource_capacity_, flows);
 }
 
 double Network::cpu_load(NodeId host, SimTime t) const {

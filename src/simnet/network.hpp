@@ -20,6 +20,7 @@
 #include "common/result.hpp"
 #include "common/rng.hpp"
 #include "simnet/event_queue.hpp"
+#include "simnet/fairshare.hpp"
 #include "simnet/routing.hpp"
 #include "simnet/topology.hpp"
 #include "simnet/types.hpp"
@@ -168,10 +169,10 @@ class Network {
     NodeId dst;
     double total_bits = 0.0;
     double remaining_bits = 0.0;
-    std::vector<std::uint32_t> resources;
-    /// Reverse-path resources the lv08 ack cross-traffic loads (empty
-    /// unless the model is weighted).
-    std::vector<std::uint32_t> cross_resources;
+    /// Fair-share terms: weight 1.0 on the forward path, plus the lv08
+    /// ack cross-traffic's `cross_traffic_share` on the reverse path
+    /// when the model is weighted. Moved to `active_uses_` on activation.
+    std::vector<WeightedUse> uses;
     double fwd_latency = 0.0;
     double rev_latency = 0.0;
     bool ack = true;
@@ -210,6 +211,8 @@ class Network {
 
   std::vector<FlowState> flows_;
   std::vector<FlowId> active_order_;  ///< active flows, insertion order
+  /// Fair-share terms of active_order_[i], the solver's input as is.
+  std::vector<std::vector<WeightedUse>> active_uses_;
   /// Generators for the topology's background spec (owned so replicas
   /// replay identical load; empty without a `bg:` decorator).
   std::vector<std::unique_ptr<CrossTraffic>> background_;

@@ -31,12 +31,14 @@ double Path::bottleneck_bandwidth(const Topology& topo) const {
 
 RouteTable::RouteTable(const Topology& topo)
     : topo_(topo),
+      max_trees_(std::max<std::size_t>(
+          1, kMaxCachedHops / std::max<std::size_t>(1, topo.node_count()))),
       built_(topo.node_count(), false),
       pred_(topo.node_count()),
       last_used_(topo.node_count(), 0) {}
 
 void RouteTable::build_from(NodeId src) const {
-  if (built_count_ >= kMaxCachedSources) {
+  if (built_count_ >= max_trees_) {
     // Evict the least-recently-used tree so the cache stays bounded.
     std::size_t victim = topo_.node_count();
     std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
@@ -87,6 +89,7 @@ void RouteTable::build_from(NodeId src) const {
   }
   built_[src.index()] = true;
   ++built_count_;
+  ++trees_built_;
 }
 
 Result<Path> RouteTable::path(NodeId src, NodeId dst) const {

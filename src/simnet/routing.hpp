@@ -5,9 +5,12 @@
 // *directional*, giving a slow uplink a small forward weight and a large
 // reverse weight reproduces the asymmetric routes of the ENS-Lyon network
 // (paper §4.3) without any special-case machinery. Explicit per-pair
-// overrides are also supported for tests.
+// overrides are also supported for tests. Shortest-path trees are
+// cached per source under a memory budget (see RouteTable).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <utility>
 #include <vector>
@@ -38,8 +41,21 @@ struct Path {
   [[nodiscard]] double bottleneck_bandwidth(const Topology& topo) const;
 };
 
+/// Lazily-built, memory-bounded cache of per-source shortest-path trees.
+///
+/// A tree is built (one Dijkstra run) the first time a source is
+/// queried. The cache holds at most `kMaxCachedHops` predecessor entries
+/// in total — `max(1, kMaxCachedHops / V)` trees on a V-node topology —
+/// and evicts the least-recently-used tree beyond that. Every tree fits
+/// up to about 1,100 nodes, so an all-pairs sweep builds each source's
+/// tree once; a 10k-node topology where every host traceroutes once
+/// (ENV phase 1c) keeps ~128 trees instead of O(V²) entries — gigabytes.
 class RouteTable {
  public:
+  /// Predecessor entries (one Hop per node per cached tree) the cache
+  /// may hold at once: 128 trees of a 10k-node topology.
+  static constexpr std::size_t kMaxCachedHops = 128 * 10000;
+
   explicit RouteTable(const Topology& topo);
 
   /// Shortest path honoring directional weights; Error if unreachable.
@@ -49,17 +65,16 @@ class RouteTable {
   /// to be a connected walk from src to dst).
   Status set_override(NodeId src, NodeId dst, const std::vector<LinkId>& links);
 
+  /// Trees currently cached: at most `max(1, kMaxCachedHops / V)`.
+  [[nodiscard]] std::size_t cached_trees() const { return built_count_; }
+  /// Trees built since construction, rebuilds after eviction included.
+  [[nodiscard]] std::uint64_t trees_built() const { return trees_built_; }
+
  private:
   void build_from(NodeId src) const;
 
   const Topology& topo_;
-  /// Cached predecessor trees the table may hold at once. Trees are
-  /// built lazily per source and evicted least-recently-used beyond
-  /// this bound: a 10k-node topology where every host traceroutes once
-  /// (ENV phase 1c) would otherwise accumulate O(V²) predecessor
-  /// entries — gigabytes — while each tree is typically consulted for
-  /// a handful of paths right after it is built.
-  static constexpr std::size_t kMaxCachedSources = 128;
+  std::size_t max_trees_;
   // Lazily-built Dijkstra predecessor trees, one per source.
   mutable std::vector<bool> built_;
   // pred_[src][node] = hop taken to reach `node` from `src`.
@@ -68,6 +83,7 @@ class RouteTable {
   mutable std::vector<std::uint64_t> last_used_;
   mutable std::uint64_t use_clock_ = 0;
   mutable std::size_t built_count_ = 0;
+  mutable std::uint64_t trees_built_ = 0;
   std::map<std::pair<NodeId, NodeId>, Path> overrides_;
 };
 

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "simnet/fairshare.hpp"
 #include "simnet/link_model.hpp"
@@ -19,6 +21,8 @@
 
 namespace envnws::simnet {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(LinkModel, RetransmissionFactorClosedForms) {
   // No loss: every segment arrives once.
@@ -84,20 +88,27 @@ TEST(LinkModel, DecoratorPrefixesAreCanonical) {
 }
 
 TEST(WeightedFairShare, AllUnitWeightsMatchTheUnweightedSolver) {
-  // The weighted solver with every weight at 1.0 must reproduce the
-  // historical solver exactly — same divisions, same subtractions — on
-  // seeded random problems.
+  // With every weight at 1.0 the solver must reproduce the historical
+  // unweighted solver exactly — same divisions, same subtractions. Its
+  // rates on these seeded problems are pinned: the first three rounds
+  // literally, all 848 rates through an FNV-1a digest of their bits.
+  const std::vector<std::vector<double>> kFirstRounds = {
+      {212.0, kInf, 212.0, 214.0},
+      {76.75, 43.5, 43.5, 43.5, 89.5, 89.5, 43.5, 76.75},
+      {471.5, 471.5},
+  };
+  constexpr std::uint64_t kPinnedDigest = 0x3eb9a37c1a55eb1eull;
   Rng rng(0x11e1903);
+  std::uint64_t digest = hash::kFnvOffset;
+  std::size_t rate_count = 0;
   for (int round = 0; round < 200; ++round) {
     const std::size_t resources = 1 + rng.next_below(6);
     const std::size_t flow_count = 1 + rng.next_below(8);
-    FairShareProblem plain;
-    WeightedFairShareProblem weighted;
+    std::vector<double> capacities;
     for (std::size_t r = 0; r < resources; ++r) {
-      const double capacity = static_cast<double>(1 + rng.next_below(1000));
-      plain.capacities.push_back(capacity);
-      weighted.capacities.push_back(capacity);
+      capacities.push_back(static_cast<double>(1 + rng.next_below(1000)));
     }
+    std::vector<std::vector<WeightedUse>> flows;
     for (std::size_t f = 0; f < flow_count; ++f) {
       std::vector<std::uint32_t> uses;
       const std::size_t use_count = rng.next_below(resources + 1);
@@ -107,44 +118,37 @@ TEST(WeightedFairShare, AllUnitWeightsMatchTheUnweightedSolver) {
         for (const std::uint32_t seen : uses) duplicate = duplicate || seen == r;
         if (!duplicate) uses.push_back(r);
       }
-      std::vector<WeightedUse> weighted_uses;
-      for (const std::uint32_t r : uses) weighted_uses.push_back({r, 1.0});
-      plain.flows.push_back(std::move(uses));
-      weighted.flows.push_back(std::move(weighted_uses));
+      flows.push_back(flow_uses(uses));
     }
-    const std::vector<double> a = solve_max_min(plain);
-    const std::vector<double> b = solve_max_min_weighted(weighted);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t f = 0; f < a.size(); ++f) {
-      if (std::isinf(a[f])) {
-        EXPECT_TRUE(std::isinf(b[f]));
-      } else {
-        EXPECT_DOUBLE_EQ(a[f], b[f]) << "round " << round << " flow " << f;
-      }
+    const std::vector<double> rates = solve_max_min(capacities, flows);
+    ASSERT_EQ(rates.size(), flow_count);
+    if (round < static_cast<int>(kFirstRounds.size())) {
+      EXPECT_EQ(rates, kFirstRounds[static_cast<std::size_t>(round)]) << "round " << round;
+    }
+    for (const double rate : rates) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &rate, sizeof bits);
+      digest = hash::fnv1a64(hash::hex64(bits), digest);
+      ++rate_count;
     }
   }
+  EXPECT_EQ(rate_count, 848u);
+  EXPECT_EQ(digest, kPinnedDigest) << hash::hex64(digest);
 }
 
 TEST(WeightedFairShare, LightFlowsConsumeProportionallyToWeight) {
   // r0 (cap 10): flow A at weight 1, flow B at weight 0.05.
   // r1 (cap 1): flow B at weight 1 — B bottlenecks there at rate 1,
   // consuming only 0.05 of r0, so A gets the remaining 9.95.
-  WeightedFairShareProblem problem;
-  problem.capacities = {10.0, 1.0};
-  problem.flows.push_back({{0, 1.0}});
-  problem.flows.push_back({{0, 0.05}, {1, 1.0}});
-  const std::vector<double> rates = solve_max_min_weighted(problem);
+  const std::vector<double> rates =
+      solve_max_min({10.0, 1.0}, {{{0, 1.0}}, {{0, 0.05}, {1, 1.0}}});
   ASSERT_EQ(rates.size(), 2u);
   EXPECT_DOUBLE_EQ(rates[1], 1.0);
   EXPECT_DOUBLE_EQ(rates[0], 10.0 - 0.05 * 1.0);
 
   // Equal-rate allocation when both contend on one resource: rates are
   // EQUAL (weighted max-min equalizes rates, not consumption).
-  WeightedFairShareProblem shared;
-  shared.capacities = {10.0};
-  shared.flows.push_back({{0, 1.0}});
-  shared.flows.push_back({{0, 0.05}});
-  const std::vector<double> both = solve_max_min_weighted(shared);
+  const std::vector<double> both = solve_max_min({10.0}, {{{0, 1.0}}, {{0, 0.05}}});
   EXPECT_DOUBLE_EQ(both[0], 10.0 / 1.05);
   EXPECT_DOUBLE_EQ(both[0], both[1]);
 }
@@ -157,12 +161,11 @@ TEST(WeightedFairShare, DrainedResourceDustCannotStallTheSolver) {
   // treats r0 as constraining picks a bottleneck no remaining flow
   // crosses — flow C never freezes and progressive filling spins
   // forever. Liveness must come from the integer user count.
-  WeightedFairShareProblem problem;
-  problem.capacities = {9.7e6, 9.7e7};
-  problem.flows.push_back({{0, 1.0}, {1, 1.0}});   // A: bottlenecked on r0
-  problem.flows.push_back({{0, 0.05}});            // B: ack-style cross traffic
-  problem.flows.push_back({{1, 1.0}});             // C: r1 only, freezes last
-  const std::vector<double> rates = solve_max_min_weighted(problem);
+  const std::vector<double> rates = solve_max_min({9.7e6, 9.7e7}, {
+      {{0, 1.0}, {1, 1.0}},  // A: bottlenecked on r0
+      {{0, 0.05}},           // B: ack-style cross traffic
+      {{1, 1.0}},            // C: r1 only, freezes last
+  });
   ASSERT_EQ(rates.size(), 3u);
   const double r0_share = 9.7e6 / 1.05;
   EXPECT_DOUBLE_EQ(rates[0], r0_share);

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "common/units.hpp"
 #include "simnet/routing.hpp"
+#include "simnet/scenario.hpp"
 #include "simnet/topology.hpp"
 
 namespace envnws::simnet {
@@ -208,6 +210,56 @@ TEST(Routing, PathLatencyAndNodes) {
   EXPECT_EQ(nodes.front(), a);
   EXPECT_EQ(nodes[1], r);
   EXPECT_EQ(nodes.back(), b);
+}
+
+bool same_hops(const Path& a, const Path& b) {
+  return std::equal(a.hops.begin(), a.hops.end(), b.hops.begin(), b.hops.end(),
+                    [](const Hop& x, const Hop& y) {
+                      return x.link == y.link && x.from == y.from && x.to == y.to;
+                    });
+}
+
+TEST(Routing, CacheHoldsAtMostBudgetOverNodeCountTrees) {
+  // 2000 sources of 2001 nodes each overflow the predecessor budget, so
+  // the cache must evict; a rebuilt tree must route exactly as a fresh one.
+  const Scenario scenario = star_switch(2000, mbps(100));
+  const Topology& topo = scenario.topology;
+  const std::vector<NodeId> hosts = topo.hosts();
+  const std::size_t max_trees = RouteTable::kMaxCachedHops / topo.node_count();
+  ASSERT_LT(max_trees, hosts.size());
+
+  RouteTable routes(topo);
+  for (std::size_t sweep = 0; sweep < 2; ++sweep) {
+    for (std::size_t i = 0; i < hosts.size(); ++i) {
+      const NodeId dst = hosts[(i + 1 + sweep) % hosts.size()];
+      const auto path = routes.path(hosts[i], dst);
+      ASSERT_TRUE(path.ok());
+      ASSERT_LE(routes.cached_trees(), max_trees);
+      if (sweep == 0) continue;  // the second sweep only meets evicted trees
+      const auto fresh = RouteTable(topo).path(hosts[i], dst);
+      ASSERT_TRUE(fresh.ok());
+      EXPECT_TRUE(same_hops(path.value(), fresh.value())) << topo.node(hosts[i]).name;
+    }
+  }
+  EXPECT_EQ(routes.cached_trees(), max_trees);
+  EXPECT_EQ(routes.trees_built(), 2 * hosts.size());
+}
+
+TEST(Routing, AllPairsSweepBuildsEachSourceTreeOnce) {
+  // The flow pattern of ENV's full protocol: path(a,b), then the ack's
+  // path(b,a). Within the budget every source's tree is built once.
+  const Scenario scenario = star_switch(200, mbps(100));
+  const std::vector<NodeId> hosts = scenario.topology.hosts();
+  RouteTable routes(scenario.topology);
+  for (const NodeId a : hosts) {
+    for (const NodeId b : hosts) {
+      if (a == b) continue;
+      ASSERT_TRUE(routes.path(a, b).ok());
+      ASSERT_TRUE(routes.path(b, a).ok());
+    }
+  }
+  EXPECT_EQ(routes.trees_built(), hosts.size());
+  EXPECT_EQ(routes.cached_trees(), hosts.size());
 }
 
 TEST(LoadModel, DeterministicAndClamped) {
