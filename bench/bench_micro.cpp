@@ -63,16 +63,24 @@ void BM_EventQueueChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueChurn)->Arg(1024)->Arg(16384);
 
-void BM_RoutingDijkstra(benchmark::State& state) {
+// One cold route across a WAN constellation. A host is a leaf of its
+// site LAN, so a host source builds the LAN's tree and prepends one hop;
+// a site router source builds its own tree.
+void route_cold(benchmark::State& state, bool from_router) {
   auto scenario = simnet::wan_constellation(8, 12, units::mbps(100), units::mbps(10));
   const simnet::Topology topo = std::move(scenario.topology);
   const auto hosts = topo.hosts();
+  const simnet::NodeId src =
+      from_router ? topo.find_by_name("site0-gw").value() : hosts.front();
   for (auto _ : state) {
     simnet::RouteTable routes(topo);  // cold tables each iteration
-    benchmark::DoNotOptimize(routes.path(hosts.front(), hosts.back()));
+    benchmark::DoNotOptimize(routes.path(src, hosts.back()));
   }
 }
-BENCHMARK(BM_RoutingDijkstra);
+void BM_RoutingDijkstraLeafSource(benchmark::State& state) { route_cold(state, false); }
+BENCHMARK(BM_RoutingDijkstraLeafSource);
+void BM_RoutingDijkstraRouterSource(benchmark::State& state) { route_cold(state, true); }
+BENCHMARK(BM_RoutingDijkstraRouterSource);
 
 void BM_FlowTransferSimulation(benchmark::State& state) {
   for (auto _ : state) {

@@ -33,9 +33,18 @@ RouteTable::RouteTable(const Topology& topo)
     : topo_(topo),
       max_trees_(std::max<std::size_t>(
           1, kMaxCachedHops / std::max<std::size_t>(1, topo.node_count()))),
+      lead_(topo.node_count(), Hop{LinkId::invalid(), NodeId::invalid(), NodeId::invalid()}),
       built_(topo.node_count(), false),
       pred_(topo.node_count()),
-      last_used_(topo.node_count(), 0) {}
+      last_used_(topo.node_count(), 0) {
+  for (std::size_t i = 0; i < topo.node_count(); ++i) {
+    const NodeId node{static_cast<NodeId::underlying_type>(i)};
+    const auto& links = topo.node(node).links;
+    if (links.size() != 1) continue;
+    const NodeId gateway = topo.peer(links.front(), node);
+    if (topo.node(gateway).links.size() >= 2) lead_[i] = Hop{links.front(), node, gateway};
+  }
+}
 
 void RouteTable::build_from(NodeId src) const {
   if (built_count_ >= max_trees_) {
@@ -97,20 +106,22 @@ Result<Path> RouteTable::path(NodeId src, NodeId dst) const {
   const auto it = overrides_.find({src, dst});
   if (it != overrides_.end()) return it->second;
 
-  if (!built_[src.index()]) build_from(src);
-  last_used_[src.index()] = ++use_clock_;
-  const auto& pred = pred_[src.index()];
-  if (!pred[dst.index()].link.valid()) {
-    return make_error(ErrorCode::unreachable,
-                      "no route from " + topo_.node(src).name + " to " + topo_.node(dst).name);
-  }
+  const Hop& lead = lead_[src.index()];
+  const NodeId root = lead.link.valid() ? lead.to : src;
   Path path{src, dst, {}};
-  NodeId cursor = dst;
-  while (cursor != src) {
-    const Hop& hop = pred[cursor.index()];
-    path.hops.push_back(hop);
-    cursor = hop.from;
+  if (dst != root) {
+    if (!built_[root.index()]) build_from(root);
+    last_used_[root.index()] = ++use_clock_;
+    const auto& pred = pred_[root.index()];
+    if (!pred[dst.index()].link.valid()) {
+      return make_error(ErrorCode::unreachable,
+                        "no route from " + topo_.node(src).name + " to " + topo_.node(dst).name);
+    }
+    for (NodeId cursor = dst; cursor != root; cursor = pred[cursor.index()].from) {
+      path.hops.push_back(pred[cursor.index()]);
+    }
   }
+  if (lead.link.valid()) path.hops.push_back(lead);
   std::reverse(path.hops.begin(), path.hops.end());
   return path;
 }

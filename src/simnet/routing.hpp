@@ -7,6 +7,17 @@
 // (paper §4.3) without any special-case machinery. Explicit per-pair
 // overrides are also supported for tests. Shortest-path trees are
 // cached per source under a memory budget (see RouteTable).
+//
+// Leaf collapse: a node with exactly one link, whose neighbour (its
+// gateway) has two or more, owns no tree. Its route to any destination is
+// the hop to its gateway followed by the gateway's tree path, the way a
+// host inside a SimGrid zone routes through the zone's gateway. This is
+// exact: every route of the leaf leaves through its one link, so Dijkstra
+// from the leaf and from the gateway see the same equal-cost
+// predecessors and the lowest-link-id tie-break picks the same hop —
+// provided weights are non-negative (Topology::validate) and path-weight
+// sums are exact in double, as they are for small dyadic weights such as
+// 1, 0.5, 50 and 100. On a star of n hosts this is one tree, not n.
 #pragma once
 
 #include <cstddef>
@@ -44,9 +55,10 @@ struct Path {
 /// Lazily-built, memory-bounded cache of per-source shortest-path trees.
 ///
 /// A tree is built (one Dijkstra run) the first time a source is
-/// queried. The cache holds at most `kMaxCachedHops` predecessor entries
-/// in total — `max(1, kMaxCachedHops / V)` trees on a V-node topology —
-/// and evicts the least-recently-used tree beyond that. Every tree fits
+/// queried; a leaf source uses its gateway's tree (leaf collapse above).
+/// The cache holds at most `kMaxCachedHops` predecessor entries in total
+/// — `max(1, kMaxCachedHops / V)` trees on a V-node topology — and
+/// evicts the least-recently-used tree beyond that. Every tree fits
 /// up to about 1,100 nodes, so an all-pairs sweep builds each source's
 /// tree once; a 10k-node topology where every host traceroutes once
 /// (ENV phase 1c) keeps ~128 trees instead of O(V²) entries — gigabytes.
@@ -75,6 +87,8 @@ class RouteTable {
 
   const Topology& topo_;
   std::size_t max_trees_;
+  // lead_[leaf] = hop from a leaf to its gateway; invalid for tree roots.
+  std::vector<Hop> lead_;
   // Lazily-built Dijkstra predecessor trees, one per source.
   mutable std::vector<bool> built_;
   // pred_[src][node] = hop taken to reach `node` from `src`.

@@ -28,6 +28,9 @@ double hashed_normal(std::uint64_t seed, std::int64_t bucket) {
 /// Positive and finite; NaN fails the `c > 0.0` test.
 bool usable_capacity(double c) { return c > 0.0 && std::isfinite(c); }
 
+/// Non-negative and finite, as Dijkstra needs; NaN fails `w >= 0.0`.
+bool usable_weight(double w) { return w >= 0.0 && std::isfinite(w); }
+
 }  // namespace
 
 double LoadModel::at(double t) const {
@@ -203,6 +206,11 @@ Status Topology::validate() const {
       return make_error(ErrorCode::invalid_argument,
                         "link " + std::to_string(l.id.value()) +
                             " has a non-positive or non-finite capacity");
+    }
+    if (!usable_weight(l.weight_ab) || !usable_weight(l.weight_ba)) {
+      return make_error(ErrorCode::invalid_argument,
+                        "link " + std::to_string(l.id.value()) +
+                            " has a negative or non-finite routing weight");
     }
     if (l.latency_s < 0.0) {
       return make_error(ErrorCode::invalid_argument,

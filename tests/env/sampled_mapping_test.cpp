@@ -112,5 +112,23 @@ TEST(SampledMapping, MultiZonePlatformsSampleEachZoneIndependently) {
   EXPECT_EQ(first.identity_digest(), batched.identity_digest());
 }
 
+TEST(SampledMapping, LargeStarRoutesThroughOneShortestPathTree) {
+  // Every star host is a leaf of the switch, so the whole map, with a
+  // traceroute from every host, routes through the switch's one tree.
+  const simnet::Scenario scenario = make_scenario("star-switch:2048@100");
+  simnet::Network net(simnet::Scenario(scenario).topology);
+  MapperOptions options;
+  options.max_pairwise = 64;
+  options.sample_seed = 1;
+  SimProbeEngine engine(net, options);
+  Mapper mapper(engine, options);
+  const auto zones = zones_from_scenario(scenario);
+  ASSERT_TRUE(zones.ok());
+  const auto result = mapper.map(zones.value());
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  EXPECT_GT(result.value().stats.experiments, 2048u);
+  EXPECT_EQ(net.routes().trees_built(), 1u);
+}
+
 }  // namespace
 }  // namespace envnws::env
