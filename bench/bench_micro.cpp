@@ -1,11 +1,13 @@
 // Substrate micro-benchmarks (google-benchmark): cost of the fluid
-// max-min solver, event queue, routing, XML parsing, forecasting, and a
-// complete ENV mapping — the "how expensive is the simulator itself"
-// numbers behind every other experiment.
+// max-min solver, event queue, routing, XML parsing, forecasting, a
+// complete ENV mapping and a deployment validation — the "how expensive
+// is the simulator itself" numbers behind every other experiment.
 #include <benchmark/benchmark.h>
 
+#include "api/envnws.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "deploy/validate.hpp"
 #include "env/mapper.hpp"
 #include "env/scenario_zones.hpp"
 #include "env/sim_probe_engine.hpp"
@@ -142,6 +144,29 @@ void BM_FullEnvMapping(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullEnvMapping)->Unit(benchmark::kMillisecond);
+
+// The §2.3 validator on a multi-zone platform. Map, plan and apply run
+// once; only validate_plan is timed.
+void BM_ValidatePlan(benchmark::State& state, const char* spec) {
+  auto scenario = api::ScenarioRegistry::builtin().make(spec);
+  if (!scenario.ok()) {
+    state.SkipWithError(scenario.error().to_string().c_str());
+    return;
+  }
+  simnet::Network net(simnet::Scenario(scenario.value()).topology);
+  api::Session session(net, scenario.value());
+  if (!session.map().ok() || !session.plan().ok() || !session.apply().ok()) {
+    state.SkipWithError("map, plan or apply failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(deploy::validate_plan(session.plan_result(), net));
+  }
+}
+BENCHMARK_CAPTURE(BM_ValidatePlan, MultiFirewall8x8, "multi-firewall:8x8")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ValidatePlan, MultiFirewall16x16, "multi-firewall:16x16")
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

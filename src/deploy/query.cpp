@@ -32,11 +32,27 @@ CoverageGraph::Resolver topology_resolver(const simnet::Topology& topo) {
 
 CoverageGraph::CoverageGraph(const DeploymentPlan& plan, Resolver resolve) {
   if (!resolve) resolve = [](const std::string& name) { return name; };
-  const auto link = [this](const std::string& a, const std::string& b,
-                           const std::string& series_a, const std::string& series_b) {
+  // Union-find over the links, keyed by each node's first-seen index.
+  std::vector<std::size_t> parent;
+  const auto find = [&parent](std::size_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  const auto index_of = [this, &parent](const std::string& node) {
+    const auto [it, added] = component_.emplace(node, parent.size());
+    if (added) parent.push_back(parent.size());
+    return it->second;
+  };
+  const auto link = [&](const std::string& a, const std::string& b,
+                        const std::string& series_a, const std::string& series_b) {
     pair_to_series_.emplace(ordered(a, b), std::make_pair(series_a, series_b));
     adjacency_[a].push_back(b);
     adjacency_[b].push_back(a);
+    const std::size_t root_a = find(index_of(a));
+    parent[root_a] = find(index_of(b));
   };
 
   // Directly measured pairs: every pair of every clique.
@@ -65,6 +81,7 @@ CoverageGraph::CoverageGraph(const DeploymentPlan& plan, Resolver resolve) {
       }
     }
   }
+  for (auto& entry : component_) entry.second = find(entry.second);
 }
 
 const std::pair<std::string, std::string>* CoverageGraph::measured_pair(
@@ -116,7 +133,14 @@ std::vector<std::pair<std::string, std::string>> CoverageGraph::route(
 
 bool CoverageGraph::coverable(const std::string& src, const std::string& dst) const {
   if (src == dst) return true;
-  return !route(src, dst).empty();
+  const auto a = component(src);
+  return a.has_value() && a == component(dst);
+}
+
+std::optional<std::size_t> CoverageGraph::component(const std::string& node) const {
+  const auto it = component_.find(node);
+  if (it == component_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::string QueryService::resolve(const std::string& machine) const {

@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,10 +44,17 @@ class CoverageGraph {
   /// The measured-pair chain answering for (src, dst); empty if none.
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> route(
       const std::string& src, const std::string& dst) const;
+  /// True when `route(src, dst)` is non-empty or src == dst: the links
+  /// are symmetric, so that is "same connected component".
   [[nodiscard]] bool coverable(const std::string& src, const std::string& dst) const;
+  /// Connected-component id of `node`; nullopt for a node no measured or
+  /// substituted pair touches. Two nodes are coverable from each other
+  /// exactly when their ids are equal.
+  [[nodiscard]] std::optional<std::size_t> component(const std::string& node) const;
 
  private:
   std::map<std::string, std::vector<std::string>> adjacency_;
+  std::map<std::string, std::size_t> component_;
   std::map<std::pair<std::string, std::string>, std::pair<std::string, std::string>>
       pair_to_series_;
 };

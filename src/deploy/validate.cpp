@@ -1,7 +1,7 @@
 #include "deploy/validate.hpp"
 
 #include <algorithm>
-#include <set>
+#include <optional>
 #include <sstream>
 
 #include "common/strings.hpp"
@@ -18,6 +18,111 @@ struct ResolvedClique {
   std::vector<simnet::NodeId> members;
   std::vector<std::pair<simnet::NodeId, simnet::NodeId>> pairs;
 };
+
+/// One experiment of the collision check, its path resolved once.
+struct Experiment {
+  std::pair<simnet::NodeId, simnet::NodeId> pair;
+  std::vector<std::uint32_t> resources;  ///< empty when the path does not resolve
+  /// Experiments of other cliques sharing a resource, ascending index.
+  std::vector<std::size_t> candidates;
+  std::vector<simnet::WeightedUse> uses;
+  double rate_alone = 0.0;
+};
+
+// Constraint 1. Experiments are numbered clique by clique, so clique c
+// owns the index range [first[c], first[c + 1]) and a candidate list
+// sorted by index is sorted by (clique, pair). The walk visits
+// (i, j != i, pair a of i, pair b of j) in that order, as a walk over
+// every experiment pair would, but only where a and b share a resource:
+// disjoint resource sets can never interact.
+void check_collisions(const std::vector<ResolvedClique>& cliques, bool use_host_locks,
+                      const simnet::Network& net, double tolerance, ValidationReport& report) {
+  const std::size_t active = static_cast<std::size_t>(std::count_if(
+      cliques.begin(), cliques.end(), [](const ResolvedClique& c) { return !c.pairs.empty(); }));
+  if (active < 2) return;  // no cross-clique experiment pair exists
+
+  const simnet::Topology& topo = net.topology();
+  const std::vector<double>& capacities = net.resource_capacities();
+  std::vector<std::size_t> first{0};
+  std::vector<Experiment> experiments;
+  for (const auto& clique : cliques) {
+    for (const auto& pair : clique.pairs) {
+      Experiment experiment;
+      experiment.pair = pair;
+      if (auto resources = net.path_resources(pair.first, pair.second); resources.ok()) {
+        experiment.resources = std::move(resources.value());
+      }
+      experiments.push_back(std::move(experiment));
+    }
+    first.push_back(experiments.size());
+  }
+
+  // Resource -> experiments using it, ascending (experiments are added
+  // in index order).
+  std::vector<std::vector<std::size_t>> users(capacities.size());
+  for (std::size_t e = 0; e < experiments.size(); ++e) {
+    for (const std::uint32_t r : experiments[e].resources) users[r].push_back(e);
+  }
+  for (std::size_t c = 0; c < cliques.size(); ++c) {
+    for (std::size_t e = first[c]; e < first[c + 1]; ++e) {
+      Experiment& experiment = experiments[e];
+      for (const std::uint32_t r : experiment.resources) {
+        const auto& list = users[r];
+        const auto own_begin = std::lower_bound(list.begin(), list.end(), first[c]);
+        const auto own_end = std::lower_bound(own_begin, list.end(), first[c + 1]);
+        experiment.candidates.insert(experiment.candidates.end(), list.begin(), own_begin);
+        experiment.candidates.insert(experiment.candidates.end(), own_end, list.end());
+      }
+      auto& candidates = experiment.candidates;
+      std::sort(candidates.begin(), candidates.end());
+      candidates.erase(std::unique(candidates.begin(), candidates.end()), candidates.end());
+      if (candidates.empty()) continue;
+      // Only experiments that can collide need their solo rate.
+      experiment.uses = simnet::flow_uses(experiment.resources);
+      experiment.rate_alone = simnet::solve_max_min(capacities, {experiment.uses})[0];
+    }
+  }
+
+  const auto pair_label = [&topo](std::pair<simnet::NodeId, simnet::NodeId> p) {
+    return topo.node(p.first).name + "->" + topo.node(p.second).name;
+  };
+  for (std::size_t i = 0; i < cliques.size(); ++i) {
+    for (std::size_t j = 0; j < cliques.size(); ++j) {
+      if (i == j) continue;
+      for (std::size_t a = first[i]; a < first[i + 1]; ++a) {
+        const Experiment& ea = experiments[a];
+        const auto& candidates = ea.candidates;
+        for (auto it = std::lower_bound(candidates.begin(), candidates.end(), first[j]);
+             it != candidates.end() && *it < first[j + 1]; ++it) {
+          const Experiment& eb = experiments[*it];
+          const auto& pa = ea.pair;
+          const auto& pb = eb.pair;
+          // Host-level locks (extension) serialize any two experiments
+          // that share an endpoint: those can never run concurrently.
+          if (use_host_locks && (pa.first == pb.first || pa.first == pb.second ||
+                                 pa.second == pb.first || pa.second == pb.second)) {
+            continue;
+          }
+          // Quantify: max-min rate of experiment (a) alone vs concurrent.
+          const double rate_together = simnet::solve_max_min(capacities, {ea.uses, eb.uses})[0];
+          const double error = ea.rate_alone > 0.0 ? 1.0 - rate_together / ea.rate_alone : 0.0;
+          report.worst_collision_error = std::max(report.worst_collision_error, error);
+          if (error > tolerance) {
+            report.collisions.push_back(CollisionFinding{
+                cliques[i].name, pair_label(pa), cliques[j].name, pair_label(pb), error});
+          }
+        }
+      }
+    }
+  }
+  // Unstable on purpose: findings tying on worst_error land where this
+  // sort puts them given the enumeration order above, and the report's
+  // byte-for-byte contract is that pair of facts.
+  std::sort(report.collisions.begin(), report.collisions.end(),
+            [](const CollisionFinding& a, const CollisionFinding& b) {
+              return a.worst_error > b.worst_error;
+            });
+}
 
 }  // namespace
 
@@ -50,63 +155,23 @@ ValidationReport validate_plan(const DeploymentPlan& plan, simnet::Network& net,
   }
 
   // --- constraint 1: collision-freedom ---------------------------------
-  const std::vector<double>& capacities = net.resource_capacities();
-  const auto pair_label = [&topo](std::pair<simnet::NodeId, simnet::NodeId> p) {
-    return topo.node(p.first).name + "->" + topo.node(p.second).name;
-  };
-  for (std::size_t i = 0; i < cliques.size(); ++i) {
-    for (std::size_t j = 0; j < cliques.size(); ++j) {
-      if (i == j) continue;
-      for (const auto& pa : cliques[i].pairs) {
-        const auto res_a = net.path_resources(pa.first, pa.second);
-        if (!res_a.ok()) continue;
-        for (const auto& pb : cliques[j].pairs) {
-          // Host-level locks (extension) serialize any two experiments
-          // that share an endpoint: those can never run concurrently.
-          if (plan.use_host_locks &&
-              (pa.first == pb.first || pa.first == pb.second || pa.second == pb.first ||
-               pa.second == pb.second)) {
-            continue;
-          }
-          const auto res_b = net.path_resources(pb.first, pb.second);
-          if (!res_b.ok()) continue;
-          // Fast reject: disjoint resource sets can never interact.
-          std::set<std::uint32_t> set_a(res_a.value().begin(), res_a.value().end());
-          const bool overlap =
-              std::any_of(res_b.value().begin(), res_b.value().end(),
-                          [&set_a](std::uint32_t r) { return set_a.count(r) > 0; });
-          if (!overlap) continue;
-          // Quantify: max-min rate of experiment (a) alone vs concurrent.
-          const auto uses_a = simnet::flow_uses(res_a.value());
-          const double rate_alone = simnet::solve_max_min(capacities, {uses_a})[0];
-          const double rate_together =
-              simnet::solve_max_min(capacities, {uses_a, simnet::flow_uses(res_b.value())})[0];
-          const double error =
-              rate_alone > 0.0 ? 1.0 - rate_together / rate_alone : 0.0;
-          report.worst_collision_error = std::max(report.worst_collision_error, error);
-          if (error > options.collision_tolerance) {
-            report.collisions.push_back(CollisionFinding{
-                cliques[i].name, pair_label(pa), cliques[j].name, pair_label(pb), error});
-          }
-        }
-      }
-    }
-  }
-  std::sort(report.collisions.begin(), report.collisions.end(),
-            [](const CollisionFinding& a, const CollisionFinding& b) {
-              return a.worst_error > b.worst_error;
-            });
+  check_collisions(cliques, plan.use_host_locks, net, options.collision_tolerance, report);
   report.collision_free = report.collisions.empty();
 
   // --- constraint 3: completeness --------------------------------------
+  // Coverage is symmetric, so a pair is coverable exactly when both
+  // hosts sit in one connected component of the coverage graph.
   const CoverageGraph coverage(plan, resolve);
   std::vector<std::string> nodes;
   for (const auto& host : plan.hosts) nodes.push_back(resolve(host));
   std::sort(nodes.begin(), nodes.end());
   nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  std::vector<std::optional<std::size_t>> components;
+  components.reserve(nodes.size());
+  for (const auto& node : nodes) components.push_back(coverage.component(node));
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      if (!coverage.coverable(nodes[i], nodes[j])) {
+      if (!components[i] || components[i] != components[j]) {
         report.uncovered_pairs.emplace_back(nodes[i], nodes[j]);
       }
     }

@@ -31,7 +31,11 @@ struct ValidationReport {
   // Constraint 1 — collision-freedom.
   bool collision_free = true;
   /// Cross-clique experiment pairs whose concurrent error exceeds the
-  /// tolerance (sorted by severity, worst first).
+  /// tolerance. Collected in enumeration order (clique i, clique j != i,
+  /// i's pairs, j's pairs, plan order), then `std::sort`ed by
+  /// worst_error, worst first. The sort is unstable: ties land where it
+  /// puts them given that input order, which is what makes the report
+  /// reproducible byte for byte.
   std::vector<CollisionFinding> collisions;
   double worst_collision_error = 0.0;
 
