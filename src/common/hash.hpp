@@ -2,7 +2,7 @@
 //
 // std::hash makes no cross-platform (or even cross-run) guarantees, so
 // anything that must hash identically wherever it runs — snapshot
-// digests, shard assignment of measurement series — uses FNV-1a here.
+// digests, map-cache keys, sampling seeds — uses FNV-1a here.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <sstream>
+#include <thread>
 
 #include "common/codec.hpp"
 
@@ -50,125 +50,15 @@ std::string encode_properties(const std::map<std::string, std::string>& properti
 
 }  // namespace
 
-ProbeAgent::ProbeAgent(ProbeAgentConfig config) : config_(std::move(config)) {}
-
-ProbeAgent::~ProbeAgent() { stop(); }
-
-Status ProbeAgent::start() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (running_) return make_error(ErrorCode::invalid_argument, "probe agent already running");
-    stopping_ = false;
-  }
-  auto listener = wire::TcpListener::listen(config_.listen_address, config_.port);
-  if (!listener.ok()) return listener.error();
-  listener_ = std::move(listener.value());
-  port_ = listener_.port();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    running_ = true;
-  }
-  acceptor_ = std::thread([this] { accept_loop(); });
-  return {};
-}
-
-void ProbeAgent::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!running_ && !acceptor_.joinable()) return;
-    stopping_ = true;
-    // shutdown() (not close) wakes threads blocked on these sockets;
-    // each fd stays owned — and is eventually closed — by its serving
-    // thread, under this mutex, so no fd is ever recycled under a
-    // concurrent operation.
-    for (auto& conn : conns_) conn->socket.shutdown_both();
-  }
-  // The acceptor polls with a short timeout and re-checks stopping_, so
-  // it exits on its own; joining BEFORE closing the listener keeps the
-  // listener fd from being closed under the acceptor's poll().
-  if (acceptor_.joinable()) acceptor_.join();
-  listener_.close_fd();
-  // After the acceptor exits no new connections appear; join the rest.
-  std::vector<std::unique_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    conns.swap(conns_);
-    running_ = false;
-  }
-  for (auto& conn : conns) {
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-}
-
-bool ProbeAgent::running() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return running_;
-}
+ProbeAgent::ProbeAgent(ProbeAgentConfig config)
+    : config_(std::move(config)),
+      server_([this](const wire::WireMessage& message, wire::TcpSocket& socket,
+                     wire::FrameBuffer& buffer) { return handle(message, socket, buffer); },
+              config_.io_timeout_s) {}
 
 ProbeStats ProbeAgent::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-void ProbeAgent::accept_loop() {
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) return;
-    }
-    auto accepted = listener_.accept(0.25);
-    if (!accepted.ok()) {
-      if (accepted.error().code == ErrorCode::timeout) continue;
-      return;  // listener closed (stop()) or fatal
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
-    auto conn = std::make_unique<Connection>();
-    conn->socket = std::move(accepted.value());
-    conns_.push_back(std::move(conn));
-    const std::size_t slot = conns_.size() - 1;
-    conns_.back()->thread = std::thread([this, slot] { serve_connection(slot); });
-  }
-}
-
-void ProbeAgent::serve_connection(std::size_t slot) {
-  Connection* conn = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    conn = conns_[slot].get();
-  }
-  wire::FrameBuffer buffer;
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) break;
-    }
-    auto payload = wire::recv_frame(conn->socket, buffer, config_.io_timeout_s);
-    if (!payload.ok()) {
-      // A malformed stream earns one diagnostic ERR before the
-      // connection dies (the frame boundary is lost, so nothing more
-      // can be parsed); closed/timed-out peers just end the session.
-      if (payload.error().code == ErrorCode::protocol) {
-        (void)wire::send_frame(conn->socket, wire::error_payload(payload.error()), 1.0);
-      }
-      break;
-    }
-    auto message = wire::WireMessage::parse(payload.value());
-    std::string reply;
-    if (!message.ok()) {
-      // Frame boundaries survive a bad payload: report and keep serving.
-      reply = wire::error_payload(message.error());
-    } else {
-      reply = handle(message.value(), conn->socket, buffer);
-    }
-    if (reply.empty()) break;  // handler already tore the stream down
-    if (!wire::send_frame(conn->socket, reply, config_.io_timeout_s).ok()) break;
-  }
-  // Close under the mutex: stop() shutdown()s these sockets from
-  // another thread, and fd_ must not change under it.
-  std::lock_guard<std::mutex> lock(mutex_);
-  conn->socket.close_fd();
-  conn->done = true;
 }
 
 std::string ProbeAgent::handle(const wire::WireMessage& message, wire::TcpSocket& socket,

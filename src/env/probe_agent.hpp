@@ -34,8 +34,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "common/result.hpp"
 #include "env/probe_engine.hpp"
@@ -69,28 +67,25 @@ struct ProbeAgentConfig {
 class ProbeAgent {
  public:
   explicit ProbeAgent(ProbeAgentConfig config);
-  ~ProbeAgent();
   ProbeAgent(const ProbeAgent&) = delete;
   ProbeAgent& operator=(const ProbeAgent&) = delete;
 
   /// Bind, listen and start serving on a background thread.
-  Status start();
+  Status start() { return server_.start(config_.listen_address, config_.port); }
   /// Stop serving: wakes every in-flight connection and joins all
   /// threads. Idempotent; also called by the destructor.
-  void stop();
+  void stop() { server_.stop(); }
 
   [[nodiscard]] const ProbeAgentConfig& config() const { return config_; }
   /// The bound port (the ephemeral one when config().port was 0).
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] bool running() const;
+  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
+  [[nodiscard]] bool running() const { return server_.running(); }
 
   /// Cumulative counters of the experiments THIS agent sourced
   /// (BWXFER) — the same numbers the STATS frame serves.
   [[nodiscard]] ProbeStats stats() const;
 
  private:
-  void accept_loop();
-  void serve_connection(std::size_t slot);
   /// Handle one control message; returns the reply payload.
   std::string handle(const wire::WireMessage& message, wire::TcpSocket& socket,
                      wire::FrameBuffer& buffer);
@@ -99,22 +94,11 @@ class ProbeAgent {
                           wire::FrameBuffer& buffer);
 
   ProbeAgentConfig config_;
-  wire::TcpListener listener_;
-  std::uint16_t port_ = 0;
-  std::thread acceptor_;
-  mutable std::mutex mutex_;  ///< guards conns_, stats_, stopping_
-  bool running_ = false;
-  bool stopping_ = false;
-  /// Per-connection slots: the socket (so stop() can shut it down) and
-  /// its serving thread. Slots are never erased while running — conns_
-  /// is bounded by the connections one mapping opens.
-  struct Connection {
-    wire::TcpSocket socket;
-    std::thread thread;
-    bool done = false;
-  };
-  std::vector<std::unique_ptr<Connection>> conns_;
+  mutable std::mutex mutex_;  ///< guards stats_
   ProbeStats stats_;
+  /// Declared last, so it is destroyed — and its connection threads
+  /// joined — before the state the handler reads.
+  wire::FrameServer server_;
 };
 
 }  // namespace envnws::env

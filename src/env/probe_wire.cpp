@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -546,6 +547,134 @@ Result<WireMessage> recv_message(TcpSocket& socket, FrameBuffer& buffer, double 
   auto payload = recv_frame(socket, buffer, timeout_s);
   if (!payload.ok()) return payload.error();
   return WireMessage::parse(payload.value());
+}
+
+// --- server -----------------------------------------------------------------
+
+FrameServer::FrameServer(Handler handler, double io_timeout_s)
+    : handler_(std::move(handler)), io_timeout_s_(io_timeout_s) {}
+
+FrameServer::~FrameServer() { stop(); }
+
+Status FrameServer::start(const std::string& address, std::uint16_t port) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (running_) return make_error(ErrorCode::invalid_argument, "server already running");
+    stopping_ = false;
+  }
+  auto listener = TcpListener::listen(address, port);
+  if (!listener.ok()) return listener.error();
+  listener_ = std::move(listener.value());
+  port_ = listener_.port();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    running_ = true;
+  }
+  acceptor_ = std::thread([this] { accept_loop(); });
+  return {};
+}
+
+void FrameServer::stop() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!running_ && !acceptor_.joinable()) return;
+    stopping_ = true;
+    // shutdown() (not close) wakes threads blocked on these sockets;
+    // each fd stays owned — and is eventually closed — by its serving
+    // thread, under this mutex, so no fd is ever recycled under a
+    // concurrent operation.
+    for (auto& conn : conns_) conn->socket.shutdown_both();
+  }
+  // The acceptor re-checks stopping_ after every poll, so it exits on
+  // its own; joining BEFORE closing the listener keeps the listener fd
+  // from being closed under the acceptor's poll().
+  if (acceptor_.joinable()) acceptor_.join();
+  listener_.close_fd();
+  // After the acceptor exits no new connections appear; join the rest.
+  std::vector<std::unique_ptr<Connection>> conns;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    conns.swap(conns_);
+    running_ = false;
+  }
+  for (auto& conn : conns) {
+    if (conn->thread.joinable()) conn->thread.join();
+  }
+}
+
+bool FrameServer::running() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return running_;
+}
+
+std::size_t FrameServer::connections() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return conns_.size();
+}
+
+void FrameServer::reap() {
+  std::vector<std::unique_ptr<Connection>> finished;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto live = std::stable_partition(conns_.begin(), conns_.end(),
+                                            [](const auto& conn) { return !conn->done; });
+    std::move(live, conns_.end(), std::back_inserter(finished));
+    conns_.erase(live, conns_.end());
+  }
+  // `done` is the thread's last act, so these joins return at once.
+  for (auto& conn : finished) conn->thread.join();
+}
+
+void FrameServer::accept_loop() {
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (stopping_) return;
+    }
+    auto accepted = listener_.accept(0.25);
+    reap();
+    if (!accepted.ok()) {
+      if (accepted.error().code == ErrorCode::timeout) continue;
+      return;  // listener closed (stop()) or fatal
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) return;
+    conns_.push_back(std::make_unique<Connection>());
+    Connection& conn = *conns_.back();
+    conn.socket = std::move(accepted.value());
+    conn.thread = std::thread([this, &conn] { serve(conn); });
+  }
+}
+
+void FrameServer::serve(Connection& conn) {
+  FrameBuffer buffer;
+  while (true) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (stopping_) break;
+    }
+    auto payload = recv_frame(conn.socket, buffer, io_timeout_s_);
+    if (!payload.ok()) {
+      // A malformed stream earns one diagnostic ERR before the
+      // connection dies (the frame boundary is lost, so nothing more
+      // can be parsed); closed/timed-out peers just end the session.
+      if (payload.error().code == ErrorCode::protocol) {
+        (void)send_frame(conn.socket, error_payload(payload.error()), 1.0);
+      }
+      break;
+    }
+    auto message = WireMessage::parse(payload.value());
+    // Frame boundaries survive a bad payload: report and keep serving.
+    const std::string reply = message.ok() ? handler_(message.value(), conn.socket, buffer)
+                                           : error_payload(message.error());
+    requests_.fetch_add(1);
+    if (!send_frame(conn.socket, reply, io_timeout_s_).ok()) break;
+  }
+  // Close under the mutex: stop() shutdown()s these sockets from
+  // another thread, and fd_ must not change under it.
+  std::lock_guard<std::mutex> lock(mutex_);
+  conn.socket.close_fd();
+  conn.done = true;
 }
 
 }  // namespace envnws::env::wire

@@ -25,10 +25,15 @@
 // parse-hardening pattern.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -130,7 +135,7 @@ struct WireMessage {
 //   SERIES resource= src= [dst=] [max=] -> SERIES-OK count= points=t:v,...
 //
 // SNAPSHOT and QUERY are answered entirely from the immutable published
-// MonitorSnapshot (the RCU read path); SERIES reads one store shard.
+// MonitorSnapshot (the RCU read path); SERIES reads the series store.
 // Unknown pairs answer `ERR code=not_found`; malformed requests
 // `ERR code=protocol` — the same error surface as the probe agents.
 inline constexpr std::string_view kSnapshotFrame = "SNAPSHOT";
@@ -236,5 +241,69 @@ Status send_frame(TcpSocket& socket, const std::string& payload, double timeout_
 Result<std::string> recv_frame(TcpSocket& socket, FrameBuffer& buffer, double timeout_s);
 /// Receive one frame and parse it as a control message.
 Result<WireMessage> recv_message(TcpSocket& socket, FrameBuffer& buffer, double timeout_s);
+
+// --- server -----------------------------------------------------------------
+
+/// The one TCP server of the framed protocol, behind both the probe
+/// agent and monitord's query front-end. An acceptor thread polls the
+/// listener every 0.25 s; each connection gets its own thread running
+/// recv -> parse -> handle -> send until the peer leaves. A stream that
+/// cannot be framed earns one ERR and is closed (the frame boundary is
+/// lost); a framed but unparseable message earns an ERR and the
+/// connection keeps serving. On every acceptor wake-up (an accept or a
+/// poll timeout) finished connections are joined and dropped, so a
+/// server that runs forever holds only its live connections.
+class FrameServer {
+ public:
+  /// One request -> one reply payload. The connection's socket and
+  /// frame buffer are passed for handlers that read unframed bytes after
+  /// the frame (BULK).
+  using Handler = std::function<std::string(const WireMessage&, TcpSocket&, FrameBuffer&)>;
+
+  /// `io_timeout_s` bounds every receive and send; an idle connection
+  /// is closed after that long.
+  FrameServer(Handler handler, double io_timeout_s);
+  ~FrameServer();
+  FrameServer(const FrameServer&) = delete;
+  FrameServer& operator=(const FrameServer&) = delete;
+
+  /// Bind and start serving; `port == 0` picks an ephemeral port.
+  Status start(const std::string& address, std::uint16_t port);
+  /// Wake every in-flight connection (shutdown) and join all threads.
+  /// Idempotent; also called by the destructor.
+  void stop();
+
+  [[nodiscard]] bool running() const;
+  /// The bound port (the ephemeral one when start() was given 0).
+  [[nodiscard]] std::uint16_t port() const { return port_; }
+  /// Requests answered, unparseable ones included.
+  [[nodiscard]] std::uint64_t requests_served() const { return requests_.load(); }
+  /// Connections not yet reaped (live ones plus those finished since the
+  /// acceptor last woke).
+  [[nodiscard]] std::size_t connections() const;
+
+ private:
+  struct Connection {
+    TcpSocket socket;
+    std::thread thread;
+    bool done = false;
+  };
+
+  void accept_loop();
+  void serve(Connection& conn);
+  /// Join and drop every finished connection.
+  void reap();
+
+  Handler handler_;
+  double io_timeout_s_;
+  TcpListener listener_;
+  std::uint16_t port_ = 0;
+  std::thread acceptor_;
+  std::atomic<std::uint64_t> requests_{0};
+  mutable std::mutex mutex_;  ///< guards conns_, running_, stopping_ and socket closes
+  bool running_ = false;
+  bool stopping_ = false;
+  std::vector<std::unique_ptr<Connection>> conns_;
+};
 
 }  // namespace envnws::env::wire

@@ -33,8 +33,6 @@ const char* to_string(MonitorEvent::Kind kind) {
 
 namespace {
 
-/// Store shards (lock granularity of the write path).
-constexpr std::size_t kStoreShards = 8;
 /// Measurement history kept per series.
 constexpr std::size_t kSeriesHistory = 512;
 
@@ -53,7 +51,7 @@ MonitorDaemon::MonitorDaemon(deploy::DeploymentPlan plan, std::unique_ptr<env::P
       options_(options),
       clock_(options.period_s > 0 ? options.period_s : 1.0),
       scheduler_(plan_),
-      store_(kStoreShards, kSeriesHistory, options.drift) {
+      store_(kSeriesHistory, options.drift) {
   for (const deploy::PlannedClique& clique : plan_.cliques) {
     if (clique.members.size() < 2) continue;
     const std::string segment = segment_of(clique);
@@ -223,7 +221,7 @@ void MonitorDaemon::run_one_cycle() {
 std::vector<std::string> MonitorDaemon::drift_pass() {
   // Group the drifting pairs by segment. std::map keeps segments in
   // sorted order — decisions (and thus the decision log) are made in a
-  // deterministic order regardless of which shard flagged what first.
+  // deterministic order regardless of which pair flagged what first.
   std::map<std::string, std::size_t> per_segment;
   for (const nws::SeriesKey& key : store_.drifting()) {
     const auto segment = pair_segment_.find(key);

@@ -5,7 +5,7 @@
 // deploy::DeploymentPlan, schedules that plan's clique experiments over
 // any ProbeEngine (live socket fleet, simulator, or a recorded trace —
 // the engine spec decides, the daemon never knows), streams the results
-// into the sharded series store, folds store + forecasts every cycle
+// into the series store, folds store + forecasts every cycle
 // into an immutable MonitorSnapshot (RCU publication, see
 // monitor/snapshot.hpp), and watches per-pair forecast error for drift.
 // When a segment drifts it re-probes ONLY that segment through the ENV
@@ -135,7 +135,7 @@ class MonitorDaemon {
   }
 
   /// Persistence: nws::MemoryServer dump grammar, restore() re-trains
-  /// forecasters from the history (see SeriesShardStore).
+  /// forecasters from the history (see SeriesStore).
   [[nodiscard]] std::string dump_series() const { return store_.dump(); }
   Status restore_series(const std::string& text) { return store_.restore(text); }
 
@@ -170,7 +170,7 @@ class MonitorDaemon {
   MonitorOptions options_;
   MonitorClock clock_;
   CycleScheduler scheduler_;
-  SeriesShardStore store_;
+  SeriesStore store_;
   SnapshotBoard board_;
   std::unique_ptr<QueryServer> query_server_;
 

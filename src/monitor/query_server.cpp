@@ -9,115 +9,10 @@ namespace envnws::monitor {
 
 namespace wire = env::wire;
 
-QueryServer::QueryServer(const SnapshotBoard& board, const SeriesShardStore& store,
-                         std::size_t max_series_points)
-    : board_(board), store_(store), max_series_points_(std::max<std::size_t>(max_series_points, 1)) {}
-
-QueryServer::~QueryServer() { stop(); }
-
-Status QueryServer::start(const std::string& address, std::uint16_t port) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (running_) return make_error(ErrorCode::invalid_argument, "query server already running");
-    stopping_ = false;
-  }
-  auto listener = wire::TcpListener::listen(address, port);
-  if (!listener.ok()) return listener.error();
-  listener_ = std::move(listener.value());
-  port_ = listener_.port();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    running_ = true;
-  }
-  acceptor_ = std::thread([this] { accept_loop(); });
-  return {};
-}
-
-void QueryServer::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!running_ && !acceptor_.joinable()) return;
-    stopping_ = true;
-    for (auto& conn : conns_) conn->socket.shutdown_both();
-  }
-  if (acceptor_.joinable()) acceptor_.join();
-  listener_.close_fd();
-  std::vector<std::unique_ptr<Connection>> conns;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    conns.swap(conns_);
-    running_ = false;
-  }
-  for (auto& conn : conns) {
-    if (conn->thread.joinable()) conn->thread.join();
-  }
-}
-
-bool QueryServer::running() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return running_;
-}
-
-std::uint64_t QueryServer::requests_served() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return requests_;
-}
-
-void QueryServer::accept_loop() {
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) return;
-    }
-    auto accepted = listener_.accept(0.25);
-    if (!accepted.ok()) {
-      if (accepted.error().code == ErrorCode::timeout) continue;
-      return;  // listener closed (stop()) or fatal
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return;
-    auto conn = std::make_unique<Connection>();
-    conn->socket = std::move(accepted.value());
-    conns_.push_back(std::move(conn));
-    const std::size_t slot = conns_.size() - 1;
-    conns_.back()->thread = std::thread([this, slot] { serve_connection(slot); });
-  }
-}
-
-void QueryServer::serve_connection(std::size_t slot) {
-  Connection* conn = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    conn = conns_[slot].get();
-  }
-  wire::FrameBuffer buffer;
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) break;
-    }
-    auto payload = wire::recv_frame(conn->socket, buffer, io_timeout_s_);
-    if (!payload.ok()) {
-      if (payload.error().code == ErrorCode::protocol) {
-        (void)wire::send_frame(conn->socket, wire::error_payload(payload.error()), 1.0);
-      }
-      break;
-    }
-    auto message = wire::WireMessage::parse(payload.value());
-    const std::string reply =
-        message.ok() ? handle(message.value()) : wire::error_payload(message.error());
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++requests_;
-    }
-    if (!wire::send_frame(conn->socket, reply, io_timeout_s_).ok()) break;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  conn->socket.close_fd();
-  conn->done = true;
-}
-
 namespace {
+
+/// Bound on every receive and send; an idle client is dropped after it.
+constexpr double kIoTimeoutS = 10.0;
 
 /// Parse the (resource, src, dst) triple shared by QUERY and SERIES.
 Result<nws::SeriesKey> key_from(const wire::WireMessage& request) {
@@ -132,6 +27,15 @@ Result<nws::SeriesKey> key_from(const wire::WireMessage& request) {
 }
 
 }  // namespace
+
+QueryServer::QueryServer(const SnapshotBoard& board, const SeriesStore& store,
+                         std::size_t max_series_points)
+    : board_(board),
+      store_(store),
+      max_series_points_(std::max<std::size_t>(max_series_points, 1)),
+      server_([this](const wire::WireMessage& request, wire::TcpSocket&,
+                     wire::FrameBuffer&) { return handle(request); },
+              kIoTimeoutS) {}
 
 std::string QueryServer::handle(const wire::WireMessage& request) const {
   if (request.type == wire::kSnapshotFrame) return handle_snapshot();
@@ -304,12 +208,16 @@ Result<std::vector<nws::Measurement>> QueryClient::series(const nws::SeriesKey& 
   if (!count.ok()) return count.error();
   std::vector<nws::Measurement> points;
   for (const auto& token : strings::split_nonempty(reply.value().get("points"), ',')) {
-    double time = 0.0;
-    double value = 0.0;
-    if (std::sscanf(token.c_str(), "%lf:%lf", &time, &value) != 2) {
+    const auto colon = token.find(':');
+    if (colon == std::string::npos) {
       return make_error(ErrorCode::protocol, "bad SERIES-OK point token '" + token + "'");
     }
-    points.push_back(nws::Measurement{time, value});
+    auto time = codec::numeric_field<double>(token.substr(0, colon), "point time", "SERIES-OK");
+    if (!time.ok()) return time.error();
+    auto value =
+        codec::numeric_field<double>(token.substr(colon + 1), "point value", "SERIES-OK");
+    if (!value.ok()) return value.error();
+    points.push_back(nws::Measurement{time.value(), value.value()});
   }
   if (points.size() != count.value()) {
     return make_error(ErrorCode::protocol, "SERIES-OK count disagrees with its point list");

@@ -2,21 +2,18 @@
 // probe_wire framed protocol (frame grammar in env/probe_wire.hpp,
 // lifecycle in docs/MONITORD.md).
 //
-// Structured like env::ProbeAgent: one acceptor thread polling a
-// TcpListener, one serving thread per connection, stop() waking every
-// blocked thread via shutdown(). The request handlers are where the
-// RCU model pays off: SNAPSHOT and QUERY answer entirely from the
-// currently published MonitorSnapshot — one atomic shared_ptr load,
-// zero locks, no matter how many clients hammer the daemon while the
-// measurement loop runs. Only SERIES (raw history, not part of the
-// snapshot) reads a store shard under that shard's mutex.
+// The server itself is env::wire::FrameServer (one thread per
+// connection, finished connections reaped by the acceptor); this class
+// is its request handler. The handlers are where the RCU model pays
+// off: SNAPSHOT and QUERY answer entirely from the currently published
+// MonitorSnapshot — one atomic shared_ptr load, zero locks, no matter
+// how many clients hammer the daemon while the measurement loop runs.
+// Only SERIES (raw history, not part of the snapshot) reads the series
+// store, under its mutex.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/result.hpp"
@@ -32,26 +29,19 @@ class QueryServer {
   /// Serves `board` (SNAPSHOT/QUERY) and `store` (SERIES); both must
   /// outlive the server. `max_series_points` caps one SERIES reply so a
   /// full-history request cannot overflow a control frame.
-  QueryServer(const SnapshotBoard& board, const SeriesShardStore& store,
+  QueryServer(const SnapshotBoard& board, const SeriesStore& store,
               std::size_t max_series_points = 256);
-  ~QueryServer();
 
   /// Bind and start serving; `port == 0` picks an ephemeral port.
-  Status start(const std::string& address = "127.0.0.1", std::uint16_t port = 0);
-  void stop();
-  [[nodiscard]] bool running() const;
-  [[nodiscard]] std::uint16_t port() const { return port_; }
-  [[nodiscard]] std::uint64_t requests_served() const;
+  Status start(const std::string& address = "127.0.0.1", std::uint16_t port = 0) {
+    return server_.start(address, port);
+  }
+  void stop() { server_.stop(); }
+  [[nodiscard]] bool running() const { return server_.running(); }
+  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
+  [[nodiscard]] std::uint64_t requests_served() const { return server_.requests_served(); }
 
  private:
-  struct Connection {
-    env::wire::TcpSocket socket;
-    std::thread thread;
-    bool done = false;
-  };
-
-  void accept_loop();
-  void serve_connection(std::size_t slot);
   /// One request -> one reply payload (never empty).
   [[nodiscard]] std::string handle(const env::wire::WireMessage& request) const;
   [[nodiscard]] std::string handle_snapshot() const;
@@ -59,18 +49,11 @@ class QueryServer {
   [[nodiscard]] std::string handle_series(const env::wire::WireMessage& request) const;
 
   const SnapshotBoard& board_;
-  const SeriesShardStore& store_;
+  const SeriesStore& store_;
   std::size_t max_series_points_;
-  double io_timeout_s_ = 10.0;
-
-  mutable std::mutex mutex_;  ///< conns_, flags, counters
-  bool running_ = false;
-  bool stopping_ = false;
-  std::uint64_t requests_ = 0;
-  env::wire::TcpListener listener_;
-  std::uint16_t port_ = 0;
-  std::thread acceptor_;
-  std::vector<std::unique_ptr<Connection>> conns_;
+  /// Declared last, so its connection threads are joined before the
+  /// members the handler reads are destroyed.
+  env::wire::FrameServer server_;
 };
 
 /// One client connection to a QueryServer (tests, the monitord example,

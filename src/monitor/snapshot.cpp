@@ -44,7 +44,7 @@ std::string MonitorSnapshot::render() const {
 std::string MonitorSnapshot::digest() const { return hash::hex64(hash::fnv1a64(render())); }
 
 std::shared_ptr<const MonitorSnapshot> build_snapshot(
-    const SeriesShardStore& store, std::uint64_t version, std::uint64_t cycles, double time_s,
+    const SeriesStore& store, std::uint64_t version, std::uint64_t cycles, double time_s,
     std::uint64_t measurements, std::uint64_t probe_failures, std::uint64_t remaps,
     std::uint64_t remap_experiments, std::vector<std::string> drifting_segments) {
   auto snapshot = std::make_shared<MonitorSnapshot>();
@@ -59,16 +59,7 @@ std::shared_ptr<const MonitorSnapshot> build_snapshot(
   drifting_segments.erase(std::unique(drifting_segments.begin(), drifting_segments.end()),
                           drifting_segments.end());
   snapshot->drifting_segments = std::move(drifting_segments);
-  for (SeriesShardStore::PairState& state : store.collect()) {
-    PairReading reading;
-    reading.key = std::move(state.key);
-    reading.time = state.time;
-    reading.value = state.value;
-    reading.forecast = std::move(state.forecast);
-    reading.drift_relative_mae = state.drift_relative_mae;
-    reading.drifting = state.drifting;
-    snapshot->pairs.push_back(std::move(reading));
-  }
+  snapshot->pairs = store.collect();
   return snapshot;
 }
 

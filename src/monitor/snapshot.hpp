@@ -30,16 +30,6 @@
 
 namespace envnws::monitor {
 
-/// One pair's folded state: latest observation + current forecast.
-struct PairReading {
-  nws::SeriesKey key;
-  double time = 0.0;  ///< virtual time of the latest observation
-  double value = 0.0;
-  nws::Forecast forecast;
-  double drift_relative_mae = 0.0;
-  bool drifting = false;
-};
-
 struct MonitorSnapshot {
   std::uint64_t version = 0;  ///< publication counter (0 = empty boot snapshot)
   std::uint64_t cycles = 0;
@@ -85,7 +75,7 @@ class SnapshotBoard {
 /// The aggregation pass: fold the store's current state into a fresh
 /// snapshot (counters supplied by the daemon).
 [[nodiscard]] std::shared_ptr<const MonitorSnapshot> build_snapshot(
-    const SeriesShardStore& store, std::uint64_t version, std::uint64_t cycles, double time_s,
+    const SeriesStore& store, std::uint64_t version, std::uint64_t cycles, double time_s,
     std::uint64_t measurements, std::uint64_t probe_failures, std::uint64_t remaps,
     std::uint64_t remap_experiments, std::vector<std::string> drifting_segments);
 

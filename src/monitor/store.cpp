@@ -1,34 +1,15 @@
 #include "monitor/store.hpp"
 
 #include <algorithm>
-#include <cstdio>
-
-#include "common/hash.hpp"
-#include "common/strings.hpp"
 
 namespace envnws::monitor {
 
-SeriesShardStore::SeriesShardStore(std::size_t shards, std::size_t history, DriftPolicy policy)
-    : policy_(policy) {
-  const std::size_t count = std::max<std::size_t>(shards, 1);
-  shards_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    shards_.push_back(std::make_unique<Shard>("shard-" + std::to_string(i),
-                                              std::max<std::size_t>(history, 1)));
-  }
-}
+SeriesStore::SeriesStore(std::size_t history, DriftPolicy policy)
+    : policy_(policy), memory_("monitord", simnet::NodeId(0), std::max<std::size_t>(history, 1)) {}
 
-std::size_t SeriesShardStore::shard_of(const nws::SeriesKey& key, std::size_t shards) {
-  if (shards <= 1) return 0;
-  return static_cast<std::size_t>(hash::fnv1a64(key.to_string()) % shards);
-}
-
-SeriesShardStore::Recorded SeriesShardStore::record(const nws::SeriesKey& key, double time,
-                                                    double value) {
-  Shard& shard = *shards_[shard_of(key, shards_.size())];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto [it, inserted] = shard.tracked.try_emplace(key, policy_.window);
-  Tracked& tracked = it->second;
+SeriesStore::Recorded SeriesStore::record(const nws::SeriesKey& key, double time, double value) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Tracked& tracked = tracked_.try_emplace(key, policy_.window).first->second;
   Recorded recorded;
   if (tracked.forecaster.observations() > 0) {
     const nws::Forecast forecast = tracked.forecaster.forecast();
@@ -38,40 +19,34 @@ SeriesShardStore::Recorded SeriesShardStore::record(const nws::SeriesKey& key, d
     recorded.relative_error = tracked.drift.relative_mae();
   }
   tracked.forecaster.observe(value);
-  shard.memory.store(key, time, value);
+  memory_.store(key, time, value);
   return recorded;
 }
 
-std::vector<SeriesShardStore::PairState> SeriesShardStore::collect() const {
-  std::vector<PairState> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [key, series] : shard->memory.series()) {
-      if (series.empty()) continue;
-      PairState state;
-      state.key = key;
-      state.time = series.latest().time;
-      state.value = series.latest().value;
-      const auto tracked = shard->tracked.find(key);
-      if (tracked != shard->tracked.end()) {
-        state.forecast = tracked->second.forecaster.forecast();
-        state.drift_relative_mae = tracked->second.drift.relative_mae();
-        state.drift_samples = tracked->second.drift.samples();
-        state.drifting = tracked->second.drift.drifting(policy_);
-      }
-      out.push_back(std::move(state));
+std::vector<PairReading> SeriesStore::collect() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<PairReading> out;
+  out.reserve(memory_.series().size());
+  for (const auto& [key, series] : memory_.series()) {
+    PairReading reading;
+    reading.key = key;
+    reading.time = series.latest().time;
+    reading.value = series.latest().value;
+    const auto tracked = tracked_.find(key);
+    if (tracked != tracked_.end()) {
+      reading.forecast = tracked->second.forecaster.forecast();
+      reading.drift_relative_mae = tracked->second.drift.relative_mae();
+      reading.drifting = tracked->second.drift.drifting(policy_);
     }
+    out.push_back(std::move(reading));
   }
-  std::sort(out.begin(), out.end(),
-            [](const PairState& a, const PairState& b) { return a.key < b.key; });
   return out;
 }
 
-std::vector<nws::Measurement> SeriesShardStore::series(const nws::SeriesKey& key,
-                                                       std::size_t max) const {
-  const Shard& shard = *shards_[shard_of(key, shards_.size())];
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const nws::TimeSeries* found = shard.memory.find(key);
+std::vector<nws::Measurement> SeriesStore::series(const nws::SeriesKey& key,
+                                                  std::size_t max) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const nws::TimeSeries* found = memory_.find(key);
   if (found == nullptr || found->empty()) return {};
   const std::size_t want = std::min(max == 0 ? found->size() : max, found->size());
   std::vector<nws::Measurement> out;
@@ -82,77 +57,37 @@ std::vector<nws::Measurement> SeriesShardStore::series(const nws::SeriesKey& key
   return out;
 }
 
-std::vector<nws::SeriesKey> SeriesShardStore::drifting() const {
+std::vector<nws::SeriesKey> SeriesStore::drifting() const {
+  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<nws::SeriesKey> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [key, tracked] : shard->tracked) {
-      if (tracked.drift.drifting(policy_)) out.push_back(key);
-    }
+  for (const auto& [key, tracked] : tracked_) {
+    if (tracked.drift.drifting(policy_)) out.push_back(key);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
-void SeriesShardStore::reset_learning(const std::vector<nws::SeriesKey>& keys) {
+void SeriesStore::reset_learning(const std::vector<nws::SeriesKey>& keys) {
+  std::lock_guard<std::mutex> lock(mutex_);
   for (const nws::SeriesKey& key : keys) {
-    Shard& shard = *shards_[shard_of(key, shards_.size())];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto tracked = shard.tracked.find(key);
-    if (tracked == shard.tracked.end()) continue;
-    tracked->second = Tracked(policy_.window);
+    const auto tracked = tracked_.find(key);
+    if (tracked != tracked_.end()) tracked->second = Tracked(policy_.window);
   }
 }
 
-std::uint64_t SeriesShardStore::stored() const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->memory.stored_count();
-  }
-  return total;
+std::uint64_t SeriesStore::stored() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return memory_.stored_count();
 }
 
-std::string SeriesShardStore::dump() const {
-  std::string out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    out += shard->memory.dump();
-  }
-  return out;
+std::string SeriesStore::dump() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return memory_.dump();
 }
 
-Status SeriesShardStore::restore(const std::string& text) {
-  // Same line grammar as nws::MemoryServer::restore, but routed through
-  // record() so the restored history trains forecasters and drift
-  // windows exactly like live measurements would have.
-  bool have_key = false;
-  nws::SeriesKey key;
-  for (const auto& raw_line : strings::split(text, '\n')) {
-    const std::string line = strings::trim(raw_line);
-    if (line.empty() || line.front() == '#') continue;
-    if (strings::starts_with(line, "series ")) {
-      const auto fields = strings::split_nonempty(line, ' ');
-      if (fields.size() != 4) {
-        return make_error(ErrorCode::protocol, "malformed series header: " + line);
-      }
-      const auto resource = nws::resource_from_string(fields[1]);
-      if (!resource.ok()) return resource.error();
-      key = nws::SeriesKey{resource.value(), fields[2], fields[3] == "-" ? "" : fields[3]};
-      have_key = true;
-      continue;
-    }
-    if (!have_key) {
-      return make_error(ErrorCode::protocol, "measurement before any series header");
-    }
-    double time = 0.0;
-    double value = 0.0;
-    if (std::sscanf(line.c_str(), "%lf %lf", &time, &value) != 2) {
-      return make_error(ErrorCode::protocol, "malformed measurement line: " + line);
-    }
+Status SeriesStore::restore(const std::string& text) {
+  return nws::parse_dump(text, [this](const nws::SeriesKey& key, double time, double value) {
     record(key, time, value);
-  }
-  return {};
+  });
 }
 
 }  // namespace envnws::monitor

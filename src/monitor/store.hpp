@@ -1,13 +1,10 @@
-// Sharded measurement store: the daemon's write path.
+// The series store: the daemon's write path.
 //
 // Every measured pair owns one nws::TimeSeries (held by an
 // nws::MemoryServer — the NWS memory with its dump/restore persistence
 // format), one nws::AdaptiveForecaster (the NWS predictor battery) and
-// one DriftTracker. Series are spread over N shards by a STABLE hash of
-// the series key (common/hash.hpp FNV-1a — std::hash would make shard
-// membership, and thus lock contention, platform-dependent), each shard
-// behind its own mutex: the measurement loop and SERIES queries contend
-// per shard, never globally, and nothing here is on the snapshot read
+// one DriftTracker, all behind one mutex. The measurement loop and
+// SERIES queries share that mutex; nothing here is on the snapshot read
 // path at all (queries answered from the published MonitorSnapshot take
 // no lock in this file).
 //
@@ -19,7 +16,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -32,9 +28,19 @@
 
 namespace envnws::monitor {
 
-class SeriesShardStore {
+/// One pair's folded state: latest observation + current forecast.
+struct PairReading {
+  nws::SeriesKey key;
+  double time = 0.0;  ///< virtual time of the latest observation
+  double value = 0.0;
+  nws::Forecast forecast;
+  double drift_relative_mae = 0.0;
+  bool drifting = false;
+};
+
+class SeriesStore {
  public:
-  SeriesShardStore(std::size_t shards, std::size_t history, DriftPolicy policy);
+  SeriesStore(std::size_t history, DriftPolicy policy);
 
   struct Recorded {
     bool had_forecast = false;  ///< a forecast existed before this value
@@ -44,18 +50,8 @@ class SeriesShardStore {
   /// Store one measurement (see file comment for the ordering contract).
   Recorded record(const nws::SeriesKey& key, double time, double value);
 
-  /// Everything the aggregation pass folds into a snapshot, sorted by
-  /// key (canonical order, independent of sharding).
-  struct PairState {
-    nws::SeriesKey key;
-    double time = 0.0;   ///< latest observation
-    double value = 0.0;
-    nws::Forecast forecast;
-    double drift_relative_mae = 0.0;
-    std::size_t drift_samples = 0;
-    bool drifting = false;
-  };
-  [[nodiscard]] std::vector<PairState> collect() const;
+  /// Every pair's reading, sorted by key — exactly a snapshot's pairs.
+  [[nodiscard]] std::vector<PairReading> collect() const;
 
   /// Up to `max` most recent points of one series (empty when unknown).
   [[nodiscard]] std::vector<nws::Measurement> series(const nws::SeriesKey& key,
@@ -69,18 +65,13 @@ class SeriesShardStore {
   /// re-map refreshed their segment.
   void reset_learning(const std::vector<nws::SeriesKey>& keys);
 
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] std::uint64_t stored() const;
 
-  /// Concatenated nws::MemoryServer dumps, shard order (deterministic:
-  /// shard assignment is FNV-stable). restore() re-records every point,
-  /// so forecasters and drift windows warm up exactly as if the history
-  /// had been measured live.
+  /// The nws::MemoryServer dump, series in key order. restore() routes
+  /// every point through record(), so forecasters and drift windows warm
+  /// up exactly as if the history had been measured live.
   [[nodiscard]] std::string dump() const;
   Status restore(const std::string& text);
-
-  /// Stable shard index of a key.
-  [[nodiscard]] static std::size_t shard_of(const nws::SeriesKey& key, std::size_t shards);
 
  private:
   struct Tracked {
@@ -88,16 +79,11 @@ class SeriesShardStore {
     DriftTracker drift;
     explicit Tracked(std::size_t window) : drift(window) {}
   };
-  struct Shard {
-    mutable std::mutex mutex;
-    nws::MemoryServer memory;
-    std::map<nws::SeriesKey, Tracked> tracked;
-    Shard(std::string name, std::size_t history)
-        : memory(std::move(name), simnet::NodeId(0), history) {}
-  };
 
   DriftPolicy policy_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;
+  nws::MemoryServer memory_;
+  std::map<nws::SeriesKey, Tracked> tracked_;
 };
 
 }  // namespace envnws::monitor

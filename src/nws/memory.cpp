@@ -1,8 +1,10 @@
 #include "nws/memory.hpp"
 
 #include <cstdio>
+#include <optional>
 #include <sstream>
 
+#include "common/parse.hpp"
 #include "common/strings.hpp"
 
 namespace envnws::nws {
@@ -34,34 +36,39 @@ std::string MemoryServer::dump() const {
   return out.str();
 }
 
-Status MemoryServer::restore(const std::string& text) {
-  const SeriesKey* current = nullptr;
-  SeriesKey scratch;
+Status parse_dump(const std::string& text,
+                  const std::function<void(const SeriesKey&, double time, double value)>& sink) {
+  std::optional<SeriesKey> key;
   for (const auto& raw_line : strings::split(text, '\n')) {
     const std::string line = strings::trim(raw_line);
     if (line.empty() || line.front() == '#') continue;
-    if (strings::starts_with(line, "series ")) {
-      const auto fields = strings::split_nonempty(line, ' ');
+    const auto fields = strings::split_nonempty(line, ' ');
+    if (fields.front() == "series") {
       if (fields.size() != 4) {
         return make_error(ErrorCode::protocol, "malformed series header: " + line);
       }
       const auto resource = resource_from_string(fields[1]);
       if (!resource.ok()) return resource.error();
-      scratch = SeriesKey{resource.value(), fields[2], fields[3] == "-" ? "" : fields[3]};
-      current = &scratch;
+      key = SeriesKey{resource.value(), fields[2], fields[3] == "-" ? "" : fields[3]};
       continue;
     }
-    if (current == nullptr) {
+    if (!key.has_value()) {
       return make_error(ErrorCode::protocol, "measurement before any series header");
     }
-    double time = 0.0;
-    double value = 0.0;
-    if (std::sscanf(line.c_str(), "%lf %lf", &time, &value) != 2) {
+    const auto time = fields.size() == 2 ? parse::to_double(fields[0]) : std::nullopt;
+    const auto value = fields.size() == 2 ? parse::to_double(fields[1]) : std::nullopt;
+    if (!time.has_value() || !value.has_value()) {
       return make_error(ErrorCode::protocol, "malformed measurement line: " + line);
     }
-    store(*current, time, value);
+    sink(*key, *time, *value);
   }
   return {};
+}
+
+Status MemoryServer::restore(const std::string& text) {
+  return parse_dump(text, [this](const SeriesKey& key, double time, double value) {
+    store(key, time, value);
+  });
 }
 
 }  // namespace envnws::nws

@@ -3,6 +3,7 @@
 // (paper §2.1: memories "store the results on disk for further use").
 #pragma once
 
+#include <functional>
 #include <map>
 #include <string>
 
@@ -11,6 +12,16 @@
 #include "simnet/types.hpp"
 
 namespace envnws::nws {
+
+/// Parse the dump grammar of MemoryServer::dump(), handing every
+/// measurement to `sink` in file order. Blank and `#` lines are skipped;
+/// a `series <resource> <src> <dst>` header (dst `-` for host series)
+/// names the series the following `<time> <value>` lines belong to.
+/// Anything else — a short header, an unknown resource, a point before
+/// any header, or a point line that is not exactly two finite numbers —
+/// is a `protocol` error; points before the bad line are already sunk.
+Status parse_dump(const std::string& text,
+                  const std::function<void(const SeriesKey&, double time, double value)>& sink);
 
 class MemoryServer {
  public:
@@ -28,7 +39,8 @@ class MemoryServer {
   /// Serialize every series to the line-oriented on-disk format:
   ///   series <resource> <src> <dst>\n followed by "<time> <value>" lines.
   [[nodiscard]] std::string dump() const;
-  /// Restore a dump (appends to existing series).
+  /// Restore a dump (appends to existing series; grammar and errors as
+  /// parse_dump).
   Status restore(const std::string& text);
 
  private:

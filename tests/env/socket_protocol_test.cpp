@@ -3,10 +3,13 @@
 // truncated frames, oversized or junk length prefixes, wrong magic,
 // non-numeric fields — into an error Result, never an exception, hang
 // or out-of-bounds access (the CI sanitizer job runs this suite under
-// ASan+UBSan). Includes a seeded fuzz pass and live-socket checks
-// against a real ProbeAgent and a scripted junk-replying server.
+// ASan+UBSan). Includes a seeded fuzz pass, live-socket checks against
+// a real ProbeAgent and a scripted junk-replying server, and the
+// FrameServer lifecycle both of those run on.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <random>
 #include <string>
@@ -326,52 +329,26 @@ TEST(ProbeAgentProtocol, RejectsOutOfRangeBwxferFields) {
 
 // A scripted server speaking syntactically valid frames with junk
 // CONTENT: the engine must classify every reply as a protocol error.
+// Each request, on whichever connection, takes the next canned reply.
 class ScriptedServer {
  public:
   explicit ScriptedServer(std::vector<std::string> reply_payloads)
-      : replies_(std::move(reply_payloads)) {}
+      : replies_(std::move(reply_payloads)),
+        server_([this](const WireMessage&, wire::TcpSocket&, FrameBuffer&) {
+          const std::size_t index = next_.fetch_add(1);
+          return index < replies_.size()
+                     ? replies_[index]
+                     : wire::error_payload(make_error(ErrorCode::internal, "script exhausted"));
+        }, 5.0) {}
 
-  ~ScriptedServer() { stop(); }
-
-  bool start() {
-    auto listener = wire::TcpListener::listen("127.0.0.1", 0);
-    if (!listener.ok()) return false;
-    listener_ = std::move(listener.value());
-    thread_ = std::thread([this] { serve(); });
-    return true;
-  }
-
-  void stop() {
-    stopping_ = true;
-    listener_.close_fd();
-    if (thread_.joinable()) thread_.join();
-  }
-
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+  bool start() { return server_.start("127.0.0.1", 0).ok(); }
+  void stop() { server_.stop(); }
+  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
 
  private:
-  void serve() {
-    std::size_t next = 0;
-    while (!stopping_ && next < replies_.size()) {
-      auto accepted = listener_.accept(0.25);
-      if (!accepted.ok()) {
-        if (accepted.error().code == ErrorCode::timeout) continue;
-        return;
-      }
-      wire::TcpSocket socket = std::move(accepted.value());
-      wire::FrameBuffer buffer;
-      while (next < replies_.size()) {
-        auto request = wire::recv_frame(socket, buffer, 5.0);
-        if (!request.ok()) break;  // engine dropped the pooled conn
-        if (!wire::send_frame(socket, replies_[next++], 5.0).ok()) break;
-      }
-    }
-  }
-
   std::vector<std::string> replies_;
-  wire::TcpListener listener_;
-  std::thread thread_;
-  std::atomic<bool> stopping_{false};
+  std::atomic<std::size_t> next_{0};
+  wire::FrameServer server_;
 };
 
 TEST(SocketEngineProtocol, JunkAgentRepliesBecomeProtocolErrors) {
@@ -410,6 +387,117 @@ TEST(SocketEngineProtocol, JunkAgentRepliesBecomeProtocolErrors) {
   auto negative = engine.bandwidth("h0", "h1");
   ASSERT_FALSE(negative.ok());
   EXPECT_EQ(negative.error().code, ErrorCode::protocol);
+  server.stop();
+}
+
+// --- frame server -----------------------------------------------------------
+
+/// Echo server: replies `ECHO-OK` carrying the request's type.
+wire::FrameServer::Handler echo_handler() {
+  return [](const WireMessage& request, wire::TcpSocket&, FrameBuffer&) {
+    return WireMessage("ECHO-OK").add("type", request.type).serialize();
+  };
+}
+
+Result<WireMessage> round_trip(wire::TcpSocket& socket, FrameBuffer& buffer,
+                               const std::string& payload) {
+  if (auto sent = wire::send_frame(socket, payload, 2.0); !sent.ok()) return sent.error();
+  return wire::recv_message(socket, buffer, 2.0);
+}
+
+TEST(FrameServer, ReapsFinishedConnections) {
+  SKIP_WITHOUT_NET();
+  wire::FrameServer server(echo_handler(), 5.0);
+  ASSERT_TRUE(server.start("127.0.0.1", 0).ok());
+  for (int i = 0; i < 200; ++i) {
+    auto socket = wire::TcpSocket::dial("127.0.0.1", server.port(), 2.0);
+    ASSERT_TRUE(socket.ok()) << i;
+    FrameBuffer buffer;
+    auto reply = round_trip(socket.value(), buffer, "PING seq=1");
+    ASSERT_TRUE(reply.ok()) << i;
+    EXPECT_EQ(reply.value().type, "ECHO-OK");
+  }
+  // Every client has closed; the acceptor reaps on its next wake-up.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (server.connections() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_EQ(server.connections(), 0u);
+  EXPECT_EQ(server.requests_served(), 200u);
+  server.stop();
+}
+
+TEST(FrameServer, StopReturnsPromptlyWithAnIdleClientConnected) {
+  SKIP_WITHOUT_NET();
+  wire::FrameServer server(echo_handler(), 30.0);
+  ASSERT_TRUE(server.start("127.0.0.1", 0).ok());
+  auto idle = wire::TcpSocket::dial("127.0.0.1", server.port(), 2.0);
+  ASSERT_TRUE(idle.ok());
+  FrameBuffer buffer;
+  ASSERT_TRUE(round_trip(idle.value(), buffer, "PING seq=1").ok());
+  const auto begin = std::chrono::steady_clock::now();
+  server.stop();
+  const double took =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+  EXPECT_LT(took, 2.0);  // far below the 30 s idle timeout
+  EXPECT_FALSE(server.running());
+  EXPECT_EQ(server.connections(), 0u);
+}
+
+TEST(FrameServer, MalformedFrameGetsOneErrAndTheConnectionCloses) {
+  SKIP_WITHOUT_NET();
+  wire::FrameServer server(echo_handler(), 5.0);
+  ASSERT_TRUE(server.start("127.0.0.1", 0).ok());
+  auto socket = wire::TcpSocket::dial("127.0.0.1", server.port(), 2.0);
+  ASSERT_TRUE(socket.ok());
+  FrameBuffer buffer;
+  ASSERT_TRUE(socket.value().send_all("EVIL 12\npayload-bytes", 2.0).ok());
+  auto reply = wire::recv_message(socket.value(), buffer, 2.0);
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  Error error;
+  ASSERT_TRUE(wire::is_error(reply.value(), error));
+  EXPECT_EQ(error.code, ErrorCode::protocol);
+  auto eof = wire::recv_message(socket.value(), buffer, 2.0);
+  ASSERT_FALSE(eof.ok());
+  EXPECT_EQ(eof.error().code, ErrorCode::unreachable);  // closed, not timed out
+  server.stop();
+}
+
+TEST(FrameServer, UnparseableMessageGetsErrAndTheConnectionKeepsServing) {
+  SKIP_WITHOUT_NET();
+  wire::FrameServer server(echo_handler(), 5.0);
+  ASSERT_TRUE(server.start("127.0.0.1", 0).ok());
+  auto socket = wire::TcpSocket::dial("127.0.0.1", server.port(), 2.0);
+  ASSERT_TRUE(socket.ok());
+  FrameBuffer buffer;
+  auto reply = round_trip(socket.value(), buffer, "lower-case field");
+  ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+  Error error;
+  ASSERT_TRUE(wire::is_error(reply.value(), error));
+  EXPECT_EQ(error.code, ErrorCode::protocol);
+  auto echo = round_trip(socket.value(), buffer, "PING seq=2");
+  ASSERT_TRUE(echo.ok()) << echo.error().to_string();
+  EXPECT_EQ(echo.value().type, "ECHO-OK");
+  EXPECT_EQ(echo.value().get("type"), "PING");
+  server.stop();
+}
+
+TEST(FrameServer, CountsEveryRequest) {
+  SKIP_WITHOUT_NET();
+  wire::FrameServer server(echo_handler(), 5.0);
+  ASSERT_TRUE(server.start("127.0.0.1", 0).ok());
+  std::uint64_t sent = 0;
+  for (int connection = 0; connection < 3; ++connection) {
+    auto socket = wire::TcpSocket::dial("127.0.0.1", server.port(), 2.0);
+    ASSERT_TRUE(socket.ok());
+    FrameBuffer buffer;
+    for (int i = 0; i < 7; ++i) {
+      // Unparseable requests are answered, so they count too.
+      ASSERT_TRUE(round_trip(socket.value(), buffer, i == 3 ? "bad" : "PING seq=1").ok());
+      ++sent;
+    }
+  }
+  EXPECT_EQ(server.requests_served(), sent);
   server.stop();
 }
 

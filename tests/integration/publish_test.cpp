@@ -121,6 +121,11 @@ TEST(MemoryPersistence, RestoreRejectsGarbage) {
   EXPECT_FALSE(memory.restore("1.0 2.0\n").ok());  // data before header
   EXPECT_FALSE(memory.restore("series bandwidth a\n").ok());  // missing field
   EXPECT_FALSE(memory.restore("series bandwidth a b\nnot numbers\n").ok());
+  // A point line is exactly two finite numbers.
+  EXPECT_FALSE(memory.restore("series bandwidth a b\n1 2 junk\n").ok());
+  EXPECT_FALSE(memory.restore("series bandwidth a b\n1 2 3\n").ok());
+  EXPECT_FALSE(memory.restore("series bandwidth a b\n1e999 2\n").ok());
+  EXPECT_EQ(memory.restore("series bandwidth a b\n1 2 3\n").error().code, ErrorCode::protocol);
   // Empty and comment-only dumps are fine no-ops.
   EXPECT_TRUE(memory.restore("").ok());
   EXPECT_TRUE(memory.restore("# just a comment\n").ok());

@@ -1,5 +1,5 @@
 // Unit coverage of the monitor building blocks: virtual clock, cycle
-// scheduler, drift tracker, sharded series store, immutable snapshots —
+// scheduler, drift tracker, series store, immutable snapshots —
 // everything the daemon composes, tested without any daemon or socket.
 #include <gtest/gtest.h>
 
@@ -159,8 +159,8 @@ TEST(DriftTracker, RelativeErrorIsScaleFree) {
 
 // --- store ------------------------------------------------------------------
 
-TEST(SeriesShardStore, RecordIsForecastThenObserve) {
-  SeriesShardStore store(4, 64, DriftPolicy{});
+TEST(SeriesStore, RecordIsForecastThenObserve) {
+  SeriesStore store(64, DriftPolicy{});
   const auto key = bw_key("a", "b");
   // First observation: no forecast existed yet.
   auto first = store.record(key, 1.0, 100.0);
@@ -177,17 +177,10 @@ TEST(SeriesShardStore, RecordIsForecastThenObserve) {
   EXPECT_GT(shifted.relative_error, 0.0);
 }
 
-TEST(SeriesShardStore, ShardAssignmentIsStableAndCollectIsCanonical) {
-  // shard_of is FNV-based, not std::hash: the same key lands on the same
-  // shard on every platform and in every process.
-  const auto key = bw_key("h3.lan", "h1.lan");
-  const std::size_t shard = SeriesShardStore::shard_of(key, 8);
-  EXPECT_LT(shard, 8u);
-  EXPECT_EQ(SeriesShardStore::shard_of(key, 8), shard);
-
-  // collect() is sorted by key no matter how keys spread over shards.
-  SeriesShardStore store(8, 64, DriftPolicy{});
-  const std::vector<std::string> hosts = {"h0", "h1", "h2", "h3", "h4"};
+TEST(SeriesStore, CollectIsCanonical) {
+  // collect() is sorted by key, whatever order the keys arrived in.
+  SeriesStore store(64, DriftPolicy{});
+  const std::vector<std::string> hosts = {"h4", "h3", "h2", "h1", "h0"};
   for (const auto& src : hosts) {
     for (const auto& dst : hosts) {
       if (src != dst) store.record(bw_key(src, dst), 1.0, 5.0e8);
@@ -201,8 +194,8 @@ TEST(SeriesShardStore, ShardAssignmentIsStableAndCollectIsCanonical) {
   EXPECT_EQ(store.stored(), 20u);
 }
 
-TEST(SeriesShardStore, SeriesReturnsMostRecentPointsBounded) {
-  SeriesShardStore store(2, 128, DriftPolicy{});
+TEST(SeriesStore, SeriesReturnsMostRecentPointsBounded) {
+  SeriesStore store(128, DriftPolicy{});
   const auto key = bw_key("a", "b");
   for (int i = 1; i <= 10; ++i) store.record(key, i, 100.0 + i);
   const auto all = store.series(key, 0);
@@ -215,12 +208,12 @@ TEST(SeriesShardStore, SeriesReturnsMostRecentPointsBounded) {
   EXPECT_TRUE(store.series(bw_key("no", "pair"), 0).empty());
 }
 
-TEST(SeriesShardStore, DriftingKeysAndResetLearning) {
+TEST(SeriesStore, DriftingKeysAndResetLearning) {
   DriftPolicy policy;
   policy.relative_error_threshold = 0.2;
   policy.window = 4;
   policy.min_samples = 2;
-  SeriesShardStore store(4, 64, policy);
+  SeriesStore store(64, policy);
   const auto steady = bw_key("a", "b");
   const auto shifty = bw_key("c", "d");
   for (int i = 0; i < 6; ++i) {
@@ -237,8 +230,8 @@ TEST(SeriesShardStore, DriftingKeysAndResetLearning) {
   EXPECT_EQ(store.series(shifty, 0).size(), 6u);
 }
 
-TEST(SeriesShardStore, DumpRestoreRewarmsForecasters) {
-  SeriesShardStore store(4, 64, DriftPolicy{});
+TEST(SeriesStore, DumpRestoreRewarmsForecasters) {
+  SeriesStore store(64, DriftPolicy{});
   for (int i = 1; i <= 8; ++i) {
     store.record(bw_key("a", "b"), i, 1.0e8 + i * 100.0);
     store.record(bw_key("b", "a"), i, 2.0e8);
@@ -246,7 +239,7 @@ TEST(SeriesShardStore, DumpRestoreRewarmsForecasters) {
   const std::string dump = store.dump();
   ASSERT_FALSE(dump.empty());
 
-  SeriesShardStore restored(4, 64, DriftPolicy{});
+  SeriesStore restored(64, DriftPolicy{});
   ASSERT_TRUE(restored.restore(dump).ok());
   EXPECT_EQ(restored.stored(), store.stored());
   // restore() routes every point through record(): the restored
@@ -264,19 +257,23 @@ TEST(SeriesShardStore, DumpRestoreRewarmsForecasters) {
   EXPECT_EQ(restored.dump(), dump);
 }
 
-TEST(SeriesShardStore, RestoreRejectsMalformedDumps) {
-  SeriesShardStore store(2, 16, DriftPolicy{});
+TEST(SeriesStore, RestoreRejectsMalformedDumps) {
+  SeriesStore store(16, DriftPolicy{});
   EXPECT_FALSE(store.restore("series bandwidth a\n").ok());          // short header
   EXPECT_FALSE(store.restore("series warp a b\n1 2\n").ok());        // unknown resource
   EXPECT_FALSE(store.restore("1.0 2.0\n").ok());                     // point before header
   EXPECT_FALSE(store.restore("series cpu a -\nnot numbers\n").ok()); // junk point
+  EXPECT_FALSE(store.restore("series cpu a -\n1 2 junk\n").ok());   // trailing junk
+  EXPECT_FALSE(store.restore("series cpu a -\n1 2 3\n").ok());      // extra field
+  EXPECT_FALSE(store.restore("series cpu a -\n1e999 2\n").ok());    // overflow
+  EXPECT_EQ(store.restore("series cpu a -\n1 2 3\n").error().code, ErrorCode::protocol);
   EXPECT_TRUE(store.restore("# empty dump\n").ok());
 }
 
 // --- snapshots --------------------------------------------------------------
 
 TEST(MonitorSnapshot, DigestIsStableAndCoversEveryObservable) {
-  SeriesShardStore store(4, 64, DriftPolicy{});
+  SeriesStore store(64, DriftPolicy{});
   store.record(bw_key("a", "b"), 1.0, 1.0e8);
   store.record(bw_key("b", "a"), 1.0, 2.0e8);
 
@@ -302,7 +299,7 @@ TEST(MonitorSnapshot, DigestIsStableAndCoversEveryObservable) {
 }
 
 TEST(MonitorSnapshot, FindBinarySearchesByKey) {
-  SeriesShardStore store(4, 64, DriftPolicy{});
+  SeriesStore store(64, DriftPolicy{});
   store.record(bw_key("a", "b"), 1.0, 1.0e8);
   store.record(bw_key("c", "d"), 1.0, 3.0e8);
   const auto snapshot = build_snapshot(store, 1, 1, 1.0, 2, 0, 0, 0, {});
@@ -319,7 +316,7 @@ TEST(SnapshotBoard, BootsNonNullAndPublishSwapsAtomically) {
   ASSERT_NE(boot, nullptr);
   EXPECT_EQ(boot->version, 0u);
 
-  SeriesShardStore store(1, 8, DriftPolicy{});
+  SeriesStore store(8, DriftPolicy{});
   store.record(bw_key("a", "b"), 1.0, 5.0e7);
   board.publish(build_snapshot(store, 1, 1, 1.0, 1, 0, 0, 0, {}));
   EXPECT_EQ(board.current()->version, 1u);

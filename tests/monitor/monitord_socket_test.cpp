@@ -255,5 +255,38 @@ TEST(MonitordSocket, BackgroundDaemonServesEightClientsDuringLiveMeasurement) {
   fleet.stop_all();
 }
 
+TEST(MonitordSocket, SeriesClientRejectsMalformedPoints) {
+  SKIP_WITHOUT_NET();
+  // A server answering every SERIES with the next canned SERIES-OK.
+  const std::vector<std::string> replies = {
+      "SERIES-OK count=1 points=1:2junk",  // trailing junk
+      "SERIES-OK count=1 points=1:2:3",    // three fields
+      "SERIES-OK count=1 points=1e999:2",  // overflow
+      "SERIES-OK count=1 points=12",       // no separator
+      "SERIES-OK count=2 points=1:2,3:4",  // well formed
+  };
+  std::atomic<std::size_t> next{0};
+  env::wire::FrameServer server(
+      [&](const env::wire::WireMessage&, env::wire::TcpSocket&, env::wire::FrameBuffer&) {
+        return replies.at(next.fetch_add(1) % replies.size());
+      },
+      5.0);
+  ASSERT_TRUE(server.start("127.0.0.1", 0).ok());
+  auto client = monitor::QueryClient::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  const nws::SeriesKey key{nws::ResourceKind::bandwidth, "a", "b"};
+  for (std::size_t i = 0; i + 1 < replies.size(); ++i) {
+    auto points = client.value().series(key);
+    ASSERT_FALSE(points.ok()) << replies[i];
+    EXPECT_EQ(points.error().code, ErrorCode::protocol) << replies[i];
+  }
+  auto points = client.value().series(key);
+  ASSERT_TRUE(points.ok()) << points.error().to_string();
+  ASSERT_EQ(points.value().size(), 2u);
+  EXPECT_EQ(points.value()[1].time, 3.0);
+  EXPECT_EQ(points.value()[1].value, 4.0);
+  server.stop();
+}
+
 }  // namespace
 }  // namespace envnws::api
