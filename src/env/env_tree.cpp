@@ -1,6 +1,7 @@
 #include "env/env_tree.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/parse.hpp"
 #include "common/strings.hpp"
@@ -33,6 +34,10 @@ const EnvNetwork* EnvNetwork::find_containing(const std::string& machine) const 
   }
   if (std::find(machines.begin(), machines.end(), machine) != machines.end()) return this;
   return nullptr;
+}
+
+EnvNetwork* EnvNetwork::find_containing(const std::string& machine) {
+  return const_cast<EnvNetwork*>(std::as_const(*this).find_containing(machine));
 }
 
 std::vector<const EnvNetwork*> EnvNetwork::lan_segments() const {

@@ -47,6 +47,7 @@ struct EnvNetwork {
   [[nodiscard]] std::vector<std::string> all_machines() const;
   /// Deepest network whose direct member list contains `machine`.
   [[nodiscard]] const EnvNetwork* find_containing(const std::string& machine) const;
+  [[nodiscard]] EnvNetwork* find_containing(const std::string& machine);
   /// All networks (this + descendants) that are LAN segments
   /// (kind is shared / switched / inconclusive).
   [[nodiscard]] std::vector<const EnvNetwork*> lan_segments() const;

@@ -9,22 +9,23 @@ namespace envnws::env {
 
 namespace {
 
-const char* kind_name(FaultRule::Kind kind) {
-  switch (kind) {
-    case FaultRule::Kind::lookup: return "lookup";
-    case FaultRule::Kind::traceroute: return "trace";
-    case FaultRule::Kind::bandwidth: return "bw";
-    case FaultRule::Kind::concurrent: return "cbw";
-    case FaultRule::Kind::any: return "any";
+const char* kind_name(std::optional<TraceRecord::Kind> kind) {
+  if (!kind.has_value()) return "any";
+  switch (*kind) {
+    case TraceRecord::Kind::lookup: return "lookup";
+    case TraceRecord::Kind::traceroute: return "trace";
+    case TraceRecord::Kind::bandwidth: return "bw";
+    case TraceRecord::Kind::concurrent: return "cbw";
   }
   return "unknown";
 }
 
-Result<FaultRule::Kind> kind_from_string(const std::string& text) {
-  for (const FaultRule::Kind kind :
-       {FaultRule::Kind::lookup, FaultRule::Kind::traceroute, FaultRule::Kind::bandwidth,
-        FaultRule::Kind::concurrent, FaultRule::Kind::any}) {
-    if (text == kind_name(kind)) return kind;
+Result<std::optional<TraceRecord::Kind>> kind_from_string(const std::string& text) {
+  std::optional<TraceRecord::Kind> any;
+  if (text == kind_name(any)) return any;
+  for (const auto kind : {TraceRecord::Kind::lookup, TraceRecord::Kind::traceroute,
+                          TraceRecord::Kind::bandwidth, TraceRecord::Kind::concurrent}) {
+    if (text == kind_name(kind)) return std::optional(kind);
   }
   return make_error(ErrorCode::invalid_argument,
                     "unknown fault kind '" + text + "' (expected lookup/trace/bw/cbw/any)");
@@ -120,7 +121,7 @@ Result<FaultSpec> FaultSpec::parse(const std::string& text) {
       }
     } else if (action_text.rfind("scale:", 0) == 0) {
       rule.action = FaultRule::Action::scale;
-      if (rule.kind != FaultRule::Kind::bandwidth && rule.kind != FaultRule::Kind::concurrent) {
+      if (rule.kind != TraceRecord::Kind::bandwidth && rule.kind != TraceRecord::Kind::concurrent) {
         return make_error(ErrorCode::invalid_argument,
                           "fault rule '" + rule_text + "': scale applies to bw/cbw only");
       }
@@ -151,83 +152,36 @@ FaultInjectingProbeEngine::FaultInjectingProbeEngine(std::unique_ptr<ProbeEngine
                                                      FaultSpec spec)
     : inner_(std::move(inner)), spec_(std::move(spec)) {}
 
-const FaultRule* FaultInjectingProbeEngine::match(FaultRule::Kind kind) {
+const FaultRule* FaultInjectingProbeEngine::match(TraceRecord::Kind kind) {
   const std::uint64_t global = count_global_++;
   const std::uint64_t per_kind = count_kind_[static_cast<int>(kind)]++;
   for (const auto& rule : spec_.rules) {
-    if (rule.kind == FaultRule::Kind::any) {
-      if (rule.selects(global)) return &rule;
-    } else if (rule.kind == kind && rule.selects(per_kind)) {
-      return &rule;
-    }
+    const bool selected =
+        rule.kind.has_value() ? rule.kind == kind && rule.selects(per_kind) : rule.selects(global);
+    if (selected) return &rule;
   }
   return nullptr;
 }
 
-Error FaultInjectingProbeEngine::injected_error(const FaultRule& rule,
-                                                const std::string& summary) const {
-  return make_error(rule.fail_code, "injected fault (" + rule.to_string() + "): " + summary);
-}
-
-Result<HostIdentity> FaultInjectingProbeEngine::lookup(const std::string& hostname) {
-  if (const FaultRule* rule = match(FaultRule::Kind::lookup);
-      rule != nullptr && rule->action == FaultRule::Action::fail) {
-    ++injected_;
-    return injected_error(*rule, "lookup " + hostname);
-  }
-  return inner_->lookup(hostname);
-}
-
-Result<std::vector<TraceHop>> FaultInjectingProbeEngine::traceroute(const std::string& from,
-                                                                    const std::string& target) {
-  if (const FaultRule* rule = match(FaultRule::Kind::traceroute);
-      rule != nullptr && rule->action == FaultRule::Action::fail) {
-    ++injected_;
-    return injected_error(*rule, "traceroute " + from + " -> " + target);
-  }
-  return inner_->traceroute(from, target);
-}
-
-Result<double> FaultInjectingProbeEngine::bandwidth(const std::string& from,
-                                                    const std::string& to) {
-  const FaultRule* rule = match(FaultRule::Kind::bandwidth);
+TraceRecord FaultInjectingProbeEngine::handle(TraceRecord call) {
+  const FaultRule* rule = match(call.kind);
   if (rule != nullptr && rule->action == FaultRule::Action::fail) {
     ++injected_;
-    return injected_error(*rule, "bandwidth " + from + " -> " + to);
+    fail(call, make_error(rule->fail_code,
+                          "injected fault (" + rule->to_string() + "): " + call.describe()));
+    return call;
   }
-  auto result = inner_->bandwidth(from, to);
-  if (rule != nullptr && result.ok()) {
-    ++injected_;
-    return result.value() * rule->factor;
-  }
-  return result;
-}
-
-std::vector<Result<double>> FaultInjectingProbeEngine::concurrent_bandwidth(
-    const std::vector<BandwidthRequest>& requests) {
-  const FaultRule* rule = match(FaultRule::Kind::concurrent);
-  if (rule != nullptr && rule->action == FaultRule::Action::fail) {
-    ++injected_;
-    std::ostringstream summary;
-    summary << "concurrent[" << requests.size() << ']';
-    return std::vector<Result<double>>(requests.size(),
-                                       Result<double>(injected_error(*rule, summary.str())));
-  }
-  auto results = inner_->concurrent_bandwidth(requests);
-  if (rule != nullptr) {
-    ++injected_;
-    for (auto& result : results) {
-      if (result.ok()) result = Result<double>(result.value() * rule->factor);
+  forward(*inner_, call);
+  if (rule != nullptr) {  // scale: FaultSpec::parse allows it on bw/cbw only
+    bool scaled = false;
+    for (auto& entry : call.entries) {
+      if (!entry.ok) continue;
+      entry.bandwidth_bps *= rule->factor;
+      scaled = true;
     }
+    if (scaled) ++injected_;
   }
-  return results;
-}
-
-std::vector<ProbeExperimentOutcome> FaultInjectingProbeEngine::run_batch(
-    const std::vector<ProbeExperiment>& experiments, std::size_t /*workers*/) {
-  // Canonical sequential loop (see header): counters are keyed on the
-  // canonical experiment index.
-  return ProbeEngine::run_batch(experiments, 1);
+  return call;
 }
 
 ProbeStats FaultInjectingProbeEngine::stats() const { return inner_->stats(); }

@@ -27,20 +27,22 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/result.hpp"
 #include "env/probe_engine.hpp"
+#include "env/trace_probe_engine.hpp"
 
 namespace envnws::env {
 
 struct FaultRule {
-  enum class Kind { lookup, traceroute, bandwidth, concurrent, any };
   enum class Select { index, every, all };
   enum class Action { fail, scale };
 
-  Kind kind = Kind::any;
+  /// The call kind the rule counts and matches; absent for "any".
+  std::optional<TraceRecord::Kind> kind;
   Select select = Select::all;
   std::uint64_t n = 0;  ///< the index for "#N", the period for "%N"
   Action action = Action::fail;
@@ -64,32 +66,20 @@ struct FaultSpec {
   [[nodiscard]] bool empty() const { return rules.empty(); }
 };
 
-class FaultInjectingProbeEngine final : public ProbeEngine {
+class FaultInjectingProbeEngine final : public ProbeDecorator {
  public:
   FaultInjectingProbeEngine(std::unique_ptr<ProbeEngine> inner, FaultSpec spec);
 
-  Result<HostIdentity> lookup(const std::string& hostname) override;
-  Result<std::vector<TraceHop>> traceroute(const std::string& from,
-                                           const std::string& target) override;
-  Result<double> bandwidth(const std::string& from, const std::string& to) override;
-  std::vector<Result<double>> concurrent_bandwidth(
-      const std::vector<BandwidthRequest>& requests) override;
-  /// Runs the batch as the canonical sequential loop so the per-kind and
-  /// global experiment counters advance in CANONICAL batch order — fault
-  /// placement ("bw#3") selects the same experiment whether the mapping
-  /// was batched or not, never an arrival-order accident.
-  std::vector<ProbeExperimentOutcome> run_batch(const std::vector<ProbeExperiment>& experiments,
-                                                std::size_t workers) override;
   [[nodiscard]] ProbeStats stats() const override;
 
-  /// Experiments failed or perturbed so far.
+  /// Experiments failed, or with at least one result scaled, so far.
   [[nodiscard]] std::uint64_t injected() const { return injected_; }
 
  private:
+  TraceRecord handle(TraceRecord call) override;
   /// First matching rule for this call (per-kind and global counters
   /// advance as a side effect), nullptr when the call passes through.
-  const FaultRule* match(FaultRule::Kind kind);
-  [[nodiscard]] Error injected_error(const FaultRule& rule, const std::string& summary) const;
+  const FaultRule* match(TraceRecord::Kind kind);
 
   std::unique_ptr<ProbeEngine> inner_;
   FaultSpec spec_;

@@ -824,16 +824,6 @@ EnvNetwork* find_matching(EnvNetwork& root, const std::set<std::string>& machine
   return nullptr;
 }
 
-EnvNetwork* find_network_with_member(EnvNetwork& root, const std::string& machine) {
-  for (auto& child : root.children) {
-    if (EnvNetwork* hit = find_network_with_member(child, machine)) return hit;
-  }
-  if (std::find(root.machines.begin(), root.machines.end(), machine) != root.machines.end()) {
-    return &root;
-  }
-  return nullptr;
-}
-
 /// Fold one secondary-zone network (and its subtree) into the merged view.
 void merge_network(EnvNetwork& merged_root, const EnvNetwork& incoming,
                    std::vector<std::string>& warnings) {
@@ -870,7 +860,7 @@ void merge_network(EnvNetwork& merged_root, const EnvNetwork& incoming,
   // New segment: hang it under the network containing its gateway.
   EnvNetwork* parent = nullptr;
   if (!incoming.gateway.empty()) {
-    parent = find_network_with_member(merged_root, incoming.gateway);
+    parent = merged_root.find_containing(incoming.gateway);
   }
   if (parent == nullptr) {
     if (!incoming.gateway.empty()) {

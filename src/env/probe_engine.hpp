@@ -108,14 +108,19 @@ class ProbeEngine {
   ///  - An engine MAY overlap experiments, at most `workers` in flight,
   ///    but ONLY experiments whose endpoint sets are disjoint; anything
   ///    sharing an endpoint must execute in canonical order.
-  ///  - An engine without real concurrency (the default implementation,
-  ///    the simulator, the trace engines) runs the batch as a plain
-  ///    sequential loop in canonical order — which is why a batched
-  ///    mapping issues the byte-identical experiment stream, and records
-  ///    the byte-identical probe trace, as a sequential one.
+  ///  - An engine without real concurrency does not override this: it
+  ///    inherits the default, a plain sequential loop in canonical order
+  ///    over the virtuals above, timing each experiment via `stats()`
+  ///    diffs (`workers` is ignored). The simulator measures each
+  ///    experiment on an otherwise idle network, so batch concurrency is
+  ///    modeled by the mapper's schedule (env/batch_schedule.hpp), never
+  ///    simulated. The record, replay and fault decorators see one call
+  ///    per experiment in canonical order, so a batched mapping records
+  ///    the byte-identical probe trace, replays it, and places faults
+  ///    ("bw#3") exactly like a sequential one.
   ///
-  /// The default implementation is that sequential loop over the
-  /// virtuals above, timing each experiment via `stats()` diffs.
+  /// Only an engine that really overlaps experiments (SocketProbeEngine)
+  /// or forwards the whole batch to one that might overrides it.
   virtual std::vector<ProbeExperimentOutcome> run_batch(
       const std::vector<ProbeExperiment>& experiments, std::size_t workers);
 

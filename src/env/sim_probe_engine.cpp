@@ -101,13 +101,6 @@ std::vector<Result<double>> SimProbeEngine::concurrent_bandwidth(
   return results;
 }
 
-std::vector<ProbeExperimentOutcome> SimProbeEngine::run_batch(
-    const std::vector<ProbeExperiment>& experiments, std::size_t /*workers*/) {
-  // See the header: sequential by design; workers == 1 keeps the base
-  // implementation an explicit serialization point.
-  return ProbeEngine::run_batch(experiments, 1);
-}
-
 ProbeStats SimProbeEngine::stats() const {
   return ProbeStats{session_.experiment_count(), session_.bytes_sent(),
                     session_.busy_time_s()};

@@ -18,13 +18,6 @@ class SimProbeEngine final : public ProbeEngine {
   Result<double> bandwidth(const std::string& from, const std::string& to) override;
   std::vector<Result<double>> concurrent_bandwidth(
       const std::vector<BandwidthRequest>& requests) override;
-  /// Runs the batch as the canonical sequential loop: the simulator is
-  /// single-threaded and measures every experiment with the network
-  /// otherwise idle, so batch concurrency is modeled by the mapper's
-  /// schedule (env/batch_schedule.hpp), never simulated — which is what
-  /// keeps the MapResult bit-identical for every probe_jobs value.
-  std::vector<ProbeExperimentOutcome> run_batch(const std::vector<ProbeExperiment>& experiments,
-                                                std::size_t workers) override;
   [[nodiscard]] ProbeStats stats() const override;
 
  private:

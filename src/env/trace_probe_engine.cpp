@@ -1,5 +1,6 @@
 #include "env/trace_probe_engine.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 
@@ -27,23 +28,14 @@ Result<std::string> unescape(const std::string& token) {
   return codec::unescape(token);
 }
 
-/// "err <code> <message>" suffix shared by every record kind.
-void write_error_tokens(std::ostringstream& out, const Error& error) {
-  out << "err " << envnws::to_string(error.code) << ' ' << escape(error.message);
-}
-
-Status read_error_tokens(const std::vector<std::string>& tokens, std::size_t at, Error& out) {
-  if (at + 1 >= tokens.size()) {
-    return make_error(ErrorCode::protocol, "truncated error outcome in probe trace record");
+char tag_of(TraceRecord::Kind kind) {
+  switch (kind) {
+    case TraceRecord::Kind::lookup: return 'L';
+    case TraceRecord::Kind::traceroute: return 'T';
+    case TraceRecord::Kind::bandwidth: return 'B';
+    case TraceRecord::Kind::concurrent: return 'C';
   }
-  const auto code = error_code_from_string(tokens[at]);
-  if (!code.has_value()) {
-    return make_error(ErrorCode::protocol, "unknown error code '" + tokens[at] + "' in probe trace");
-  }
-  auto message = unescape(tokens[at + 1]);
-  if (!message.ok()) return message.error();
-  out = Error{*code, std::move(message.value())};
-  return {};
+  return '?';
 }
 
 std::vector<std::string> tokenize(const std::string& line) {
@@ -56,54 +48,32 @@ std::vector<std::string> tokenize(const std::string& line) {
 
 std::string serialize_record(const TraceRecord& record) {
   std::ostringstream out;
-  switch (record.kind) {
-    case TraceRecord::Kind::lookup: {
-      const auto& entry = record.entries.front();
-      out << "L " << escape(entry.from) << ' ';
-      if (entry.ok) {
-        out << "ok " << escape(entry.identity.fqdn) << ' ' << escape(entry.identity.ip);
+  out << tag_of(record.kind);
+  if (record.kind == TraceRecord::Kind::concurrent) out << ' ' << record.entries.size();
+  for (const auto& entry : record.entries) {
+    out << ' ' << escape(entry.from);
+    if (record.kind != TraceRecord::Kind::lookup) out << ' ' << escape(entry.to);
+    if (!entry.ok) {
+      out << " err " << envnws::to_string(entry.error.code) << ' ' << escape(entry.error.message);
+      continue;
+    }
+    out << " ok";
+    switch (record.kind) {
+      case TraceRecord::Kind::lookup:
+        out << ' ' << escape(entry.identity.fqdn) << ' ' << escape(entry.identity.ip);
         for (const auto& [key, value] : entry.identity.properties) {
           out << ' ' << escape(key) << '=' << escape(value);
         }
-      } else {
-        write_error_tokens(out, entry.error);
-      }
-      break;
-    }
-    case TraceRecord::Kind::traceroute: {
-      const auto& entry = record.entries.front();
-      out << "T " << escape(entry.from) << ' ' << escape(entry.to) << ' ';
-      if (entry.ok) {
-        out << "ok";
+        break;
+      case TraceRecord::Kind::traceroute:
         for (const auto& hop : entry.hops) {
           out << ' ' << escape(hop.ip) << '|' << escape(hop.name) << '|' << (hop.responded ? 1 : 0);
         }
-      } else {
-        write_error_tokens(out, entry.error);
-      }
-      break;
-    }
-    case TraceRecord::Kind::bandwidth: {
-      const auto& entry = record.entries.front();
-      out << "B " << escape(entry.from) << ' ' << escape(entry.to) << ' ';
-      if (entry.ok) {
-        out << "ok " << codec::format_full(entry.bandwidth_bps);
-      } else {
-        write_error_tokens(out, entry.error);
-      }
-      break;
-    }
-    case TraceRecord::Kind::concurrent: {
-      out << "C " << record.entries.size();
-      for (const auto& entry : record.entries) {
-        out << ' ' << escape(entry.from) << ' ' << escape(entry.to) << ' ';
-        if (entry.ok) {
-          out << "ok " << codec::format_full(entry.bandwidth_bps);
-        } else {
-          write_error_tokens(out, entry.error);
-        }
-      }
-      break;
+        break;
+      case TraceRecord::Kind::bandwidth:
+      case TraceRecord::Kind::concurrent:
+        out << ' ' << codec::format_full(entry.bandwidth_bps);
+        break;
     }
   }
   out << "\nS " << record.stats_after.experiments << ' ' << record.stats_after.bytes_sent << ' '
@@ -111,175 +81,157 @@ std::string serialize_record(const TraceRecord& record) {
   return out.str();
 }
 
+/// Front-to-back reader over the tokens of one record line.
+class RecordReader {
+ public:
+  RecordReader(const std::vector<std::string>& tokens, TraceRecord::Kind kind)
+      : tokens_(tokens), kind_(kind) {}
+
+  [[nodiscard]] bool done() const { return at_ == tokens_.size(); }
+  Result<std::string> raw() {
+    if (done()) return malformed("truncated");
+    return tokens_[at_++];
+  }
+  Result<std::string> text() {
+    auto token = raw();
+    if (!token.ok()) return token;
+    return unescape(token.value());
+  }
+  [[nodiscard]] Error malformed(const std::string& what) const {
+    return make_error(ErrorCode::protocol,
+                      what + " " + env::to_string(kind_) + " trace record");
+  }
+
+  /// The outcome every record kind shares: `ok` (followed by `<bps>` for
+  /// a transfer) or `err <code> <message>`.
+  Status outcome(TraceRecord::Entry& entry) {
+    auto verdict = raw();
+    if (!verdict.ok()) return verdict.error();
+    if (verdict.value() == "err") {
+      auto code_text = raw();
+      if (!code_text.ok()) return code_text.error();
+      const auto code = error_code_from_string(code_text.value());
+      if (!code.has_value()) {
+        return make_error(ErrorCode::protocol,
+                          "unknown error code '" + code_text.value() + "' in probe trace");
+      }
+      auto message = text();
+      if (!message.ok()) return message.error();
+      entry.ok = false;
+      entry.error = Error{*code, std::move(message.value())};
+      return {};
+    }
+    if (verdict.value() != "ok") {
+      return make_error(ErrorCode::protocol, "expected 'ok' or 'err' in " +
+                                                 std::string(env::to_string(kind_)) +
+                                                 " trace record, got '" + verdict.value() + "'");
+    }
+    if (kind_ == TraceRecord::Kind::bandwidth || kind_ == TraceRecord::Kind::concurrent) {
+      auto bps = raw();
+      if (!bps.ok()) return bps.error();
+      auto value = codec::numeric_field<double>(bps.value(), "bandwidth", kTrace);
+      if (!value.ok()) return value.error();
+      entry.bandwidth_bps = value.value();
+    }
+    return {};
+  }
+
+ private:
+  const std::vector<std::string>& tokens_;
+  TraceRecord::Kind kind_;
+  std::size_t at_ = 1;  ///< past the tag
+};
+
+/// The identity after a lookup's `ok`: fqdn, ip, then key=value
+/// properties to the end of the line.
+Status read_identity(RecordReader& in, HostIdentity& identity) {
+  auto fqdn = in.text();
+  if (!fqdn.ok()) return fqdn.error();
+  auto ip = in.text();
+  if (!ip.ok()) return ip.error();
+  identity.fqdn = std::move(fqdn.value());
+  identity.ip = std::move(ip.value());
+  while (!in.done()) {
+    const std::string token = in.raw().value();
+    const auto eq = token.find('=');
+    if (eq == std::string::npos) {
+      return make_error(ErrorCode::protocol,
+                        "bad property token '" + token + "' in lookup trace record");
+    }
+    auto key = unescape(token.substr(0, eq));
+    auto value = unescape(token.substr(eq + 1));
+    if (!key.ok()) return key.error();
+    if (!value.ok()) return value.error();
+    identity.properties[key.value()] = value.value();
+  }
+  return {};
+}
+
+/// The hops after a traceroute's `ok`, `ip|name|responded` to the end of
+/// the line.
+Status read_hops(RecordReader& in, std::vector<TraceHop>& hops) {
+  while (!in.done()) {
+    const std::string token = in.raw().value();
+    const auto fields = strings::split(token, '|');
+    if (fields.size() != 3 || (fields[2] != "0" && fields[2] != "1")) {
+      return make_error(ErrorCode::protocol,
+                        "bad hop token '" + token + "' in traceroute trace record");
+    }
+    auto ip = unescape(fields[0]);
+    auto name = unescape(fields[1]);
+    if (!ip.ok()) return ip.error();
+    if (!name.ok()) return name.error();
+    hops.push_back(TraceHop{std::move(ip.value()), std::move(name.value()), fields[2] == "1"});
+  }
+  return {};
+}
+
 /// Parse one L/T/B/C line into a record (without its stats, which arrive
 /// on the following S line).
 Result<TraceRecord> parse_record_line(const std::vector<std::string>& tokens) {
   TraceRecord record;
   const std::string& tag = tokens.front();
-  const auto entry_outcome = [&](TraceRecord::Entry& entry, std::size_t at,
-                                 std::size_t* consumed) -> Status {
-    if (at >= tokens.size()) {
-      return make_error(ErrorCode::protocol, "truncated probe trace record");
+  bool known = false;
+  for (const auto kind : {TraceRecord::Kind::lookup, TraceRecord::Kind::traceroute,
+                          TraceRecord::Kind::bandwidth, TraceRecord::Kind::concurrent}) {
+    if (tag.size() == 1 && tag[0] == tag_of(kind)) {
+      record.kind = kind;
+      known = true;
     }
-    if (tokens[at] == "err") {
-      entry.ok = false;
-      if (auto status = read_error_tokens(tokens, at + 1, entry.error); !status.ok()) {
-        return status;
-      }
-      *consumed = 3;
-      return {};
-    }
-    if (tokens[at] != "ok") {
-      return make_error(ErrorCode::protocol,
-                        "expected 'ok' or 'err' in probe trace record, got '" + tokens[at] + "'");
-    }
-    entry.ok = true;
-    *consumed = 1;
-    return {};
-  };
-
-  if (tag == "L") {
-    record.kind = TraceRecord::Kind::lookup;
-    if (tokens.size() < 3) return make_error(ErrorCode::protocol, "truncated lookup trace record");
+  }
+  if (!known) {
+    return make_error(ErrorCode::protocol, "unknown probe trace record tag '" + tag + "'");
+  }
+  RecordReader in(tokens, record.kind);
+  std::uint64_t count = 1;
+  if (record.kind == TraceRecord::Kind::concurrent) {
+    auto count_text = in.raw();
+    if (!count_text.ok()) return count_text.error();
+    auto parsed = codec::numeric_field<std::uint64_t>(count_text.value(), "batch size", kTrace);
+    if (!parsed.ok()) return parsed.error();
+    count = parsed.value();
+  }
+  for (std::uint64_t i = 0; i < count; ++i) {
     TraceRecord::Entry entry;
-    auto from = unescape(tokens[1]);
+    auto from = in.text();
     if (!from.ok()) return from.error();
     entry.from = std::move(from.value());
-    std::size_t consumed = 0;
-    if (auto status = entry_outcome(entry, 2, &consumed); !status.ok()) return status.error();
-    if (entry.ok) {
-      if (tokens.size() < 5) {
-        return make_error(ErrorCode::protocol, "truncated lookup trace record");
-      }
-      auto fqdn = unescape(tokens[3]);
-      auto ip = unescape(tokens[4]);
-      if (!fqdn.ok()) return fqdn.error();
-      if (!ip.ok()) return ip.error();
-      entry.identity.fqdn = std::move(fqdn.value());
-      entry.identity.ip = std::move(ip.value());
-      for (std::size_t i = 5; i < tokens.size(); ++i) {
-        const auto eq = tokens[i].find('=');
-        if (eq == std::string::npos) {
-          return make_error(ErrorCode::protocol,
-                            "bad property token '" + tokens[i] + "' in lookup trace record");
-        }
-        auto key = unescape(tokens[i].substr(0, eq));
-        auto value = unescape(tokens[i].substr(eq + 1));
-        if (!key.ok()) return key.error();
-        if (!value.ok()) return value.error();
-        entry.identity.properties[key.value()] = value.value();
-      }
-    }
-    record.entries.push_back(std::move(entry));
-    return record;
-  }
-  if (tag == "T") {
-    record.kind = TraceRecord::Kind::traceroute;
-    if (tokens.size() < 4) {
-      return make_error(ErrorCode::protocol, "truncated traceroute trace record");
-    }
-    TraceRecord::Entry entry;
-    auto from = unescape(tokens[1]);
-    auto to = unescape(tokens[2]);
-    if (!from.ok()) return from.error();
-    if (!to.ok()) return to.error();
-    entry.from = std::move(from.value());
-    entry.to = std::move(to.value());
-    std::size_t consumed = 0;
-    if (auto status = entry_outcome(entry, 3, &consumed); !status.ok()) return status.error();
-    if (entry.ok) {
-      for (std::size_t i = 4; i < tokens.size(); ++i) {
-        const auto fields = strings::split(tokens[i], '|');
-        if (fields.size() != 3 || (fields[2] != "0" && fields[2] != "1")) {
-          return make_error(ErrorCode::protocol,
-                            "bad hop token '" + tokens[i] + "' in traceroute trace record");
-        }
-        auto ip = unescape(fields[0]);
-        auto name = unescape(fields[1]);
-        if (!ip.ok()) return ip.error();
-        if (!name.ok()) return name.error();
-        entry.hops.push_back(TraceHop{std::move(ip.value()), std::move(name.value()),
-                                      fields[2] == "1"});
-      }
-    }
-    record.entries.push_back(std::move(entry));
-    return record;
-  }
-  if (tag == "B") {
-    record.kind = TraceRecord::Kind::bandwidth;
-    if (tokens.size() < 4) {
-      return make_error(ErrorCode::protocol, "truncated bandwidth trace record");
-    }
-    TraceRecord::Entry entry;
-    auto from = unescape(tokens[1]);
-    auto to = unescape(tokens[2]);
-    if (!from.ok()) return from.error();
-    if (!to.ok()) return to.error();
-    entry.from = std::move(from.value());
-    entry.to = std::move(to.value());
-    std::size_t consumed = 0;
-    if (auto status = entry_outcome(entry, 3, &consumed); !status.ok()) return status.error();
-    if (entry.ok) {
-      if (tokens.size() != 5) {
-        return make_error(ErrorCode::protocol, "truncated bandwidth trace record");
-      }
-      auto bps = codec::numeric_field<double>(tokens[4], "bandwidth", kTrace);
-      if (!bps.ok()) return bps.error();
-      entry.bandwidth_bps = bps.value();
-    }
-    record.entries.push_back(std::move(entry));
-    return record;
-  }
-  if (tag == "C") {
-    record.kind = TraceRecord::Kind::concurrent;
-    if (tokens.size() < 2) {
-      return make_error(ErrorCode::protocol, "truncated concurrent trace record");
-    }
-    auto count = codec::numeric_field<std::uint64_t>(tokens[1], "batch size", kTrace);
-    if (!count.ok()) return count.error();
-    std::size_t at = 2;
-    for (std::uint64_t i = 0; i < count.value(); ++i) {
-      if (at + 2 > tokens.size()) {
-        return make_error(ErrorCode::protocol, "truncated concurrent trace record");
-      }
-      TraceRecord::Entry entry;
-      auto from = unescape(tokens[at]);
-      auto to = unescape(tokens[at + 1]);
-      if (!from.ok()) return from.error();
+    if (record.kind != TraceRecord::Kind::lookup) {
+      auto to = in.text();
       if (!to.ok()) return to.error();
-      entry.from = std::move(from.value());
       entry.to = std::move(to.value());
-      at += 2;
-      if (at >= tokens.size()) {
-        return make_error(ErrorCode::protocol, "truncated concurrent trace record");
-      }
-      if (tokens[at] == "ok") {
-        if (at + 1 >= tokens.size()) {
-          return make_error(ErrorCode::protocol, "truncated concurrent trace record");
-        }
-        auto bps = codec::numeric_field<double>(tokens[at + 1], "bandwidth", kTrace);
-        if (!bps.ok()) return bps.error();
-        entry.bandwidth_bps = bps.value();
-        at += 2;
-      } else if (tokens[at] == "err") {
-        entry.ok = false;
-        if (auto status = read_error_tokens(tokens, at + 1, entry.error); !status.ok()) {
-          return status.error();
-        }
-        at += 3;
-      } else {
-        return make_error(ErrorCode::protocol,
-                          "expected 'ok' or 'err' in concurrent trace record, got '" + tokens[at] +
-                              "'");
-      }
-      record.entries.push_back(std::move(entry));
     }
-    if (at != tokens.size()) {
-      return make_error(ErrorCode::protocol, "trailing tokens in concurrent trace record");
+    if (auto status = in.outcome(entry); !status.ok()) return status.error();
+    if (entry.ok && record.kind == TraceRecord::Kind::lookup) {
+      if (auto status = read_identity(in, entry.identity); !status.ok()) return status.error();
     }
-    return record;
+    if (entry.ok && record.kind == TraceRecord::Kind::traceroute) {
+      if (auto status = read_hops(in, entry.hops); !status.ok()) return status.error();
+    }
+    record.entries.push_back(std::move(entry));
   }
-  return make_error(ErrorCode::protocol, "unknown probe trace record tag '" + tag + "'");
+  if (!in.done()) return in.malformed("trailing tokens in");
+  return record;
 }
 
 }  // namespace
@@ -409,6 +361,106 @@ Status ProbeTrace::save(const std::string& path) const {
   return {};
 }
 
+// --- ProbeDecorator ---------------------------------------------------------
+
+namespace {
+
+TraceRecord request(TraceRecord::Kind kind, const std::vector<BandwidthRequest>& endpoints) {
+  TraceRecord call;
+  call.kind = kind;
+  call.entries.resize(endpoints.size());
+  for (std::size_t i = 0; i < endpoints.size(); ++i) {
+    call.entries[i].from = endpoints[i].from;
+    call.entries[i].to = endpoints[i].to;
+  }
+  return call;
+}
+
+template <typename T>
+void store(TraceRecord::Entry& entry, Result<T> result, T TraceRecord::Entry::*field) {
+  if (result.ok()) {
+    entry.*field = std::move(result.value());
+  } else {
+    entry.ok = false;
+    entry.error = result.error();
+  }
+}
+
+Result<double> transfer_result(const TraceRecord::Entry& entry) {
+  if (!entry.ok) return entry.error;
+  return entry.bandwidth_bps;
+}
+
+}  // namespace
+
+Result<HostIdentity> ProbeDecorator::lookup(const std::string& hostname) {
+  const TraceRecord done = handle(request(TraceRecord::Kind::lookup, {{hostname, {}, {}}}));
+  const auto& entry = done.entries.front();
+  if (!entry.ok) return entry.error;
+  return entry.identity;
+}
+
+Result<std::vector<TraceHop>> ProbeDecorator::traceroute(const std::string& from,
+                                                         const std::string& target) {
+  const TraceRecord done = handle(request(TraceRecord::Kind::traceroute, {{from, target, {}}}));
+  const auto& entry = done.entries.front();
+  if (!entry.ok) return entry.error;
+  return entry.hops;
+}
+
+Result<double> ProbeDecorator::bandwidth(const std::string& from, const std::string& to) {
+  return transfer_result(
+      handle(request(TraceRecord::Kind::bandwidth, {{from, to, {}}})).entries.front());
+}
+
+std::vector<Result<double>> ProbeDecorator::concurrent_bandwidth(
+    const std::vector<BandwidthRequest>& requests) {
+  const TraceRecord done = handle(request(TraceRecord::Kind::concurrent, requests));
+  std::vector<Result<double>> results;
+  results.reserve(done.entries.size());
+  for (const auto& entry : done.entries) results.push_back(transfer_result(entry));
+  return results;
+}
+
+void ProbeDecorator::forward(ProbeEngine& engine, TraceRecord& call) {
+  auto& first = call.entries.front();
+  switch (call.kind) {
+    case TraceRecord::Kind::lookup:
+      store(first, engine.lookup(first.from), &TraceRecord::Entry::identity);
+      return;
+    case TraceRecord::Kind::traceroute:
+      store(first, engine.traceroute(first.from, first.to), &TraceRecord::Entry::hops);
+      return;
+    case TraceRecord::Kind::bandwidth:
+      store(first, engine.bandwidth(first.from, first.to), &TraceRecord::Entry::bandwidth_bps);
+      return;
+    case TraceRecord::Kind::concurrent: {
+      // `via` is batch-schedule bookkeeping that engines ignore when
+      // measuring, so the from/to pairs are the whole request.
+      std::vector<BandwidthRequest> requests;
+      requests.reserve(call.entries.size());
+      for (const auto& entry : call.entries) requests.push_back({entry.from, entry.to, {}});
+      auto results = engine.concurrent_bandwidth(requests);
+      // A misbehaving engine may return fewer results than requests:
+      // those transfers fail, never become fabricated 0-bps successes.
+      results.resize(call.entries.size(),
+                     make_error(ErrorCode::internal,
+                                "engine returned no result for this concurrent request"));
+      for (std::size_t i = 0; i < call.entries.size(); ++i) {
+        store(call.entries[i], std::move(results[i]), &TraceRecord::Entry::bandwidth_bps);
+      }
+      return;
+    }
+  }
+}
+
+void ProbeDecorator::fail(TraceRecord& call, const Error& error) {
+  for (auto& entry : call.entries) {
+    entry.ok = false;
+    entry.error = error;
+  }
+}
+
 // --- RecordingProbeEngine ---------------------------------------------------
 
 RecordingProbeEngine::RecordingProbeEngine(std::unique_ptr<ProbeEngine> inner)
@@ -433,10 +485,11 @@ RecordingProbeEngine& RecordingProbeEngine::set_error_handler(
   return *this;
 }
 
-void RecordingProbeEngine::append(TraceRecord record) {
-  record.stats_after = inner_->stats();
+TraceRecord RecordingProbeEngine::handle(TraceRecord call) {
+  forward(*inner_, call);
+  call.stats_after = inner_->stats();
   if (out_.has_value() && !write_error_.has_value()) {
-    *out_ << serialize_record(record);
+    *out_ << serialize_record(call);
     out_->flush();
     if (!*out_) {
       write_error_ = make_error(ErrorCode::internal,
@@ -445,96 +498,8 @@ void RecordingProbeEngine::append(TraceRecord record) {
       if (on_error_) on_error_(*write_error_);
     }
   }
-  trace_.records.push_back(std::move(record));
-}
-
-Result<HostIdentity> RecordingProbeEngine::lookup(const std::string& hostname) {
-  auto result = inner_->lookup(hostname);
-  TraceRecord record;
-  record.kind = TraceRecord::Kind::lookup;
-  TraceRecord::Entry entry;
-  entry.from = hostname;
-  if (result.ok()) {
-    entry.identity = result.value();
-  } else {
-    entry.ok = false;
-    entry.error = result.error();
-  }
-  record.entries.push_back(std::move(entry));
-  append(std::move(record));
-  return result;
-}
-
-Result<std::vector<TraceHop>> RecordingProbeEngine::traceroute(const std::string& from,
-                                                               const std::string& target) {
-  auto result = inner_->traceroute(from, target);
-  TraceRecord record;
-  record.kind = TraceRecord::Kind::traceroute;
-  TraceRecord::Entry entry;
-  entry.from = from;
-  entry.to = target;
-  if (result.ok()) {
-    entry.hops = result.value();
-  } else {
-    entry.ok = false;
-    entry.error = result.error();
-  }
-  record.entries.push_back(std::move(entry));
-  append(std::move(record));
-  return result;
-}
-
-Result<double> RecordingProbeEngine::bandwidth(const std::string& from, const std::string& to) {
-  auto result = inner_->bandwidth(from, to);
-  TraceRecord record;
-  record.kind = TraceRecord::Kind::bandwidth;
-  TraceRecord::Entry entry;
-  entry.from = from;
-  entry.to = to;
-  if (result.ok()) {
-    entry.bandwidth_bps = result.value();
-  } else {
-    entry.ok = false;
-    entry.error = result.error();
-  }
-  record.entries.push_back(std::move(entry));
-  append(std::move(record));
-  return result;
-}
-
-std::vector<Result<double>> RecordingProbeEngine::concurrent_bandwidth(
-    const std::vector<BandwidthRequest>& requests) {
-  auto results = inner_->concurrent_bandwidth(requests);
-  TraceRecord record;
-  record.kind = TraceRecord::Kind::concurrent;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    TraceRecord::Entry entry;
-    entry.from = requests[i].from;
-    entry.to = requests[i].to;
-    if (i < results.size() && results[i].ok()) {
-      entry.bandwidth_bps = results[i].value();
-    } else if (i < results.size()) {
-      entry.ok = false;
-      entry.error = results[i].error();
-    } else {
-      // A misbehaving engine returned fewer results than requests:
-      // record an error, never a fabricated successful 0-bps transfer.
-      entry.ok = false;
-      entry.error = make_error(ErrorCode::internal,
-                               "engine returned no result for this concurrent request");
-    }
-    record.entries.push_back(std::move(entry));
-  }
-  append(std::move(record));
-  return results;
-}
-
-std::vector<ProbeExperimentOutcome> RecordingProbeEngine::run_batch(
-    const std::vector<ProbeExperiment>& experiments, std::size_t /*workers*/) {
-  // Canonical sequential loop (see header): each experiment routes
-  // through the recording bandwidth()/concurrent_bandwidth() overrides,
-  // appending one record with exact per-experiment stats boundaries.
-  return ProbeEngine::run_batch(experiments, 1);
+  trace_.records.push_back(call);
+  return call;
 }
 
 ProbeStats RecordingProbeEngine::stats() const { return inner_->stats(); }
@@ -559,150 +524,42 @@ Error TraceProbeEngine::violate(Error error) {
   return *violation_;  // sticky: every later experiment reports the first
 }
 
-const TraceRecord* TraceProbeEngine::match(TraceRecord::Kind kind, const std::string& summary,
-                                           Error& mismatch) {
-  if (mode_ == Mode::strict && violation_.has_value()) {
-    mismatch = *violation_;
-    return nullptr;
-  }
+Result<const TraceRecord*> TraceProbeEngine::take(const TraceRecord& call) {
+  if (mode_ == Mode::strict && violation_.has_value()) return *violation_;
+  const std::string at = "probe trace '" + trace_.source + "' ";
   if (next_ >= trace_.records.size()) {
-    mismatch = make_error(ErrorCode::protocol,
-                          "probe trace '" + trace_.source + "' exhausted at experiment " +
-                              std::to_string(next_) + ": " + summary +
-                              " requested beyond the trace end");
-    return nullptr;
+    return make_error(ErrorCode::protocol, at + "exhausted at experiment " +
+                                               std::to_string(next_) + ": " + call.describe() +
+                                               " requested beyond the trace end");
   }
   const TraceRecord& record = trace_.records[next_];
-  if (record.kind != kind) {
-    mismatch = make_error(ErrorCode::protocol,
-                          "probe trace '" + trace_.source + "' diverged at experiment " +
-                              std::to_string(next_) + ": trace holds " + record.describe() +
-                              ", caller requested " + summary);
-    return nullptr;
+  const auto same_endpoints = [](const TraceRecord::Entry& a, const TraceRecord::Entry& b) {
+    return a.from == b.from && a.to == b.to;
+  };
+  if (record.kind != call.kind ||
+      !std::equal(record.entries.begin(), record.entries.end(), call.entries.begin(),
+                  call.entries.end(), same_endpoints)) {
+    return make_error(ErrorCode::protocol, at + "diverged at experiment " +
+                                               std::to_string(next_) + ": trace holds " +
+                                               record.describe() + ", caller requested " +
+                                               call.describe());
   }
+  ++next_;
+  replayed_stats_ = record.stats_after;
   return &record;
 }
 
-Result<HostIdentity> TraceProbeEngine::lookup(const std::string& hostname) {
-  Error mismatch;
-  const TraceRecord* record = match(TraceRecord::Kind::lookup, "lookup " + hostname, mismatch);
-  if (record != nullptr && record->entries.front().from != hostname) {
-    mismatch = make_error(ErrorCode::protocol,
-                          "probe trace '" + trace_.source + "' diverged at experiment " +
-                              std::to_string(next_) + ": trace holds " + record->describe() +
-                              ", caller requested lookup " + hostname);
-    record = nullptr;
+TraceRecord TraceProbeEngine::handle(TraceRecord call) {
+  auto taken = take(call);
+  if (taken.ok()) return *taken.value();
+  if (mode_ == Mode::strict) {
+    fail(call, violate(taken.error()));
+  } else if (delegate_ != nullptr) {
+    forward(*delegate_, call);
+  } else {
+    fail(call, taken.error());
   }
-  if (record == nullptr) {
-    if (mode_ == Mode::lenient && delegate_ != nullptr) return delegate_->lookup(hostname);
-    if (mode_ == Mode::lenient) return mismatch;
-    return violate(mismatch);
-  }
-  ++next_;
-  replayed_stats_ = record->stats_after;
-  const auto& entry = record->entries.front();
-  if (!entry.ok) return entry.error;
-  return entry.identity;
-}
-
-Result<std::vector<TraceHop>> TraceProbeEngine::traceroute(const std::string& from,
-                                                           const std::string& target) {
-  Error mismatch;
-  const TraceRecord* record =
-      match(TraceRecord::Kind::traceroute, "traceroute " + from + " -> " + target, mismatch);
-  if (record != nullptr &&
-      (record->entries.front().from != from || record->entries.front().to != target)) {
-    mismatch = make_error(ErrorCode::protocol,
-                          "probe trace '" + trace_.source + "' diverged at experiment " +
-                              std::to_string(next_) + ": trace holds " + record->describe() +
-                              ", caller requested traceroute " + from + " -> " + target);
-    record = nullptr;
-  }
-  if (record == nullptr) {
-    if (mode_ == Mode::lenient && delegate_ != nullptr) return delegate_->traceroute(from, target);
-    if (mode_ == Mode::lenient) return mismatch;
-    return violate(mismatch);
-  }
-  ++next_;
-  replayed_stats_ = record->stats_after;
-  const auto& entry = record->entries.front();
-  if (!entry.ok) return entry.error;
-  return entry.hops;
-}
-
-Result<double> TraceProbeEngine::bandwidth(const std::string& from, const std::string& to) {
-  Error mismatch;
-  const TraceRecord* record =
-      match(TraceRecord::Kind::bandwidth, "bandwidth " + from + " -> " + to, mismatch);
-  if (record != nullptr &&
-      (record->entries.front().from != from || record->entries.front().to != to)) {
-    mismatch = make_error(ErrorCode::protocol,
-                          "probe trace '" + trace_.source + "' diverged at experiment " +
-                              std::to_string(next_) + ": trace holds " + record->describe() +
-                              ", caller requested bandwidth " + from + " -> " + to);
-    record = nullptr;
-  }
-  if (record == nullptr) {
-    if (mode_ == Mode::lenient && delegate_ != nullptr) return delegate_->bandwidth(from, to);
-    if (mode_ == Mode::lenient) return mismatch;
-    return violate(mismatch);
-  }
-  ++next_;
-  replayed_stats_ = record->stats_after;
-  const auto& entry = record->entries.front();
-  if (!entry.ok) return entry.error;
-  return entry.bandwidth_bps;
-}
-
-std::vector<Result<double>> TraceProbeEngine::concurrent_bandwidth(
-    const std::vector<BandwidthRequest>& requests) {
-  std::ostringstream summary;
-  summary << "concurrent[" << requests.size() << ']';
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    summary << (i == 0 ? " " : ", ") << requests[i].from << " -> " << requests[i].to;
-  }
-  Error mismatch;
-  const TraceRecord* record = match(TraceRecord::Kind::concurrent, summary.str(), mismatch);
-  if (record != nullptr) {
-    bool matches = record->entries.size() == requests.size();
-    for (std::size_t i = 0; matches && i < requests.size(); ++i) {
-      matches = record->entries[i].from == requests[i].from &&
-                record->entries[i].to == requests[i].to;
-    }
-    if (!matches) {
-      mismatch = make_error(ErrorCode::protocol,
-                            "probe trace '" + trace_.source + "' diverged at experiment " +
-                                std::to_string(next_) + ": trace holds " + record->describe() +
-                                ", caller requested " + summary.str());
-      record = nullptr;
-    }
-  }
-  if (record == nullptr) {
-    if (mode_ == Mode::lenient && delegate_ != nullptr) {
-      return delegate_->concurrent_bandwidth(requests);
-    }
-    const Error error = mode_ == Mode::lenient ? mismatch : violate(mismatch);
-    return std::vector<Result<double>>(requests.size(), Result<double>(error));
-  }
-  ++next_;
-  replayed_stats_ = record->stats_after;
-  std::vector<Result<double>> results;
-  results.reserve(record->entries.size());
-  for (const auto& entry : record->entries) {
-    if (entry.ok) {
-      results.push_back(entry.bandwidth_bps);
-    } else {
-      results.push_back(entry.error);
-    }
-  }
-  return results;
-}
-
-std::vector<ProbeExperimentOutcome> TraceProbeEngine::run_batch(
-    const std::vector<ProbeExperiment>& experiments, std::size_t /*workers*/) {
-  // Canonical sequential loop (see header): every experiment must match
-  // the next trace record, in order, exactly as it was recorded.
-  return ProbeEngine::run_batch(experiments, 1);
+  return call;
 }
 
 ProbeStats TraceProbeEngine::stats() const {

@@ -58,7 +58,7 @@ struct TraceRecord {
   ProbeStats stats_after;
 
   /// "bandwidth m -> h0", "concurrent[2] m -> h0, m -> h1" — the request
-  /// summary used by divergence diagnostics.
+  /// summary used by divergence and injected-fault diagnostics.
   [[nodiscard]] std::string describe() const;
 };
 
@@ -87,11 +87,37 @@ struct ProbeTrace {
 /// zone k of a recording rooted at `path` lives at `path + ".zone" + k`.
 [[nodiscard]] std::string zone_trace_path(const std::string& path, std::size_t zone_index);
 
+/// Base of the record, replay and fault decorators. Each of the four
+/// engine calls becomes a `TraceRecord` request (its kind plus the
+/// from/to of each entry, outcomes unset) and goes through the one
+/// private `handle()`, which stores an outcome in every entry; the call
+/// returns those outcomes. A decorator thus decides what a call is, and
+/// what to do with it, in one place for every call kind.
+class ProbeDecorator : public ProbeEngine {
+ public:
+  Result<HostIdentity> lookup(const std::string& hostname) final;
+  Result<std::vector<TraceHop>> traceroute(const std::string& from,
+                                           const std::string& target) final;
+  Result<double> bandwidth(const std::string& from, const std::string& to) final;
+  std::vector<Result<double>> concurrent_bandwidth(
+      const std::vector<BandwidthRequest>& requests) final;
+
+ protected:
+  /// Issue `call` on `engine` and store each outcome in `call`'s entries.
+  static void forward(ProbeEngine& engine, TraceRecord& call);
+  /// Store `error` as the outcome of every entry of `call`.
+  static void fail(TraceRecord& call, const Error& error);
+
+ private:
+  /// `call` with an outcome in each of its entries (same count, same order).
+  virtual TraceRecord handle(TraceRecord call) = 0;
+};
+
 /// Decorator that records every experiment the wrapped engine performs.
 /// The trace accumulates in memory (`trace()`) and, when opened on a
 /// path, is also appended to disk record by record (flushed after each,
 /// so a crashed run still leaves a usable prefix).
-class RecordingProbeEngine final : public ProbeEngine {
+class RecordingProbeEngine final : public ProbeDecorator {
  public:
   /// Record in memory only.
   explicit RecordingProbeEngine(std::unique_ptr<ProbeEngine> inner);
@@ -100,19 +126,6 @@ class RecordingProbeEngine final : public ProbeEngine {
   static Result<std::unique_ptr<RecordingProbeEngine>> open(std::unique_ptr<ProbeEngine> inner,
                                                            const std::string& path);
 
-  Result<HostIdentity> lookup(const std::string& hostname) override;
-  Result<std::vector<TraceHop>> traceroute(const std::string& from,
-                                           const std::string& target) override;
-  Result<double> bandwidth(const std::string& from, const std::string& to) override;
-  std::vector<Result<double>> concurrent_bandwidth(
-      const std::vector<BandwidthRequest>& requests) override;
-  /// Recording is a serialization point: the trace stores one record per
-  /// experiment, with the inner engine's cumulative stats after EACH —
-  /// so the batch runs as the canonical sequential loop and the recorded
-  /// trace is byte-identical whether the mapping was batched or not.
-  /// That is exactly why golden traces replay batched runs unchanged.
-  std::vector<ProbeExperimentOutcome> run_batch(const std::vector<ProbeExperiment>& experiments,
-                                                std::size_t workers) override;
   [[nodiscard]] ProbeStats stats() const override;
 
   /// Everything recorded so far.
@@ -124,7 +137,7 @@ class RecordingProbeEngine final : public ProbeEngine {
   RecordingProbeEngine& set_error_handler(std::function<void(const Error&)> handler);
 
  private:
-  void append(TraceRecord record);
+  TraceRecord handle(TraceRecord call) override;
 
   std::unique_ptr<ProbeEngine> inner_;
   ProbeTrace trace_;
@@ -143,25 +156,13 @@ class RecordingProbeEngine final : public ProbeEngine {
 /// `violation()`, and reported once through the violation handler. In
 /// lenient mode such requests fall through to the delegate engine (the
 /// trace cursor does not advance) and replay resumes where it matched.
-class TraceProbeEngine final : public ProbeEngine {
+class TraceProbeEngine final : public ProbeDecorator {
  public:
   enum class Mode { strict, lenient };
 
   TraceProbeEngine(ProbeTrace trace, Mode mode = Mode::strict,
                    std::unique_ptr<ProbeEngine> delegate = nullptr);
 
-  Result<HostIdentity> lookup(const std::string& hostname) override;
-  Result<std::vector<TraceHop>> traceroute(const std::string& from,
-                                           const std::string& target) override;
-  Result<double> bandwidth(const std::string& from, const std::string& to) override;
-  std::vector<Result<double>> concurrent_bandwidth(
-      const std::vector<BandwidthRequest>& requests) override;
-  /// Replays the batch as the canonical sequential loop: traces hold the
-  /// canonical experiment order (see RecordingProbeEngine::run_batch),
-  /// so matching records one by one in batch order replays a batched
-  /// mapping exactly like a sequential one.
-  std::vector<ProbeExperimentOutcome> run_batch(const std::vector<ProbeExperiment>& experiments,
-                                                std::size_t workers) override;
   /// The recorded cumulative stats as of the last replayed experiment
   /// (plus the delegate's own stats in lenient mode).
   [[nodiscard]] ProbeStats stats() const override;
@@ -175,9 +176,11 @@ class TraceProbeEngine final : public ProbeEngine {
   TraceProbeEngine& set_violation_handler(std::function<void(const Error&)> handler);
 
  private:
-  /// nullptr when the request has to go out-of-trace (exhausted or
-  /// diverged); `mismatch` then carries the would-be error.
-  const TraceRecord* match(TraceRecord::Kind kind, const std::string& summary, Error& mismatch);
+  TraceRecord handle(TraceRecord call) override;
+  /// The next record when it holds `call` (kind and endpoints), advancing
+  /// the cursor and the replayed stats; otherwise the exhausted/diverged
+  /// error, or the sticky violation in strict mode.
+  Result<const TraceRecord*> take(const TraceRecord& call);
   Error violate(Error error);
 
   ProbeTrace trace_;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -149,6 +150,88 @@ TEST(TraceEngine, StrictReplayDivergenceIsStickyAndReported) {
   ASSERT_TRUE(replay.violation().has_value());
 }
 
+template <typename T>
+std::string outcome_text(const Result<T>& result) {
+  return result.ok() ? "ok" : result.error().message;
+}
+
+/// One engine call; returns its error text (the first transfer's for a
+/// concurrent call), or "ok".
+using Call = std::function<std::string(ProbeEngine&)>;
+
+Call lookup_call(std::string host) {
+  return [host](ProbeEngine& engine) { return outcome_text(engine.lookup(host)); };
+}
+Call traceroute_call(std::string from, std::string to) {
+  return [from, to](ProbeEngine& engine) { return outcome_text(engine.traceroute(from, to)); };
+}
+Call bandwidth_call(std::string from, std::string to) {
+  return [from, to](ProbeEngine& engine) { return outcome_text(engine.bandwidth(from, to)); };
+}
+Call concurrent_call(std::vector<BandwidthRequest> requests) {
+  return [requests](ProbeEngine& engine) {
+    return outcome_text(engine.concurrent_bandwidth(requests).at(0));
+  };
+}
+
+TEST(TraceEngine, StrictReplayDivergesOnEveryCallKind) {
+  const std::vector<Call> recorded = {
+      lookup_call("alpha"), traceroute_call("alpha", "gw"),
+      concurrent_call({BandwidthRequest{"alpha", "beta"}, BandwidthRequest{"gamma", "beta"}})};
+  RecordingProbeEngine recorder(std::make_unique<CannedEngine>());
+  for (const auto& call : recorded) ASSERT_EQ(call(recorder), "ok");
+
+  struct Case {
+    const char* name;
+    std::size_t at;  ///< experiments replayed correctly first
+    Call call;
+    std::string holds;
+    std::string requested;
+  };
+  const std::vector<Case> cases = {
+      {"wrong lookup host", 0, lookup_call("omega"), "lookup alpha", "lookup omega"},
+      {"wrong traceroute target", 1, traceroute_call("alpha", "elsewhere"),
+       "traceroute alpha -> gw", "traceroute alpha -> elsewhere"},
+      {"concurrent transfer count", 2, concurrent_call({BandwidthRequest{"alpha", "beta"}}),
+       "concurrent[2] alpha -> beta, gamma -> beta", "concurrent[1] alpha -> beta"},
+      {"concurrent endpoints", 2,
+       concurrent_call({BandwidthRequest{"alpha", "beta"}, BandwidthRequest{"gamma", "delta"}}),
+       "concurrent[2] alpha -> beta, gamma -> beta",
+       "concurrent[2] alpha -> beta, gamma -> delta"},
+      {"wrong kind", 0, bandwidth_call("alpha", "beta"), "lookup alpha",
+       "bandwidth alpha -> beta"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    TraceProbeEngine replay(recorder.trace());
+    for (std::size_t i = 0; i < c.at; ++i) ASSERT_EQ(recorded[i](replay), "ok");
+    const std::string expected = "probe trace '<memory>' diverged at experiment " +
+                                 std::to_string(c.at) + ": trace holds " + c.holds +
+                                 ", caller requested " + c.requested;
+    EXPECT_EQ(c.call(replay), expected);
+    ASSERT_TRUE(replay.violation().has_value());
+    EXPECT_EQ(replay.violation()->message, expected);
+    // Sticky: the call the trace does hold now fails the same way.
+    EXPECT_EQ(recorded[c.at](replay), expected);
+    EXPECT_EQ(replay.position(), c.at);
+  }
+
+  // Lenient replay serves a diverging concurrent call from the delegate
+  // without moving the cursor, then replays the recorded call.
+  TraceProbeEngine lenient(recorder.trace(), TraceProbeEngine::Mode::lenient,
+                           std::make_unique<CannedEngine>());
+  ASSERT_EQ(recorded[0](lenient), "ok");
+  ASSERT_EQ(recorded[1](lenient), "ok");
+  const auto served = lenient.concurrent_bandwidth({BandwidthRequest{"alpha", "beta"}});
+  ASSERT_EQ(served.size(), 1u);
+  ASSERT_TRUE(served[0].ok());
+  EXPECT_EQ(served[0].value(), 5.0e5);  // the delegate's first call
+  EXPECT_EQ(lenient.position(), 2u);
+  EXPECT_EQ(recorded[2](lenient), "ok");
+  EXPECT_EQ(lenient.position(), 3u);
+  EXPECT_FALSE(lenient.violation().has_value());
+}
+
 TEST(TraceEngine, StrictReplayExhaustionNamesTheExperimentIndex) {
   RecordingProbeEngine recorder(std::make_unique<CannedEngine>());
   (void)recorder.bandwidth("alpha", "beta");
@@ -184,6 +267,17 @@ TEST(TraceEngine, ParseRejectsMalformedDocuments) {
   // Unknown tags and truncated records fail loudly.
   EXPECT_EQ(ProbeTrace::parse("ENVTRACE 1\nX what\nS 1 0 0\n").error().code, ErrorCode::protocol);
   EXPECT_EQ(ProbeTrace::parse("ENVTRACE 1\nB a\nS 1 0 0\n").error().code, ErrorCode::protocol);
+  // Every record kind rejects tokens after its outcome the same way.
+  for (const char* record :
+       {"L a err timeout m extra", "T a b err timeout m extra", "B a b err timeout m extra",
+        "B a b ok 1.5 extra", "C 1 a b ok 1.5 extra", "C 1 a b err timeout m extra"}) {
+    SCOPED_TRACE(record);
+    auto parsed = ProbeTrace::parse(std::string("ENVTRACE 1\n") + record + "\nS 1 0 0\n");
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.error().code, ErrorCode::protocol);
+    EXPECT_NE(parsed.error().message.find("trailing tokens"), std::string::npos)
+        << parsed.error().message;
+  }
   EXPECT_EQ(ProbeTrace::load("/definitely/not/there.envtrace").error().code, ErrorCode::not_found);
   // Comments and blank lines are fine.
   auto ok = ProbeTrace::parse("ENVTRACE 1\n# comment\n\nB a b ok 1.5\nS 1 10 0.5\n");
@@ -248,6 +342,41 @@ TEST(FaultEngine, FailsAndScalesSelectedExperiments) {
   (void)reference.bandwidth("a", "b");
   auto raw = reference.concurrent_bandwidth({BandwidthRequest{"a", "b"}});
   EXPECT_DOUBLE_EQ(scaled[0].value(), raw[0].value() * 0.5);
+  EXPECT_EQ(engine.injected(), 2u);
+}
+
+TEST(FaultEngine, CountsAScaleRuleOnlyWhenItScaledAResult) {
+  // Over transfers that all fail, a scale rule changes nothing and
+  // counts nothing, for single and concurrent transfers alike.
+  for (const char* rules : {"bw*=scale:0.5", "cbw*=scale:0.5"}) {
+    SCOPED_TRACE(rules);
+    FaultInjectingProbeEngine engine(std::make_unique<CannedEngine>(),
+                                     FaultSpec::parse(rules).value());
+    EXPECT_FALSE(engine.bandwidth("a", "unreachable").ok());
+    const auto results = engine.concurrent_bandwidth(
+        {BandwidthRequest{"dead", "b"}, BandwidthRequest{"dead", "c"}});
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_FALSE(results[0].ok());
+    EXPECT_FALSE(results[1].ok());
+    EXPECT_EQ(engine.injected(), 0u);
+  }
+}
+
+TEST(FaultEngine, InjectedFailureNamesTheRuleAndTheCall) {
+  FaultInjectingProbeEngine engine(std::make_unique<CannedEngine>(),
+                                   FaultSpec::parse("lookup#0=fail,cbw#0=fail:host_down").value());
+  auto lookup = engine.lookup("alpha");
+  ASSERT_FALSE(lookup.ok());
+  EXPECT_EQ(lookup.error().message, "injected fault (lookup#0=fail:timeout): lookup alpha");
+  const auto results = engine.concurrent_bandwidth(
+      {BandwidthRequest{"a", "b"}, BandwidthRequest{"c", "d"}});
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& result : results) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().code, ErrorCode::host_down);
+    EXPECT_EQ(result.error().message,
+              "injected fault (cbw#0=fail:host_down): concurrent[2] a -> b, c -> d");
+  }
   EXPECT_EQ(engine.injected(), 2u);
 }
 
