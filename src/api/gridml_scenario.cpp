@@ -159,15 +159,11 @@ class ViewBuilder {
 }  // namespace
 
 Result<simnet::Scenario> scenario_from_effective_view(const gridml::GridDoc& doc) {
-  if (doc.networks.empty()) {
-    return make_error(ErrorCode::invalid_argument,
-                      "GridML document carries no NETWORK tree to simulate");
-  }
+  auto root = env::published_view(doc);
+  if (!root.ok()) return root.error();
   simnet::Scenario scenario;
   scenario.name = doc.label.empty() ? "gridml-view" : doc.label;
   scenario.description = "platform synthesized from a published effective network view";
-  auto root = env::EnvNetwork::from_gridml(doc.networks.back());
-  if (!root.ok()) return root.error();
   ViewBuilder builder(doc, scenario);
   if (auto status = builder.build(root.value()); !status.ok()) return status.error();
   if (auto status = scenario.topology.validate(); !status.ok()) {

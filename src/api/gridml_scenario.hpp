@@ -19,12 +19,12 @@
 
 namespace envnws::api {
 
-/// Build a scenario from the LAST NETWORK tree of the document (the
-/// merged effective view, by the same convention as
-/// `Session::load_map_from_gridml`). The first machine of the view (in
-/// pre-order) becomes the master; machines listed in SITEs but absent
-/// from the network tree are ignored; segments without recorded
-/// bandwidth default to 100 Mbps. Fails with `invalid_argument` when the
+/// Build a scenario from the document's published view
+/// (`env::published_view`: its last NETWORK tree, the merged effective
+/// view `Session::load_map_from_gridml` also reads). The first machine
+/// of the view (in pre-order) becomes the master; machines listed in
+/// SITEs but absent from the network tree are ignored; segments without
+/// recorded bandwidth default to 100 Mbps. Fails with `invalid_argument` when the
 /// document carries no network tree or no machines.
 [[nodiscard]] Result<simnet::Scenario> scenario_from_effective_view(const gridml::GridDoc& doc);
 

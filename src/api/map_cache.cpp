@@ -2,9 +2,7 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -24,78 +22,13 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kFileExtension = ".envmap.xml";
-constexpr const char* kFormatVersion = "1";
+constexpr const char* kFormatVersion = "2";
 
-// Bandwidths are stored at full precision: a re-plan from the cache must
-// match a fresh plan bit for bit, and GridML's human-facing 2-decimal
-// properties are too lossy for that.
 using codec::format_full;
 using codec::numeric_field;
 
 /// Where numeric-field errors say the bad value came from.
 constexpr std::string_view kEntry = "map cache entry";
-
-gridml::XmlElement envnet_to_xml(const env::EnvNetwork& net) {
-  gridml::XmlElement element("ENVNET");
-  element.set_attribute("kind", env::to_string(net.kind));
-  if (!net.label.empty()) element.set_attribute("label", net.label);
-  if (!net.label_ip.empty()) element.set_attribute("ip", net.label_ip);
-  if (net.base_bw_bps != 0.0) {
-    element.set_attribute("base-bw-bps", format_full(net.base_bw_bps));
-  }
-  if (net.base_local_bw_bps != 0.0) {
-    element.set_attribute("local-bw-bps", format_full(net.base_local_bw_bps));
-  }
-  if (net.base_reverse_bw_bps != 0.0) {
-    element.set_attribute("reverse-bw-bps", format_full(net.base_reverse_bw_bps));
-  }
-  if (net.route_asymmetric) element.set_attribute("asymmetric", "true");
-  if (!net.gateway.empty()) element.set_attribute("gateway", net.gateway);
-  for (const auto& machine : net.machines) {
-    gridml::XmlElement member("MACHINE");
-    member.set_attribute("name", machine);
-    element.add_child(std::move(member));
-  }
-  for (const auto& child : net.children) element.add_child(envnet_to_xml(child));
-  return element;
-}
-
-Result<env::NetKind> kind_from_string(const std::string& text) {
-  if (text == "structural") return env::NetKind::structural;
-  if (text == "shared") return env::NetKind::shared;
-  if (text == "switched") return env::NetKind::switched;
-  if (text == "inconclusive") return env::NetKind::inconclusive;
-  return make_error(ErrorCode::protocol, "unknown ENVNET kind '" + text + "'");
-}
-
-Result<env::EnvNetwork> envnet_from_xml(const gridml::XmlElement& element) {
-  env::EnvNetwork net;
-  auto kind = kind_from_string(element.attribute("kind", "structural"));
-  if (!kind.ok()) return kind.error();
-  net.kind = kind.value();
-  net.label = element.attribute("label");
-  net.label_ip = element.attribute("ip");
-  for (const auto* name : {"base-bw-bps", "local-bw-bps", "reverse-bw-bps"}) {
-    if (!element.has_attribute(name)) continue;
-    auto value = numeric_field<double>(element.attribute(name), name, kEntry);
-    if (!value.ok()) return value.error();
-    if (std::string(name) == "base-bw-bps") net.base_bw_bps = value.value();
-    if (std::string(name) == "local-bw-bps") net.base_local_bw_bps = value.value();
-    if (std::string(name) == "reverse-bw-bps") net.base_reverse_bw_bps = value.value();
-  }
-  net.route_asymmetric = element.attribute("asymmetric") == "true";
-  net.gateway = element.attribute("gateway");
-  for (const auto& child : element.children()) {
-    if (child.name() == "MACHINE") {
-      net.machines.push_back(child.attribute("name"));
-    } else if (child.name() == "ENVNET") {
-      auto nested = envnet_from_xml(child);
-      if (!nested.ok()) return nested.error();
-      net.children.push_back(std::move(nested.value()));
-    }
-  }
-  return net;
-}
 
 void add_stats(gridml::XmlElement& element, const env::MapStats& stats) {
   element.set_attribute("experiments", std::to_string(stats.experiments));
@@ -138,11 +71,6 @@ std::vector<std::string> read_warnings(const gridml::XmlElement& element) {
 }  // namespace
 
 MapCache::MapCache(std::string directory) : directory_(std::move(directory)) {}
-
-MapCache& MapCache::set_limits(Limits limits) {
-  limits_ = limits;
-  return *this;
-}
 
 std::string MapCache::key_for(const std::string& scenario_label,
                               const env::MapperOptions& options) {
@@ -217,9 +145,6 @@ Status MapCache::store(const std::string& key, const env::MapResult& map) const 
     add_warnings(element, zone.warnings);
     root.add_child(std::move(element));
   }
-  gridml::XmlElement view("ROOT");
-  view.add_child(envnet_to_xml(map.root));
-  root.add_child(std::move(view));
   root.add_child(map.grid.to_xml());
 
   std::error_code ec;
@@ -258,102 +183,11 @@ Status MapCache::store(const std::string& key, const env::MapResult& map) const 
                       "cannot finalize map cache entry '" + final_path.string() +
                           "': " + ec.message());
   }
-  if (limits_.bounded()) {
-    // Hygiene must never fail the store that triggered it: the entry is
-    // durable on disk already, and the just-written file is the newest
-    // by mtime, so the sweep keeps it unless max_age_s is pathological.
-    (void)sweep();
-  }
   return {};
-}
-
-Result<std::size_t> MapCache::sweep() const {
-  std::error_code ec;
-  if (!fs::exists(directory_, ec) || ec) return std::size_t{0};
-  const std::string ext = kFileExtension;
-  struct Entry {
-    fs::path path;
-    fs::file_time_type mtime;
-  };
-  std::vector<Entry> entries;
-  std::size_t removed = 0;
-  // Every removal also drops the file's memoized parse verdict, so the
-  // marker map tracks the directory instead of growing with the history
-  // of everything ever evicted.
-  const auto remove_file = [&](const fs::path& path) {
-    std::error_code remove_ec;
-    if (fs::remove(path, remove_ec) && !remove_ec) ++removed;
-    validity_.erase(path.filename().string());
-  };
-  for (const auto& item : fs::directory_iterator(directory_, ec)) {
-    const std::string name = item.path().filename().string();
-    // Finalized entries only: in-flight `.tmp.<pid>.<n>` files belong
-    // to a concurrent store() and are not ours to judge.
-    if (name.size() <= ext.size() || name.rfind(ext) != name.size() - ext.size()) continue;
-    std::error_code stat_ec;
-    const auto mtime = fs::last_write_time(item.path(), stat_ec);
-    if (stat_ec) continue;
-    const auto size = fs::file_size(item.path(), stat_ec);
-    if (stat_ec) continue;
-    // An entry that no longer parses can never serve a hit — it is not
-    // a miss to tolerate but disk waste (and a lingering trap for
-    // humans inspecting the directory): delete it, don't skip it. The
-    // verdict is memoized per file identity so a warm directory costs
-    // one stat, not one XML parse, per entry per sweep.
-    const std::int64_t mtime_ticks = mtime.time_since_epoch().count();
-    auto marker = validity_.find(name);
-    if (marker == validity_.end() || marker->second.size != size ||
-        marker->second.mtime_ticks != mtime_ticks) {
-      marker = validity_
-                   .insert_or_assign(name, ValidityMarker{size, mtime_ticks,
-                                                          load_file(item.path().string()).ok()})
-                   .first;
-    }
-    if (!marker->second.valid) {
-      remove_file(item.path());  // also erases the marker
-      continue;
-    }
-    entries.push_back(Entry{item.path(), mtime});
-  }
-  if (ec) {
-    return make_error(ErrorCode::internal,
-                      "cannot sweep map cache directory '" + directory_ + "': " + ec.message());
-  }
-  if (limits_.max_age_s > 0.0) {
-    const auto now = fs::file_time_type::clock::now();
-    const auto cutoff = now - std::chrono::duration_cast<fs::file_time_type::duration>(
-                                  std::chrono::duration<double>(limits_.max_age_s));
-    std::erase_if(entries, [&](const Entry& entry) {
-      if (entry.mtime >= cutoff) return false;
-      remove_file(entry.path);
-      return true;
-    });
-  }
-  if (limits_.max_entries > 0 && entries.size() > limits_.max_entries) {
-    // LRU by mtime: load() touches the entries it serves, so the oldest
-    // mtime really is the least recently used.
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.mtime < b.mtime; });
-    const std::size_t excess = entries.size() - limits_.max_entries;
-    for (std::size_t i = 0; i < excess; ++i) remove_file(entries[i].path);
-  }
-  return removed;
 }
 
 Result<env::MapResult> MapCache::load(const std::string& key) const {
   const fs::path path = path_for(key);
-  auto loaded = load_file(path.string());
-  if (loaded.ok()) {
-    // LRU bookkeeping for sweep(): a served entry counts as freshly
-    // used. Best-effort — a read-only cache directory still serves.
-    std::error_code ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-  }
-  return loaded;
-}
-
-Result<env::MapResult> MapCache::load_file(const std::string& path_text) const {
-  const fs::path path = path_text;
   std::error_code ec;
   if (!fs::exists(path, ec) || ec) {
     return make_error(ErrorCode::not_found, "no map cache entry at '" + path.string() + "'");
@@ -391,20 +225,18 @@ Result<env::MapResult> MapCache::load_file(const std::string& path_text) const {
     zone.warnings = read_warnings(*element);
     map.zones.push_back(std::move(zone));
   }
-  const gridml::XmlElement* view = root.first_child("ROOT");
-  if (view == nullptr || view->children().empty()) {
-    return make_error(ErrorCode::protocol, "'" + path.string() + "' carries no effective view");
-  }
-  auto tree = envnet_from_xml(view->children().front());
-  if (!tree.ok()) return tree.error();
-  map.root = std::move(tree.value());
   const gridml::XmlElement* grid = root.first_child("GRID");
   if (grid == nullptr) {
     return make_error(ErrorCode::protocol, "'" + path.string() + "' carries no GRID document");
   }
   auto doc = gridml::GridDoc::from_xml(*grid);
   if (!doc.ok()) return doc.error();
+  auto view = env::published_view(doc.value());
+  if (!view.ok()) {
+    return make_error(ErrorCode::protocol, "'" + path.string() + "': " + view.error().message);
+  }
   map.grid = std::move(doc.value());
+  map.root = std::move(view.value());
   return map;
 }
 
@@ -416,21 +248,6 @@ Status MapCache::invalidate(const std::string& key) const {
                       "cannot remove map cache entry '" + path_for(key) + "': " + ec.message());
   }
   return {};
-}
-
-Result<std::size_t> MapCache::clear() const {
-  std::error_code ec;
-  if (!fs::exists(directory_, ec) || ec) return std::size_t{0};
-  std::size_t removed = 0;
-  for (const auto& entry : fs::directory_iterator(directory_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() > std::string(kFileExtension).size() &&
-        name.rfind(kFileExtension) == name.size() - std::string(kFileExtension).size()) {
-      fs::remove(entry.path(), ec);
-      if (!ec) ++removed;
-    }
-  }
-  return removed;
 }
 
 }  // namespace envnws::api

@@ -13,25 +13,20 @@
 // invalidates naturally. `map_threads` is deliberately NOT part of the
 // key: the mapped view is identical for any thread count.
 //
-// The cache entry persists, at full floating-point precision, everything
-// downstream stages consume: the merged effective view, the merged
-// GridML document (sites + published NETWORK tree), the per-zone specs,
-// masters, stats and warnings. Probe-time scaffolding (per-zone
-// structural trees and per-zone GridML documents) is not persisted — a
-// reloaded result re-plans byte-identically but is not meant to be
-// re-merged.
+// An entry is the published GridML document plus what GridML does not
+// carry: the per-zone specs, masters, stats and warnings. The effective
+// view is stored once, as the document's published NETWORK tree, and
+// reloads through `env::published_view` at GridML's published precision
+// (two decimals of Mbit/s) — the same view `Session::load_map_from_gridml`
+// serves. Nothing after the map stage reads the view's bandwidths, so a
+// reloaded result re-plans byte-identically. Probe-time scaffolding
+// (per-zone structural trees and per-zone GridML documents) is not
+// persisted: a reloaded result is not meant to be re-merged.
 //
-// Disk hygiene is opt-in via `Limits` (`max_entries`, `max_age_s`):
-// store() then ends with an LRU-by-mtime sweep() that also deletes —
-// instead of merely skipping — entry files that no longer parse.
-// Correctness never depends on the sweep (keys fingerprint the platform,
-// a vanished entry is just a re-probe), so the bounds are purely about
-// keeping long-lived cache directories from growing without end.
+// There are no eviction bounds: an entry lives until invalidate() drops
+// it or a store() of the same key overwrites it.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <map>
 #include <string>
 
 #include "common/result.hpp"
@@ -43,39 +38,10 @@ namespace envnws::api {
 
 class MapCache {
  public:
-  /// Disk-hygiene bounds, enforced by sweep(). Zero means unbounded.
-  struct Limits {
-    /// Keep at most this many entries; the oldest (LRU by file mtime —
-    /// load() refreshes the mtime of the entry it serves) go first.
-    std::size_t max_entries = 0;
-    /// Drop entries whose mtime is older than this many seconds.
-    double max_age_s = 0.0;
-
-    [[nodiscard]] bool bounded() const { return max_entries > 0 || max_age_s > 0.0; }
-  };
-
   /// The directory is created lazily on the first store().
   explicit MapCache(std::string directory);
 
   [[nodiscard]] const std::string& directory() const { return directory_; }
-
-  /// Configure eviction; store() runs a sweep() automatically after
-  /// persisting whenever any bound is set.
-  MapCache& set_limits(Limits limits);
-  [[nodiscard]] const Limits& limits() const { return limits_; }
-
-  /// Garbage-collect the cache directory: delete entries that fail to
-  /// parse (a corrupt file will never serve a hit — it is disk waste,
-  /// not a miss, so it is removed rather than skipped), then entries
-  /// older than max_age_s, then — oldest first — whatever exceeds
-  /// max_entries. Returns how many files were removed. Safe against
-  /// concurrent writers: only finalized `*.envmap.xml` entries are
-  /// considered, never in-flight `.tmp.*` files. Parse verdicts are
-  /// memoized per (path, size, mtime) in this instance, so the
-  /// store()-triggered sweeps of a warm cache stat every entry but
-  /// re-parse only ones that changed on disk. Like load()/store(), not
-  /// meant to be called from several threads on one instance.
-  Result<std::size_t> sweep() const;
 
   /// Cache key: sanitized scenario label + hash of the probe-relevant
   /// mapper options (thresholds, payload, gap, site labels, purpose,
@@ -98,8 +64,6 @@ class MapCache {
   /// Reload a cached mapping. `not_found` when the entry does not exist;
   /// `protocol` when the file exists but cannot be parsed (e.g. written
   /// by an incompatible version) — callers should treat both as a miss.
-  /// A successful load refreshes the entry's mtime, so the LRU sweep
-  /// evicts by recency of USE, not of creation.
   [[nodiscard]] Result<env::MapResult> load(const std::string& key) const;
 
   /// Persist a mapping (overwrites any previous entry for the key).
@@ -108,25 +72,8 @@ class MapCache {
   /// Explicitly drop one entry. Succeeds when the entry was absent.
   Status invalidate(const std::string& key) const;
 
-  /// Drop every entry in the directory; returns how many were removed.
-  Result<std::size_t> clear() const;
-
  private:
-  /// Parse one entry file; no mtime side effects (sweep() must inspect
-  /// entries without disturbing the LRU order that load() maintains).
-  [[nodiscard]] Result<env::MapResult> load_file(const std::string& path) const;
-
-  /// Memoized "does this file parse" verdict for sweep(), keyed on the
-  /// file's identity at stat time.
-  struct ValidityMarker {
-    std::uintmax_t size = 0;
-    std::int64_t mtime_ticks = 0;
-    bool valid = false;
-  };
-
   std::string directory_;
-  Limits limits_;
-  mutable std::map<std::string, ValidityMarker> validity_;
 };
 
 }  // namespace envnws::api

@@ -231,10 +231,6 @@ void ScenarioRegistry::add(Entry entry) {
   entries_[key] = std::move(entry);
 }
 
-bool ScenarioRegistry::contains(const std::string& name) const {
-  return entries_.count(name) > 0;
-}
-
 Result<simnet::Scenario> ScenarioRegistry::make(const std::string& spec_text) const {
   auto spec = ScenarioSpec::parse(spec_text);
   if (!spec.ok()) return spec.error();

@@ -68,7 +68,6 @@ class ScenarioRegistry {
   ScenarioRegistry() = default;
 
   void add(Entry entry);
-  [[nodiscard]] bool contains(const std::string& name) const;
 
   /// Build a scenario from a spec string ("ens-lyon", "star:8@100", ...).
   /// Unknown names fail with `not_found` listing what is available;

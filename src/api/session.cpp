@@ -607,16 +607,10 @@ Status Session::load_map_from_gridml(const std::string& gridml_text, const std::
   invalidate(Stage::map);
   auto grid = gridml::GridDoc::parse(gridml_text);
   if (!grid.ok()) return fail(Stage::map, grid.error());
-  if (grid.value().networks.empty()) {
-    return fail(Stage::map, make_error(ErrorCode::invalid_argument,
-                                       "published GridML carries no NETWORK tree"));
-  }
+  auto root = env::published_view(grid.value());
+  if (!root.ok()) return fail(Stage::map, root.error());
   env::MapResult map;
   map.grid = std::move(grid.value());
-  // The merged effective view is the last NETWORK element by convention
-  // (Mapper::map appends it after the per-zone SITE data).
-  auto root = env::EnvNetwork::from_gridml(map.grid.networks.back());
-  if (!root.ok()) return fail(Stage::map, root.error());
   map.root = std::move(root.value());
   map.master_fqdn = map.canonical(master);
   map_ = std::move(map);

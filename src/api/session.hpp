@@ -136,12 +136,10 @@ class Session {
   /// Drop this session's cache entry (the explicit invalidation of the
   /// "re-probe a changed platform" workflow). No-op without a cache.
   Status invalidate_map_cache();
+  /// The configured cache; nullptr without one.
   [[nodiscard]] const MapCache* map_cache() const {
     return map_cache_.has_value() ? &*map_cache_ : nullptr;
   }
-  /// Mutable access, e.g. to configure eviction bounds
-  /// (`map_cache()->set_limits(...)`). nullptr without a cache.
-  [[nodiscard]] MapCache* map_cache() { return map_cache_.has_value() ? &*map_cache_ : nullptr; }
 
   // --- stages -------------------------------------------------------------
   Status map();

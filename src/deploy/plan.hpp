@@ -45,6 +45,13 @@ struct PlannedClique {
   /// Extension: tokens circulating concurrently (switched segments with
   /// host locking only; >1 multiplies the refresh rate).
   std::size_t parallel_tokens = 1;
+
+  /// The monitor's drift/re-map unit: the network label, or the clique
+  /// name for a clique without one (inter-network cliques, unlabeled
+  /// segments).
+  [[nodiscard]] const std::string& segment() const {
+    return network_label.empty() ? name : network_label;
+  }
 };
 
 /// "The connexion (AB) is representative of the connexion (CD)": every

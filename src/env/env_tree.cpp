@@ -154,6 +154,13 @@ Result<EnvNetwork> EnvNetwork::from_gridml(const gridml::NetworkNode& node) {
   return network;
 }
 
+Result<EnvNetwork> published_view(const gridml::GridDoc& doc) {
+  if (doc.networks.empty()) {
+    return make_error(ErrorCode::invalid_argument, "GridML document carries no NETWORK tree");
+  }
+  return EnvNetwork::from_gridml(doc.networks.back());
+}
+
 void canonicalize(EnvNetwork& network,
                   const std::function<std::string(const std::string&)>& canon) {
   for (auto& machine : network.machines) machine = canon(machine);

@@ -63,6 +63,12 @@ struct EnvNetwork {
   static Result<EnvNetwork> from_gridml(const gridml::NetworkNode& node);
 };
 
+/// The effective view a published GridML document carries: its last
+/// NETWORK element, where Mapper::map appends the merged view after the
+/// per-zone site data. Fails with `invalid_argument` when the document
+/// has no NETWORK element, and as from_gridml() does on a bad property.
+[[nodiscard]] Result<EnvNetwork> published_view(const gridml::GridDoc& doc);
+
 /// Rewrite every machine / gateway name through `canon` (used after a
 /// firewall merge so both zones speak about the same canonical machines).
 void canonicalize(EnvNetwork& network,

@@ -12,7 +12,6 @@
 
 #include "common/codec.hpp"
 #include "common/hash.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"

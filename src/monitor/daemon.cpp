@@ -36,12 +36,6 @@ namespace {
 /// Measurement history kept per series.
 constexpr std::size_t kSeriesHistory = 512;
 
-/// The drift/re-map unit of a clique: its network label, falling back to
-/// the clique name for cliques without one (inter-network cliques).
-std::string segment_of(const deploy::PlannedClique& clique) {
-  return clique.network_label.empty() ? clique.name : clique.network_label;
-}
-
 }  // namespace
 
 MonitorDaemon::MonitorDaemon(deploy::DeploymentPlan plan, std::unique_ptr<env::ProbeEngine> engine,
@@ -54,7 +48,7 @@ MonitorDaemon::MonitorDaemon(deploy::DeploymentPlan plan, std::unique_ptr<env::P
       store_(kSeriesHistory, options.drift) {
   for (const deploy::PlannedClique& clique : plan_.cliques) {
     if (clique.members.size() < 2) continue;
-    const std::string segment = segment_of(clique);
+    const std::string& segment = clique.segment();
     for (const std::string& member : clique.members) segment_hosts_[segment].insert(member);
     for (const auto& [from, to] : nws::ordered_experiment_pairs(clique.members)) {
       pair_segment_.emplace(nws::SeriesKey{nws::ResourceKind::bandwidth, from, to}, segment);

@@ -10,7 +10,7 @@ CycleScheduler::CycleScheduler(const deploy::DeploymentPlan& plan) {
   for (const deploy::PlannedClique& clique : plan.cliques) {
     CliqueSchedule schedule;
     schedule.name = clique.name;
-    schedule.segment = clique.network_label;
+    schedule.segment = clique.segment();
     schedule.pairs = nws::ordered_experiment_pairs(clique.members);
     if (schedule.pairs.empty()) continue;  // single-member clique: nothing to measure
     schedule.tokens = std::clamp<std::size_t>(clique.parallel_tokens, 1, schedule.pairs.size());

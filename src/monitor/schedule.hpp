@@ -49,7 +49,7 @@ class MonitorClock {
 /// One experiment of a monitoring cycle.
 struct ScheduledProbe {
   std::string clique;   ///< PlannedClique::name
-  std::string segment;  ///< PlannedClique::network_label (drift/re-map unit)
+  std::string segment;  ///< PlannedClique::segment() (drift/re-map unit)
   env::BandwidthRequest transfer;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
 
 namespace envnws::nws {
 
@@ -214,8 +213,6 @@ void Clique::arm_watchdog() {
         // locked: regeneration force-releases everything this clique
         // held, or the locks would leak forever.
         release_all_locks();
-        ENVNWS_LOG(info, "nws") << "clique " << spec_.name << ": token regenerated by "
-                                << net_.topology().node(leader).name;
         // Resume the schedule at the first pair whose source is alive,
         // starting from where the ring stopped.
         Token token{last_known_index_, generation_};

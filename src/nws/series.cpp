@@ -41,6 +41,7 @@ std::string SeriesKey::to_string() const {
 
 void TimeSeries::add(double time, double value) {
   data_.push_back(Measurement{time, value});
+  ++appended_;
   while (data_.size() > capacity_) data_.pop_front();
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <vector>
@@ -59,6 +60,8 @@ class TimeSeries {
 
   void add(double time, double value);
   [[nodiscard]] std::size_t size() const { return data_.size(); }
+  /// Values ever appended, including those the ring has since dropped.
+  [[nodiscard]] std::uint64_t appended() const { return appended_; }
   [[nodiscard]] bool empty() const { return data_.empty(); }
   [[nodiscard]] const Measurement& at(std::size_t i) const { return data_[i]; }
   [[nodiscard]] const Measurement& latest() const { return data_.back(); }
@@ -69,6 +72,7 @@ class TimeSeries {
  private:
   std::size_t capacity_;
   std::deque<Measurement> data_;
+  std::uint64_t appended_ = 0;
 };
 
 }  // namespace envnws::nws

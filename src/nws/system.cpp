@@ -137,17 +137,17 @@ std::uint64_t NwsSystem::total_measurements() const {
 AdaptiveForecaster& NwsSystem::forecaster_state(const SeriesKey& key,
                                                 const TimeSeries& series) {
   auto [it, inserted] = forecaster_cache_.try_emplace(key);
-  auto& [forecaster, consumed] = it->second;
-  // Replay measurements the forecaster has not seen yet. When the ring
-  // buffer dropped old entries, restart from what remains.
-  if (consumed > series.size()) {
-    it->second.first = AdaptiveForecaster{};
-    consumed = 0;
-  }
-  for (std::size_t i = consumed; i < series.size(); ++i) {
+  auto& [forecaster, seen] = it->second;
+  // Observe the values appended since the last query that are still in
+  // the ring. A full ring drops one value per append, so size() stops
+  // growing and cannot tell how many are new; appended() can.
+  const std::uint64_t fresh = series.appended() - seen;
+  const std::size_t first =
+      fresh < series.size() ? series.size() - static_cast<std::size_t>(fresh) : 0;
+  for (std::size_t i = first; i < series.size(); ++i) {
     forecaster.observe(series.at(i).value);
   }
-  consumed = series.size();
+  seen = series.appended();
   return forecaster;
 }
 

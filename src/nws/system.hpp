@@ -93,7 +93,9 @@ class NwsSystem {
   std::vector<std::unique_ptr<Clique>> cliques_;
   std::vector<std::unique_ptr<HostSensor>> sensors_;
   std::vector<std::unique_ptr<UncoordinatedProbe>> probes_;
-  std::map<SeriesKey, std::pair<AdaptiveForecaster, std::size_t>> forecaster_cache_;
+  /// Per series: its forecaster and TimeSeries::appended() when it last
+  /// caught up.
+  std::map<SeriesKey, std::pair<AdaptiveForecaster, std::uint64_t>> forecaster_cache_;
   std::size_t next_memory_ = 0;
   bool started_ = false;
 };

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <set>
 
-#include "common/log.hpp"
 #include "simnet/background.hpp"
 #include "simnet/fairshare.hpp"
 
@@ -28,7 +28,7 @@ Network::Network(Topology topology, NetworkOptions options)
       routes_(topo_),
       jitter_rng_(options.seed) {
   if (const Status status = topo_.validate(); !status.ok()) {
-    ENVNWS_LOG(error, "simnet") << "invalid topology: " << status.error().to_string();
+    std::fprintf(stderr, "simnet: invalid topology: %s\n", status.error().to_string().c_str());
     assert(false && "invalid topology");
   }
   build_resources();
@@ -90,8 +90,6 @@ EventHandle Network::schedule_at(SimTime t, EventFn fn) {
 EventHandle Network::schedule_after(double delay, EventFn fn) {
   return schedule_at(now_ + std::max(0.0, delay), std::move(fn));
 }
-
-void Network::cancel(EventHandle handle) { queue_.cancel(handle); }
 
 bool Network::step() {
   SimTime t = 0.0;

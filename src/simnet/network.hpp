@@ -102,7 +102,6 @@ class Network {
   // --- event scheduling ---
   EventHandle schedule_at(SimTime t, EventFn fn);
   EventHandle schedule_after(double delay, EventFn fn);
-  void cancel(EventHandle handle);
 
   // --- simulation control ---
   /// Run a single event. False when the queue is drained.

@@ -1,17 +1,18 @@
-// The persistent map cache: exact store/load round-trips, the zero-probe
-// reload path through Session::map(), key sensitivity to probe options,
-// and explicit invalidation.
+// The persistent map cache: store/load round-trips, the zero-probe
+// reload path through Session::map(), cache hits that re-plan exactly
+// like a probe, key sensitivity to probe options, and explicit
+// invalidation.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <system_error>
 
 #include "api/envnws.hpp"
 #include "common/units.hpp"
 #include "env/env_tree.hpp"
+#include "gridml/xml.hpp"
 
 namespace envnws::api {
 namespace {
@@ -59,7 +60,8 @@ TEST(MapCache, RoundTripPreservesViewGridAndZones) {
   EXPECT_EQ(reloaded.value().stats.bytes_sent, original.stats.bytes_sent);
   EXPECT_DOUBLE_EQ(reloaded.value().stats.duration_s, original.stats.duration_s);
   EXPECT_EQ(reloaded.value().grid.to_string(), original.grid.to_string());
-  // The effective view round-trips at full precision, machine for machine.
+  // The effective view round-trips at published precision, machine for
+  // machine.
   EXPECT_EQ(env::render_effective(reloaded.value().root), env::render_effective(original.root));
   ASSERT_EQ(reloaded.value().zones.size(), original.zones.size());
   for (std::size_t z = 0; z < original.zones.size(); ++z) {
@@ -224,18 +226,26 @@ TEST(MapCache, DamagedEntriesAreMissesNeverErrorsOrGarbageMaps) {
 
   const std::string wrong_version = [&] {
     std::string text = valid_entry;
-    const auto at = text.find("version=\"1\"");
+    const auto at = text.find("version=\"2\"");
     EXPECT_NE(at, std::string::npos);
-    return text.replace(at, std::string("version=\"1\"").size(), "version=\"999\"");
+    return text.replace(at, std::string("version=\"2\"").size(), "version=\"999\"");
   }();
   const std::string gutted = [&] {
-    // Structurally valid ENVMAP with the effective view chopped out.
-    std::string text = valid_entry;
-    const auto open = text.find("<ROOT");
-    const auto close = text.find("</ROOT>");
-    EXPECT_NE(open, std::string::npos);
-    EXPECT_NE(close, std::string::npos);
-    return text.erase(open, close + std::string("</ROOT>").size() - open);
+    // Structurally valid ENVMAP whose GRID lost its NETWORK elements, and
+    // with them the effective view.
+    auto parsed = gridml::parse_xml(valid_entry);
+    EXPECT_TRUE(parsed.ok());
+    gridml::XmlElement root = std::move(parsed.value());
+    auto grid = std::find_if(root.children().begin(), root.children().end(),
+                             [](const gridml::XmlElement& child) {
+                               return child.name() == "GRID";
+                             });
+    EXPECT_NE(grid, root.children().end());
+    const auto erased = std::erase_if(grid->children(), [](const gridml::XmlElement& child) {
+      return child.name() == "NETWORK";
+    });
+    EXPECT_GT(erased, 0u);
+    return gridml::to_document_string(root);
   }();
   const struct {
     const char* tag;
@@ -276,203 +286,40 @@ TEST(MapCache, DamagedEntriesAreMissesNeverErrorsOrGarbageMaps) {
   }
 }
 
-// --- eviction / GC ----------------------------------------------------------
+TEST(MapCache, CacheHitReplansExactlyLikeAProbe) {
+  // Nothing after the map stage reads the view's bandwidths, so a view
+  // reloaded at GridML's published precision must re-plan, re-deploy and
+  // re-validate exactly like the probing run that stored it.
+  const char* const specs[] = {"ens-lyon",     "multi-firewall:3x3", "vlan:4x2",
+                               "random-lan:7", "tcp-lv08:ens-lyon",  "bg:2:dumbbell:3x3"};
+  for (const char* spec : specs) {
+    for (const bool bidirectional : {false, true}) {
+      SCOPED_TRACE(std::string(spec) + (bidirectional ? " bidirectional" : ""));
+      const std::string dir = fresh_cache_dir("replan");
+      const simnet::Scenario scenario = ScenarioRegistry::builtin().make(spec).value();
+      SessionOptions options;
+      options.mapper.bidirectional_probes = bidirectional;
 
-/// Store the same mapped platform under an explicit key.
-void store_under(MapCache& cache, const env::MapResult& map, const std::string& label) {
-  ASSERT_TRUE(cache.store(MapCache::key_for(label, env::MapperOptions{}), map).ok());
-}
+      simnet::Network probe_net(simnet::Scenario(scenario).topology);
+      Session probed(probe_net, scenario, options);
+      probed.set_map_cache(dir);
+      ASSERT_TRUE(probed.validate().ok());
+      ASSERT_GT(probed.map_result().stats.experiments, 0u);
 
-void age_entry(const MapCache& cache, const std::string& label, std::chrono::hours age) {
-  std::error_code ec;
-  fs::last_write_time(cache.path_for(MapCache::key_for(label, env::MapperOptions{})),
-                      fs::file_time_type::clock::now() - age, ec);
-  ASSERT_FALSE(ec) << ec.message();
-}
+      simnet::Network hit_net(simnet::Scenario(scenario).topology);
+      Session hit(hit_net, scenario, options);
+      hit.set_map_cache(dir);
+      ASSERT_TRUE(hit.validate().ok());
+      EXPECT_EQ(hit.map_result().stats.experiments, 0u);
 
-bool has_entry(const MapCache& cache, const std::string& label) {
-  return fs::exists(cache.path_for(MapCache::key_for(label, env::MapperOptions{})));
-}
-
-env::MapResult mapped_platform() {
-  simnet::Network net(simnet::Scenario(test_scenario()).topology);
-  Session session(net, test_scenario());
-  EXPECT_TRUE(session.map().ok());
-  return session.map_result();
-}
-
-TEST(MapCacheGc, SweepEnforcesMaxEntriesLruByMtime) {
-  const std::string dir = fresh_cache_dir("gc-entries");
-  MapCache cache(dir);
-  const env::MapResult map = mapped_platform();
-  store_under(cache, map, "a");
-  store_under(cache, map, "b");
-  store_under(cache, map, "c");
-  // Distinct mtimes (filesystem stamps can tie within one store burst).
-  age_entry(cache, "a", std::chrono::hours(3));
-  age_entry(cache, "b", std::chrono::hours(2));
-  age_entry(cache, "c", std::chrono::hours(1));
-
-  // Loading "a" refreshes its mtime: LRU is recency of USE.
-  ASSERT_TRUE(cache.load(MapCache::key_for("a", env::MapperOptions{})).ok());
-
-  cache.set_limits(MapCache::Limits{2, 0.0});
-  auto removed = cache.sweep();
-  ASSERT_TRUE(removed.ok()) << removed.error().to_string();
-  EXPECT_EQ(removed.value(), 1u);
-  EXPECT_TRUE(has_entry(cache, "a"));   // freshly used
-  EXPECT_FALSE(has_entry(cache, "b"));  // oldest unused
-  EXPECT_TRUE(has_entry(cache, "c"));
-}
-
-TEST(MapCacheGc, SweepDropsEntriesOlderThanMaxAge) {
-  const std::string dir = fresh_cache_dir("gc-age");
-  MapCache cache(dir);
-  const env::MapResult map = mapped_platform();
-  store_under(cache, map, "old");
-  store_under(cache, map, "fresh");
-  age_entry(cache, "old", std::chrono::hours(2));
-
-  cache.set_limits(MapCache::Limits{0, 3600.0});
-  auto removed = cache.sweep();
-  ASSERT_TRUE(removed.ok());
-  EXPECT_EQ(removed.value(), 1u);
-  EXPECT_FALSE(has_entry(cache, "old"));
-  EXPECT_TRUE(has_entry(cache, "fresh"));
-}
-
-TEST(MapCacheGc, SweepDeletesCorruptEntriesAndSparesForeignFiles) {
-  const std::string dir = fresh_cache_dir("gc-corrupt");
-  MapCache cache(dir);
-  const env::MapResult map = mapped_platform();
-  store_under(cache, map, "good");
-  const fs::path corrupt = fs::path(dir) / "torn.envmap.xml";
-  { std::ofstream(corrupt) << "<ENVMAP version=\"1\" truncated"; }
-  // A concurrent writer's temp file and an unrelated file are not ours.
-  const fs::path in_flight = fs::path(dir) / "x.envmap.xml.tmp.123.0";
-  const fs::path foreign = fs::path(dir) / "README.txt";
-  { std::ofstream(in_flight) << "partial"; }
-  { std::ofstream(foreign) << "hands off"; }
-
-  // Even an unbounded sweep removes corrupt entries — they can never
-  // serve a hit, so they are deleted, not skipped.
-  auto removed = cache.sweep();
-  ASSERT_TRUE(removed.ok());
-  EXPECT_EQ(removed.value(), 1u);
-  EXPECT_FALSE(fs::exists(corrupt));
-  EXPECT_TRUE(has_entry(cache, "good"));
-  EXPECT_TRUE(fs::exists(in_flight));
-  EXPECT_TRUE(fs::exists(foreign));
-}
-
-// The sweep-cost regression (ROADMAP follow-on): warm sweeps memoize
-// parse verdicts per (file, size, mtime) and must NOT re-parse entries
-// that haven't changed on disk. The probe: corrupt an entry's CONTENT
-// while preserving its size and mtime — a re-parsing sweep would notice
-// (and delete it), a memoizing sweep must trust the cached verdict and
-// spare it. Touching the mtime then invalidates the marker, and the
-// next sweep re-parses and removes the file.
-TEST(MapCacheGc, WarmSweepSkipsReparsingUnchangedEntries) {
-  const std::string dir = fresh_cache_dir("gc-warm");
-  MapCache cache(dir);
-  const env::MapResult map = mapped_platform();
-  store_under(cache, map, "a");
-  store_under(cache, map, "b");
-  // Cold sweep: parses (and memoizes) both entries.
-  auto cold = cache.sweep();
-  ASSERT_TRUE(cold.ok());
-  EXPECT_EQ(cold.value(), 0u);
-
-  // Same-size corruption with the original mtime restored: on disk the
-  // entry is garbage, but its (size, mtime) identity is unchanged.
-  const fs::path entry = cache.path_for(MapCache::key_for("a", env::MapperOptions{}));
-  std::error_code ec;
-  const auto original_mtime = fs::last_write_time(entry, ec);
-  ASSERT_FALSE(ec);
-  const auto original_size = fs::file_size(entry, ec);
-  ASSERT_FALSE(ec);
-  {
-    std::ofstream out(entry, std::ios::trunc);
-    out << std::string(static_cast<std::size_t>(original_size), 'x');
-  }
-  fs::last_write_time(entry, original_mtime, ec);
-  ASSERT_FALSE(ec);
-  ASSERT_EQ(fs::file_size(entry), original_size);
-
-  auto warm = cache.sweep();
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(warm.value(), 0u);
-  EXPECT_TRUE(fs::exists(entry)) << "warm sweep re-parsed an unchanged entry";
-
-  // A changed mtime invalidates the memoized verdict: the corruption is
-  // now seen and the entry removed like any other corrupt file.
-  fs::last_write_time(entry, fs::file_time_type::clock::now(), ec);
-  ASSERT_FALSE(ec);
-  auto invalidated = cache.sweep();
-  ASSERT_TRUE(invalidated.ok());
-  EXPECT_EQ(invalidated.value(), 1u);
-  EXPECT_FALSE(fs::exists(entry));
-  EXPECT_TRUE(has_entry(cache, "b"));
-
-  // A FRESH MapCache instance has no markers: its first sweep parses
-  // everything (the memoization is per-instance, correctness never
-  // depends on it).
-  {
-    const fs::path entry_b = cache.path_for(MapCache::key_for("b", env::MapperOptions{}));
-    const auto mtime_b = fs::last_write_time(entry_b, ec);
-    const auto size_b = fs::file_size(entry_b, ec);
-    {
-      std::ofstream out(entry_b, std::ios::trunc);
-      out << std::string(static_cast<std::size_t>(size_b), 'y');
+      EXPECT_EQ(hit.config_text(), probed.config_text());
+      EXPECT_EQ(hit.plan_result().render(), probed.plan_result().render());
+      EXPECT_EQ(hit.validation().render(), probed.validation().render());
+      EXPECT_EQ(env::render_effective(hit.map_result().root),
+                env::render_effective(probed.map_result().root));
+      EXPECT_EQ(hit.map_result().grid.to_string(), probed.map_result().grid.to_string());
     }
-    fs::last_write_time(entry_b, mtime_b, ec);
-    MapCache fresh(dir);
-    auto first = fresh.sweep();
-    ASSERT_TRUE(first.ok());
-    EXPECT_EQ(first.value(), 1u);
-    EXPECT_FALSE(fs::exists(entry_b));
   }
-}
-
-TEST(MapCacheGc, StoreSweepsAutomaticallyWhenBounded) {
-  const std::string dir = fresh_cache_dir("gc-store");
-  MapCache cache(dir);
-  cache.set_limits(MapCache::Limits{1, 0.0});
-  const env::MapResult map = mapped_platform();
-  store_under(cache, map, "first");
-  age_entry(cache, "first", std::chrono::hours(1));
-  store_under(cache, map, "second");  // triggers the sweep
-  EXPECT_FALSE(has_entry(cache, "first"));
-  EXPECT_TRUE(has_entry(cache, "second"));  // the just-stored entry survives
-
-  // The Session surface: limits are reachable through map_cache().
-  simnet::Network net(simnet::Scenario(test_scenario()).topology);
-  Session session(net, test_scenario());
-  session.set_map_cache(dir);
-  ASSERT_NE(session.map_cache(), nullptr);
-  session.map_cache()->set_limits(MapCache::Limits{1, 0.0});
-  EXPECT_EQ(session.map_cache()->limits().max_entries, 1u);
-  ASSERT_TRUE(session.map().ok());  // stores + sweeps: still >= 1 entry, bounded by 1
-  std::size_t entries = 0;
-  for (const auto& item : fs::directory_iterator(dir)) {
-    const std::string name = item.path().filename().string();
-    if (name.size() > 11 && name.rfind(".envmap.xml") == name.size() - 11) ++entries;
-  }
-  EXPECT_EQ(entries, 1u);
-}
-
-TEST(MapCache, ClearRemovesEveryEntry) {
-  const std::string dir = fresh_cache_dir("clear");
-  simnet::Network net(simnet::Scenario(test_scenario()).topology);
-  Session session(net, test_scenario());
-  session.set_map_cache(dir);
-  ASSERT_TRUE(session.map().ok());
-
-  MapCache cache(dir);
-  auto removed = cache.clear();
-  ASSERT_TRUE(removed.ok());
-  EXPECT_EQ(removed.value(), 1u);
-  EXPECT_FALSE(cache.load(default_key(test_scenario())).ok());
 }
 
 }  // namespace

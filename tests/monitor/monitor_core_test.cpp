@@ -3,11 +3,14 @@
 // everything the daemon composes, tested without any daemon or socket.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "deploy/plan.hpp"
+#include "env/probe_engine.hpp"
+#include "monitor/daemon.hpp"
 #include "monitor/drift.hpp"
 #include "monitor/schedule.hpp"
 #include "monitor/snapshot.hpp"
@@ -109,6 +112,51 @@ TEST(CycleScheduler, SingleMemberCliquesScheduleNothing) {
   CycleScheduler scheduler(plan);
   EXPECT_EQ(scheduler.probes_per_cycle(), 0u);
   EXPECT_TRUE(scheduler.cycle(0).empty());
+}
+
+/// Every experiment fails: the platform is unreachable.
+class UnreachableEngine final : public env::ProbeEngine {
+ public:
+  Result<env::HostIdentity> lookup(const std::string&) override { return failure(); }
+  Result<std::vector<env::TraceHop>> traceroute(const std::string&,
+                                                const std::string&) override {
+    return failure();
+  }
+  Result<double> bandwidth(const std::string&, const std::string&) override { return failure(); }
+  std::vector<Result<double>> concurrent_bandwidth(
+      const std::vector<env::BandwidthRequest>& requests) override {
+    return std::vector<Result<double>>(requests.size(), failure());
+  }
+  [[nodiscard]] env::ProbeStats stats() const override { return {}; }
+
+ private:
+  static Error failure() { return make_error(ErrorCode::timeout, "host unreachable"); }
+};
+
+TEST(CycleScheduler, UnlabeledCliquesReportTheirNameAsSegment) {
+  // A clique without a network label (an unlabeled published segment, or
+  // an empty `network =` line) is its own drift/re-map unit: the
+  // scheduler and the daemon's events name it, never ''.
+  deploy::DeploymentPlan plan;
+  plan.master = "a";
+  plan.hosts = {"a", "b"};
+  deploy::PlannedClique unlabeled;
+  unlabeled.name = "clique-1-switched";
+  unlabeled.members = {"a", "b"};
+  plan.cliques = {unlabeled};
+  ASSERT_EQ(CycleScheduler(plan).cycle(0).size(), 1u);
+  EXPECT_EQ(CycleScheduler(plan).cycle(0).front().segment, "clique-1-switched");
+
+  MonitorOptions options;
+  options.remap_on_drift = false;
+  MonitorDaemon daemon(plan, std::make_unique<UnreachableEngine>(), options);
+  std::vector<MonitorEvent> failures;
+  daemon.set_observer([&failures](const MonitorEvent& event) {
+    if (event.kind == MonitorEvent::Kind::probe_failed) failures.push_back(event);
+  });
+  ASSERT_TRUE(daemon.run_cycles(2).ok());
+  ASSERT_EQ(failures.size(), 2u);
+  for (const MonitorEvent& event : failures) EXPECT_EQ(event.segment, "clique-1-switched");
 }
 
 TEST(OrderedExperimentPairs, MatchCliqueSemantics) {

@@ -84,6 +84,33 @@ TEST(System, SeriesCapacityConfigIsHonored) {
   system.stop();
 }
 
+TEST(System, ForecastsKeepLearningOnceTheRingIsFull) {
+  // A full ring stops growing, yet every query must still feed the
+  // forecaster what was measured since the previous query (as far as
+  // the ring still holds it): ten new 1 s samples per 10 s, of which the
+  // ring keeps the last four.
+  auto scenario = simnet::star_switch(2, mbps(100));
+  simnet::Network net(std::move(scenario.topology));
+  SystemConfig config;
+  config.nameserver_host = "h0";
+  config.series_capacity = 4;
+  config.host_sensor_period_s = 1.0;
+  NwsSystem system(net, config);
+  system.add_host_sensor("h1");
+  system.start();
+  const SeriesKey key{ResourceKind::cpu, "h1", ""};
+  std::size_t previous = 0;
+  for (const double t : {10.0, 20.0, 30.0, 40.0}) {
+    net.run_until(t);
+    const auto reply = system.query("h0", key);
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    EXPECT_EQ(reply.value().forecast.samples, previous + config.series_capacity) << "t=" << t;
+    previous = reply.value().forecast.samples;
+  }
+  EXPECT_GT(system.find_series(key)->appended(), config.series_capacity);
+  system.stop();
+}
+
 TEST(System, QueryLatencyGrowsWithDistanceToInfrastructure) {
   // Client far from the forecaster pays more query round trips.
   auto scenario = simnet::dumbbell(2, 2, mbps(100), mbps(10), /*wan_latency=*/20e-3);
