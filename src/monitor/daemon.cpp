@@ -138,7 +138,7 @@ std::uint64_t MonitorDaemon::queries_served() const {
 
 std::vector<std::string> MonitorDaemon::decision_log() const {
   std::lock_guard<std::mutex> lock(decision_mutex_);
-  return decisions_;
+  return {decisions_.begin(), decisions_.end()};
 }
 
 void MonitorDaemon::run_one_cycle() {
@@ -323,6 +323,7 @@ void MonitorDaemon::emit(MonitorEvent::Kind kind, std::string segment, std::stri
 void MonitorDaemon::log_decision(std::string line) {
   std::lock_guard<std::mutex> lock(decision_mutex_);
   decisions_.push_back(std::move(line));
+  if (decisions_.size() > kDecisionHistory) decisions_.pop_front();
 }
 
 }  // namespace envnws::monitor

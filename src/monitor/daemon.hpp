@@ -5,9 +5,9 @@
 // deploy::DeploymentPlan, schedules that plan's clique experiments over
 // any ProbeEngine (live socket fleet, simulator, or a recorded trace —
 // the engine spec decides, the daemon never knows), streams the results
-// into the series store, folds store + forecasts every cycle
-// into an immutable MonitorSnapshot (RCU publication, see
-// monitor/snapshot.hpp), and watches per-pair forecast error for drift.
+// into the series store, folds the pairs that cycle touched into an
+// immutable MonitorSnapshot (RCU publication, see monitor/snapshot.hpp),
+// and watches per-pair forecast error for drift.
 // When a segment drifts it re-probes ONLY that segment through the ENV
 // Mapper — an incremental re-map, orders of magnitude cheaper than
 // re-mapping the platform.
@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -125,7 +126,7 @@ class MonitorDaemon {
   [[nodiscard]] std::uint16_t query_port() const;
   [[nodiscard]] std::uint64_t queries_served() const;
 
-  /// The currently published snapshot (wait-free, never null).
+  /// The currently published snapshot (one pointer copy, never null).
   [[nodiscard]] std::shared_ptr<const MonitorSnapshot> snapshot() const {
     return board_.current();
   }
@@ -139,8 +140,12 @@ class MonitorDaemon {
   [[nodiscard]] std::string dump_series() const { return store_.dump(); }
   Status restore_series(const std::string& text) { return store_.restore(text); }
 
-  /// One line per drift decision, in decision order — part of the
-  /// determinism contract (replays produce identical logs).
+  /// Decision-log lines kept: the newest ones, oldest dropped first.
+  static constexpr std::size_t kDecisionHistory = 1024;
+
+  /// One line per drift decision, in decision order, the newest
+  /// kDecisionHistory of them — part of the determinism contract
+  /// (replays produce identical logs).
   [[nodiscard]] std::vector<std::string> decision_log() const;
 
   [[nodiscard]] std::uint64_t cycles() const { return cycles_done_.load(); }
@@ -192,7 +197,7 @@ class MonitorDaemon {
   RemapSink remap_sink_;
 
   mutable std::mutex decision_mutex_;
-  std::vector<std::string> decisions_;
+  std::deque<std::string> decisions_;
 
   mutable std::mutex run_mutex_;  ///< loop ownership + background state
   bool running_ = false;

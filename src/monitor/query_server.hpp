@@ -6,8 +6,10 @@
 // connection, finished connections reaped by the acceptor); this class
 // is its request handler. The handlers are where the RCU model pays
 // off: SNAPSHOT and QUERY answer entirely from the currently published
-// MonitorSnapshot — one atomic shared_ptr load, zero locks, no matter
-// how many clients hammer the daemon while the measurement loop runs.
+// MonitorSnapshot — one shared_ptr copy under the board's pointer lock,
+// then no lock at all, however many clients hammer the daemon while the
+// measurement loop runs; SNAPSHOT sends the digest the snapshot stored
+// when it was built.
 // Only SERIES (raw history, not part of the snapshot) reads the series
 // store, under its mutex.
 #pragma once

@@ -12,6 +12,12 @@ namespace envnws::monitor {
 // convention as MapResult::identity_digest().
 using codec::format_full;
 
+SnapshotBoard::SnapshotBoard() {
+  auto boot = std::make_shared<MonitorSnapshot>();
+  boot->seal({});
+  current_ = std::move(boot);
+}
+
 const PairReading* MonitorSnapshot::find(const nws::SeriesKey& key) const {
   const auto it = std::lower_bound(
       pairs.begin(), pairs.end(), key,
@@ -20,7 +26,7 @@ const PairReading* MonitorSnapshot::find(const nws::SeriesKey& key) const {
   return &*it;
 }
 
-std::string MonitorSnapshot::render() const {
+std::string MonitorSnapshot::header() const {
   std::ostringstream out;
   out << "monitor snapshot v" << version << "\n";
   out << "cycles " << cycles << " time " << format_full(time_s) << "\n";
@@ -30,21 +36,21 @@ std::string MonitorSnapshot::render() const {
   for (const auto& segment : drifting_segments) out << " " << segment;
   out << "\n";
   out << "pairs " << pairs.size() << "\n";
-  for (const PairReading& pair : pairs) {
-    out << pair.key.to_string() << " t=" << format_full(pair.time)
-        << " v=" << format_full(pair.value) << " forecast=" << format_full(pair.forecast.value)
-        << " mae=" << format_full(pair.forecast.mae) << " rmse=" << format_full(pair.forecast.rmse)
-        << " winner=" << pair.forecast.winner << " samples=" << pair.forecast.samples
-        << " drift=" << format_full(pair.drift_relative_mae) << (pair.drifting ? " DRIFTING" : "")
-        << "\n";
-  }
   return out.str();
 }
 
-std::string MonitorSnapshot::digest() const { return hash::hex64(hash::fnv1a64(render())); }
+std::string MonitorSnapshot::render() const {
+  std::string out = header();
+  for (const PairReading& pair : pairs) append_pair_line(out, pair);
+  return out;
+}
+
+void MonitorSnapshot::seal(std::string_view pair_lines) {
+  digest_ = hash::hex64(hash::fnv1a64(pair_lines, hash::fnv1a64(header())));
+}
 
 std::shared_ptr<const MonitorSnapshot> build_snapshot(
-    const SeriesStore& store, std::uint64_t version, std::uint64_t cycles, double time_s,
+    SeriesStore& store, std::uint64_t version, std::uint64_t cycles, double time_s,
     std::uint64_t measurements, std::uint64_t probe_failures, std::uint64_t remaps,
     std::uint64_t remap_experiments, std::vector<std::string> drifting_segments) {
   auto snapshot = std::make_shared<MonitorSnapshot>();
@@ -59,7 +65,9 @@ std::shared_ptr<const MonitorSnapshot> build_snapshot(
   drifting_segments.erase(std::unique(drifting_segments.begin(), drifting_segments.end()),
                           drifting_segments.end());
   snapshot->drifting_segments = std::move(drifting_segments);
-  snapshot->pairs = store.collect();
+  std::string lines;
+  snapshot->pairs = store.collect(&lines);
+  snapshot->seal(lines);
   return snapshot;
 }
 

@@ -3,25 +3,29 @@
 // The daemon's read path must never contend with its measurement loop:
 // a periodic aggregation pass folds the store's fresh measurements and
 // nws::forecast predictions into one immutable MonitorSnapshot, which is
-// swapped into a SnapshotBoard with a std::shared_ptr atomic exchange.
-// Readers load the shared_ptr (one lock-free pointer acquisition, no
-// data-structure locks anywhere), then walk a structure no writer will
-// ever touch again; the previous snapshot dies when its last reader
-// drops it — classic RCU with shared_ptr as the grace period.
+// swapped into a SnapshotBoard. The board's mutex is held only to copy
+// or swap one std::shared_ptr, never while a snapshot is built or read:
+// readers take their pointer, then walk a structure no writer will ever
+// touch again; the previous snapshot dies when its last reader drops
+// it — classic RCU with shared_ptr as the grace period.
 //
 // Like env::MapResult, a snapshot has ONE definition of bit-identity:
-// digest() hashes the full-precision render(), and the replay suite's
-// "same trace + same config => identical snapshots" guarantee is exactly
-// digest equality. BatchStats-style schedule metadata is deliberately
+// the FNV-1a digest of the full-precision render(), and the replay
+// suite's "same trace + same config => identical snapshots" guarantee is
+// exactly digest equality. The digest is computed once, when the
+// snapshot is built: FNV-1a chains, so hashing the header and then the
+// store's cached pair lines gives the digest of render() without
+// rendering it. BatchStats-style schedule metadata is deliberately
 // absent: a snapshot records what was measured and predicted, never how
 // the probing was scheduled, so digests are invariant under probe_jobs
 // and query-client count.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "monitor/store.hpp"
@@ -44,38 +48,52 @@ struct MonitorSnapshot {
   /// Binary search by key; nullptr when the pair is unknown.
   [[nodiscard]] const PairReading* find(const nws::SeriesKey& key) const;
 
-  /// Full-precision canonical text (17 significant digits everywhere).
+  /// Full-precision canonical text (17 significant digits everywhere):
+  /// the header, then append_pair_line() of every pair.
   [[nodiscard]] std::string render() const;
   /// FNV-1a 64 of render(), fixed-width hex — THE identity of this
-  /// snapshot (see file comment).
-  [[nodiscard]] std::string digest() const;
+  /// snapshot (see file comment). Stored by seal(); empty before it.
+  [[nodiscard]] const std::string& digest() const { return digest_; }
+
+  /// Store the digest, given the pairs' lines as append_pair_line()
+  /// renders them, concatenated in key order.
+  void seal(std::string_view pair_lines);
+
+ private:
+  [[nodiscard]] std::string header() const;
+
+  std::string digest_;
 };
 
-/// The published-snapshot slot. current() is wait-free for readers up to
-/// the atomic<shared_ptr> load itself; publish() is a single exchange.
-/// Never holds a null snapshot: the board boots with an empty version-0
-/// snapshot, so readers need no null check.
+/// The published-snapshot slot. The mutex guards only the pointer: a
+/// reader copies it, a publisher swaps it, and neither holds the lock
+/// while anything else happens. Never holds a null snapshot: the board
+/// boots with an empty version-0 snapshot, so readers need no null check.
 class SnapshotBoard {
  public:
-  SnapshotBoard() : current_(std::make_shared<const MonitorSnapshot>()) {}
+  SnapshotBoard();
 
   [[nodiscard]] std::shared_ptr<const MonitorSnapshot> current() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return current_;
   }
 
+  /// The replaced snapshot is released after the lock, in `next`.
   void publish(std::shared_ptr<const MonitorSnapshot> next) {
     if (next == nullptr) return;
-    current_.store(std::move(next), std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mutex_);
+    current_.swap(next);
   }
 
  private:
-  std::atomic<std::shared_ptr<const MonitorSnapshot>> current_;
+  mutable std::mutex mutex_;
+  std::shared_ptr<const MonitorSnapshot> current_;
 };
 
-/// The aggregation pass: fold the store's current state into a fresh
-/// snapshot (counters supplied by the daemon).
+/// The aggregation pass: fold the store's dirty pairs into a fresh,
+/// sealed snapshot (counters supplied by the daemon).
 [[nodiscard]] std::shared_ptr<const MonitorSnapshot> build_snapshot(
-    const SeriesStore& store, std::uint64_t version, std::uint64_t cycles, double time_s,
+    SeriesStore& store, std::uint64_t version, std::uint64_t cycles, double time_s,
     std::uint64_t measurements, std::uint64_t probe_failures, std::uint64_t remaps,
     std::uint64_t remap_experiments, std::vector<std::string> drifting_segments);
 

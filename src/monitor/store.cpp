@@ -2,7 +2,31 @@
 
 #include <algorithm>
 
+#include "common/codec.hpp"
+
 namespace envnws::monitor {
+
+void append_pair_line(std::string& out, const PairReading& reading) {
+  out += reading.key.to_string();
+  out += " t=";
+  codec::append_full(out, reading.time);
+  out += " v=";
+  codec::append_full(out, reading.value);
+  out += " forecast=";
+  codec::append_full(out, reading.forecast.value);
+  out += " mae=";
+  codec::append_full(out, reading.forecast.mae);
+  out += " rmse=";
+  codec::append_full(out, reading.forecast.rmse);
+  out += " winner=";
+  out += reading.forecast.winner;
+  out += " samples=";
+  out += std::to_string(reading.forecast.samples);
+  out += " drift=";
+  codec::append_full(out, reading.drift_relative_mae);
+  if (reading.drifting) out += " DRIFTING";
+  out += '\n';
+}
 
 SeriesStore::SeriesStore(std::size_t history, DriftPolicy policy)
     : policy_(policy), memory_("monitord", simnet::NodeId(0), std::max<std::size_t>(history, 1)) {}
@@ -17,28 +41,39 @@ SeriesStore::Recorded SeriesStore::record(const nws::SeriesKey& key, double time
     recorded.predicted = forecast.value;
     tracked.drift.observe(forecast.value, value);
     recorded.relative_error = tracked.drift.relative_mae();
+    if (tracked.drift.drifting(policy_)) {
+      drifting_.insert(key);
+    } else {
+      drifting_.erase(key);
+    }
   }
   tracked.forecaster.observe(value);
   memory_.store(key, time, value);
+  tracked.dirty = true;
   return recorded;
 }
 
-std::vector<PairReading> SeriesStore::collect() const {
+std::vector<PairReading> SeriesStore::collect(std::string* lines) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<PairReading> out;
-  out.reserve(memory_.series().size());
-  for (const auto& [key, series] : memory_.series()) {
-    PairReading reading;
-    reading.key = key;
-    reading.time = series.latest().time;
-    reading.value = series.latest().value;
-    const auto tracked = tracked_.find(key);
-    if (tracked != tracked_.end()) {
-      reading.forecast = tracked->second.forecaster.forecast();
-      reading.drift_relative_mae = tracked->second.drift.relative_mae();
-      reading.drifting = tracked->second.drift.drifting(policy_);
+  out.reserve(tracked_.size());
+  if (lines != nullptr) lines->clear();
+  for (auto& [key, tracked] : tracked_) {
+    if (tracked.dirty) {
+      const nws::Measurement& latest = memory_.find(key)->latest();
+      PairReading& reading = tracked.reading;
+      reading.key = key;
+      reading.time = latest.time;
+      reading.value = latest.value;
+      reading.forecast = tracked.forecaster.forecast();
+      reading.drift_relative_mae = tracked.drift.relative_mae();
+      reading.drifting = tracked.drift.drifting(policy_);
+      tracked.line.clear();
+      append_pair_line(tracked.line, reading);
+      tracked.dirty = false;
     }
-    out.push_back(std::move(reading));
+    out.push_back(tracked.reading);
+    if (lines != nullptr) *lines += tracked.line;
   }
   return out;
 }
@@ -59,18 +94,19 @@ std::vector<nws::Measurement> SeriesStore::series(const nws::SeriesKey& key,
 
 std::vector<nws::SeriesKey> SeriesStore::drifting() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<nws::SeriesKey> out;
-  for (const auto& [key, tracked] : tracked_) {
-    if (tracked.drift.drifting(policy_)) out.push_back(key);
-  }
-  return out;
+  return {drifting_.begin(), drifting_.end()};
 }
 
 void SeriesStore::reset_learning(const std::vector<nws::SeriesKey>& keys) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const nws::SeriesKey& key : keys) {
-    const auto tracked = tracked_.find(key);
-    if (tracked != tracked_.end()) tracked->second = Tracked(policy_.window);
+    const auto found = tracked_.find(key);
+    if (found == tracked_.end()) continue;
+    Tracked& tracked = found->second;
+    tracked.forecaster = nws::AdaptiveForecaster();
+    tracked.drift = DriftTracker(policy_.window);
+    drifting_.erase(key);  // an empty window has no verdict
+    tracked.dirty = true;
   }
 }
 

@@ -12,11 +12,18 @@
 // compared against the arriving measurement (that error feeds the drift
 // tracker), THEN the forecaster learns the value — the only order under
 // which the error measures prediction rather than recall.
+//
+// The fold is incremental. A pair's reading changes only when record()
+// or reset_learning() touches its key, so those two mark the key dirty
+// and collect() re-forecasts and re-renders only the dirty keys; every
+// other pair reuses its cached reading and line. The drifting set is
+// kept the same way: a verdict can only change where a key is marked.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -38,6 +45,10 @@ struct PairReading {
   bool drifting = false;
 };
 
+/// Append a pair's line of MonitorSnapshot::render() to `out` — the one
+/// definition of that text (17 significant digits for every double).
+void append_pair_line(std::string& out, const PairReading& reading);
+
 class SeriesStore {
  public:
   SeriesStore(std::size_t history, DriftPolicy policy);
@@ -51,13 +62,17 @@ class SeriesStore {
   Recorded record(const nws::SeriesKey& key, double time, double value);
 
   /// Every pair's reading, sorted by key — exactly a snapshot's pairs.
-  [[nodiscard]] std::vector<PairReading> collect() const;
+  /// Refreshes only the keys marked since the last call. When `lines` is
+  /// given, it receives append_pair_line() of every returned reading, in
+  /// the same order, from the same fold.
+  [[nodiscard]] std::vector<PairReading> collect(std::string* lines = nullptr);
 
   /// Up to `max` most recent points of one series (empty when unknown).
   [[nodiscard]] std::vector<nws::Measurement> series(const nws::SeriesKey& key,
                                                      std::size_t max) const;
 
-  /// Keys currently judged drifting, sorted.
+  /// Keys currently judged drifting, sorted (kept up to date by record()
+  /// and reset_learning(), never recomputed by a scan).
   [[nodiscard]] std::vector<nws::SeriesKey> drifting() const;
 
   /// Forget the learned state (forecaster + drift window, NOT the
@@ -77,6 +92,10 @@ class SeriesStore {
   struct Tracked {
     nws::AdaptiveForecaster forecaster;
     DriftTracker drift;
+    /// The fold's cache: valid while `dirty` is false.
+    bool dirty = true;
+    PairReading reading;
+    std::string line;
     explicit Tracked(std::size_t window) : drift(window) {}
   };
 
@@ -84,6 +103,7 @@ class SeriesStore {
   mutable std::mutex mutex_;
   nws::MemoryServer memory_;
   std::map<nws::SeriesKey, Tracked> tracked_;
+  std::set<nws::SeriesKey> drifting_;  ///< keys whose tracker says drifting
 };
 
 }  // namespace envnws::monitor

@@ -1,0 +1,358 @@
+// The incremental fold against its from-scratch oracle, absolute snapshot
+// digests, and the bounded decision log.
+//
+// SeriesStore::collect() refreshes only the pairs record() and
+// reset_learning() marked, and a snapshot's digest is computed once, from
+// the store's cached lines. OracleStore below is the fold as it was
+// before that: every pair re-forecast and re-rendered on every publish.
+// Every snapshot must render exactly as the oracle renders it, and its
+// stored digest must be the FNV-1a of that render.
+#include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <random>
+#include <set>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "api/envnws.hpp"
+#include "common/codec.hpp"
+#include "common/hash.hpp"
+#include "monitor/daemon.hpp"
+#include "monitor/drift.hpp"
+#include "monitor/snapshot.hpp"
+#include "monitor/store.hpp"
+#include "nws/clique.hpp"
+#include "nws/forecast.hpp"
+#include "nws/memory.hpp"
+
+namespace envnws::monitor {
+namespace {
+
+using codec::format_full;
+
+/// The from-scratch fold: the store's record/reset semantics without a
+/// cache, and the snapshot text rendered the way it always was.
+class OracleStore {
+ public:
+  explicit OracleStore(DriftPolicy policy) : policy_(policy) {}
+
+  void record(const nws::SeriesKey& key, double time, double value) {
+    Tracked& tracked = tracked_.try_emplace(key, policy_.window).first->second;
+    if (tracked.forecaster.observations() > 0) {
+      tracked.drift.observe(tracked.forecaster.forecast().value, value);
+    }
+    tracked.forecaster.observe(value);
+    tracked.latest = nws::Measurement{time, value};
+  }
+
+  void reset_learning(const std::vector<nws::SeriesKey>& keys) {
+    for (const nws::SeriesKey& key : keys) {
+      const auto found = tracked_.find(key);
+      if (found == tracked_.end()) continue;
+      found->second.forecaster = nws::AdaptiveForecaster();
+      found->second.drift = DriftTracker(policy_.window);
+    }
+  }
+
+  Status restore(const std::string& text) {
+    return nws::parse_dump(text, [this](const nws::SeriesKey& key, double time, double value) {
+      record(key, time, value);
+    });
+  }
+
+  [[nodiscard]] std::vector<PairReading> collect() const {
+    std::vector<PairReading> out;
+    for (const auto& [key, tracked] : tracked_) {
+      PairReading reading;
+      reading.key = key;
+      reading.time = tracked.latest.time;
+      reading.value = tracked.latest.value;
+      reading.forecast = tracked.forecaster.forecast();
+      reading.drift_relative_mae = tracked.drift.relative_mae();
+      reading.drifting = tracked.drift.drifting(policy_);
+      out.push_back(std::move(reading));
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::vector<nws::SeriesKey> drifting() const {
+    std::vector<nws::SeriesKey> out;
+    for (const auto& [key, tracked] : tracked_) {
+      if (tracked.drift.drifting(policy_)) out.push_back(key);
+    }
+    return out;
+  }
+
+  /// `published`'s counters and segments with this oracle's pairs.
+  [[nodiscard]] std::string render(const MonitorSnapshot& published) const {
+    const std::vector<PairReading> pairs = collect();
+    std::ostringstream out;
+    out << "monitor snapshot v" << published.version << "\n";
+    out << "cycles " << published.cycles << " time " << format_full(published.time_s) << "\n";
+    out << "measurements " << published.measurements << " failures "
+        << published.probe_failures << "\n";
+    out << "remaps " << published.remaps << " remap-experiments " << published.remap_experiments
+        << "\n";
+    out << "drifting";
+    for (const auto& segment : published.drifting_segments) out << " " << segment;
+    out << "\n";
+    out << "pairs " << pairs.size() << "\n";
+    for (const PairReading& pair : pairs) {
+      out << pair.key.to_string() << " t=" << format_full(pair.time)
+          << " v=" << format_full(pair.value) << " forecast=" << format_full(pair.forecast.value)
+          << " mae=" << format_full(pair.forecast.mae)
+          << " rmse=" << format_full(pair.forecast.rmse) << " winner=" << pair.forecast.winner
+          << " samples=" << pair.forecast.samples
+          << " drift=" << format_full(pair.drift_relative_mae)
+          << (pair.drifting ? " DRIFTING" : "") << "\n";
+    }
+    return out.str();
+  }
+
+ private:
+  struct Tracked {
+    nws::AdaptiveForecaster forecaster;
+    DriftTracker drift;
+    nws::Measurement latest;
+    explicit Tracked(std::size_t window) : drift(window) {}
+  };
+
+  DriftPolicy policy_;
+  std::map<nws::SeriesKey, Tracked> tracked_;
+};
+
+/// A published snapshot agrees with the oracle, and its stored digest
+/// is the digest of its render.
+void expect_matches_oracle(const MonitorSnapshot& snapshot, const OracleStore& oracle) {
+  const std::string rendered = snapshot.render();
+  EXPECT_EQ(rendered, oracle.render(snapshot)) << "snapshot v" << snapshot.version;
+  EXPECT_EQ(snapshot.digest(), hash::hex64(hash::fnv1a64(rendered)))
+      << "snapshot v" << snapshot.version;
+}
+
+nws::SeriesKey bw_key(const std::string& src, const std::string& dst) {
+  return nws::SeriesKey{nws::ResourceKind::bandwidth, src, dst};
+}
+
+DriftPolicy twitchy_policy() {
+  DriftPolicy policy;
+  policy.relative_error_threshold = 0.2;
+  policy.window = 4;
+  policy.min_samples = 2;
+  return policy;
+}
+
+TEST(MonitorFold, MatchesTheFromScratchOracleOverRandomOperations) {
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const DriftPolicy policy = twitchy_policy();
+    SeriesStore store(16, policy);
+    OracleStore oracle(policy);
+    // Keys come from a pool that grows as the run goes on, so records
+    // keep meeting keys never seen before.
+    std::vector<nws::SeriesKey> pool;
+    const auto pick_key = [&]() -> nws::SeriesKey {
+      if (pool.empty() || rng() % 8 == 0) {
+        pool.push_back(bw_key("h" + std::to_string(rng() % 40), "h" + std::to_string(pool.size())));
+      }
+      return pool[rng() % pool.size()];
+    };
+    double now = 0.0;
+    std::uint64_t version = 0;
+    std::size_t drifting_seen = 0;
+    for (int step = 0; step < 1500; ++step) {
+      const std::uint64_t op = rng() % 100;
+      if (op < 65) {
+        const nws::SeriesKey key = pick_key();
+        now += 1.0;
+        // Mostly steady around a per-key level, sometimes far off, so
+        // drift verdicts come and go.
+        const double level = 1.0e8 * static_cast<double>(1 + key.dst.size() % 5);
+        const double value = level * (rng() % 5 == 0 ? 3.5 : 1.0 + (rng() % 100) * 1e-4);
+        store.record(key, now, value);
+        oracle.record(key, now, value);
+      } else if (op < 75) {
+        std::vector<nws::SeriesKey> keys;
+        for (std::uint64_t n = 1 + rng() % 3; n > 0; --n) keys.push_back(pick_key());
+        keys.push_back(bw_key("never", "recorded"));
+        store.reset_learning(keys);
+        oracle.reset_learning(keys);
+      } else if (op < 80) {
+        // A dump of a few points, some on known keys, some on new ones.
+        std::ostringstream dump;
+        for (std::uint64_t n = 1 + rng() % 3; n > 0; --n) {
+          const nws::SeriesKey key = pick_key();
+          dump << "series bandwidth " << key.src << " " << key.dst << "\n";
+          for (std::uint64_t points = 1 + rng() % 4; points > 0; --points) {
+            now += 1.0;
+            dump << format_full(now) << " " << format_full(2.0e8 + (rng() % 1000) * 1e5) << "\n";
+          }
+        }
+        ASSERT_TRUE(store.restore(dump.str()).ok());
+        ASSERT_TRUE(oracle.restore(dump.str()).ok());
+      } else {
+        ++version;
+        const auto snapshot =
+            build_snapshot(store, version, version, now, step, rng() % 3, rng() % 2, 0, {"lan"});
+        expect_matches_oracle(*snapshot, oracle);
+        EXPECT_EQ(store.drifting(), oracle.drifting());
+        drifting_seen += store.drifting().size();
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(version, 100u);
+    EXPECT_GT(drifting_seen, 0u) << "the sequence never exercised a drift verdict";
+  }
+}
+
+/// Plan `spec` on the simulator, as examples/envnws_monitord does with
+/// its defaults, and build its daemon.
+std::unique_ptr<MonitorDaemon> make_daemon(api::Session& session, MonitorOptions options) {
+  EXPECT_TRUE(session.set_probe_engine_spec("sim").ok());
+  auto made = session.make_monitor(options);
+  EXPECT_TRUE(made.ok()) << (made.ok() ? "" : made.error().to_string());
+  return made.ok() ? std::move(made.value()) : nullptr;
+}
+
+simnet::Scenario make_scenario(const std::string& spec) {
+  auto made = api::ScenarioRegistry::builtin().make(spec);
+  EXPECT_TRUE(made.ok()) << spec;
+  return std::move(made.value());
+}
+
+TEST(MonitorFold, MatchesTheOracleThroughMonitordRunsThatDrift) {
+  // The oracle replays what the daemon stored: each cycle's scheduled
+  // pairs (read back from the daemon's series at the cycle's time), and
+  // a learning reset of the segment's pairs after each re-map. Re-maps
+  // reset every drifting pair before the publish, so the observe-only
+  // run is the one that publishes drifting pairs.
+  for (const bool remap : {true, false}) {
+    SCOPED_TRACE(remap ? "re-map on drift" : "observe only");
+    const simnet::Scenario scenario = make_scenario("bg:4:tcp-lv08:dumbbell:4x4");
+    simnet::Network net(simnet::Scenario(scenario).topology);
+    api::Session session(net, scenario);
+    MonitorOptions options;
+    options.remap_on_drift = remap;
+    auto daemon = make_daemon(session, options);
+    ASSERT_NE(daemon, nullptr);
+
+    std::map<std::string, std::vector<nws::SeriesKey>> segment_keys;
+    for (const deploy::PlannedClique& clique : daemon->plan().cliques) {
+      if (clique.members.size() < 2) continue;
+      for (const auto& [from, to] : nws::ordered_experiment_pairs(clique.members)) {
+        segment_keys[clique.segment()].push_back(bw_key(from, to));
+      }
+    }
+
+    OracleStore oracle(options.drift);
+    std::uint64_t synced_cycle = 0, publishes = 0, drifting_publishes = 0;
+    daemon->set_observer([&](const MonitorEvent& event) {
+      if (event.kind == MonitorEvent::Kind::probe_failed) return;
+      if (event.cycle != synced_cycle) {
+        synced_cycle = event.cycle;
+        std::set<nws::SeriesKey> keys;
+        for (const ScheduledProbe& probe : daemon->scheduler().cycle(event.cycle - 1)) {
+          keys.insert(bw_key(probe.transfer.from, probe.transfer.to));
+        }
+        for (const nws::SeriesKey& key : keys) {
+          const auto latest = daemon->series(key, 1);
+          if (!latest.empty() && latest.back().time == event.time_s) {
+            oracle.record(key, latest.back().time, latest.back().value);
+          }
+        }
+      }
+      if (event.kind == MonitorEvent::Kind::remap_finished) {
+        oracle.reset_learning(segment_keys[event.segment]);
+      }
+      if (event.kind == MonitorEvent::Kind::snapshot_published) {
+        const auto snapshot = daemon->snapshot();
+        expect_matches_oracle(*snapshot, oracle);
+        ++publishes;
+        for (const PairReading& pair : snapshot->pairs) {
+          if (pair.drifting) {
+            ++drifting_publishes;
+            break;
+          }
+        }
+      }
+    });
+    ASSERT_TRUE(daemon->run_cycles(200).ok());
+    EXPECT_EQ(publishes, 200u);
+    if (remap) {
+      EXPECT_GT(daemon->remaps(), 0u) << "the run never exercised reset_learning";
+      EXPECT_EQ(daemon->snapshot()->digest(), "f31968b1f7c79dda");
+    } else {
+      EXPECT_GT(drifting_publishes, 0u) << "the run never published a drifting pair";
+    }
+  }
+}
+
+// Absolute digests, so a render-format change that moves every run the
+// same way still fails: `envnws_monitord --scenario=<spec> --cycles=200`
+// prints exactly these (defaults: sim engine, 1 s period, one probe job,
+// re-map on drift).
+TEST(MonitorDigests, TwoHundredSimulatedCyclesPinTheirDigest) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"dumbbell:8x8", "b479d642e12f8c5c"},
+      {"star-switch:6", "f04edc1eb2cb4b63"},
+      {"bg:4:tcp-lv08:dumbbell:4x4", "f31968b1f7c79dda"},  // 3 re-maps
+  };
+  for (const auto& [spec, digest] : cases) {
+    SCOPED_TRACE(spec);
+    const simnet::Scenario scenario = make_scenario(spec);
+    simnet::Network net(simnet::Scenario(scenario).topology);
+    api::Session session(net, scenario);
+    auto daemon = make_daemon(session, MonitorOptions{});
+    ASSERT_NE(daemon, nullptr);
+    ASSERT_TRUE(daemon->run_cycles(200).ok());
+    const auto snapshot = daemon->snapshot();
+    EXPECT_EQ(snapshot->version, 200u);
+    EXPECT_EQ(snapshot->digest(), digest);
+    EXPECT_EQ(snapshot->digest(), hash::hex64(hash::fnv1a64(snapshot->render())));
+  }
+  // The boot snapshot carries a digest too.
+  EXPECT_EQ(SnapshotBoard().current()->digest(),
+            hash::hex64(hash::fnv1a64(SnapshotBoard().current()->render())));
+}
+
+std::uint64_t decision_cycle(const std::string& line) {
+  return std::stoull(line.substr(line.find('=') + 1));
+}
+
+TEST(MonitordDecisionLog, KeepsTheNewestLinesUpToTheBound) {
+  // Observe-only monitoring of a drifting platform logs a decision for
+  // almost every cycle. Read the log every 250 cycles (fewer lines than
+  // the bound), collect the full history, and compare its tail with the
+  // log the daemon keeps at the end.
+  const std::string spec = "bg:4:tcp-lv08:dumbbell:4x4";
+  const simnet::Scenario scenario = make_scenario(spec);
+  simnet::Network net(simnet::Scenario(scenario).topology);
+  api::Session session(net, scenario);
+  MonitorOptions options;
+  options.remap_on_drift = false;
+  auto daemon = make_daemon(session, options);
+  ASSERT_NE(daemon, nullptr);
+
+  std::vector<std::string> history;
+  for (int chunk = 0; chunk < 8; ++chunk) {
+    ASSERT_TRUE(daemon->run_cycles(250).ok());
+    const std::uint64_t seen = history.empty() ? 0 : decision_cycle(history.back());
+    for (const std::string& line : daemon->decision_log()) {
+      if (decision_cycle(line) > seen) history.push_back(line);
+    }
+  }
+  ASSERT_GT(history.size(), MonitorDaemon::kDecisionHistory);
+  const std::vector<std::string> kept = daemon->decision_log();
+  ASSERT_EQ(kept.size(), MonitorDaemon::kDecisionHistory);
+  const std::vector<std::string> newest(
+      history.end() - static_cast<std::ptrdiff_t>(MonitorDaemon::kDecisionHistory),
+      history.end());
+  EXPECT_EQ(kept, newest);
+}
+
+}  // namespace
+}  // namespace envnws::monitor
