@@ -563,6 +563,13 @@ Result<std::unique_ptr<monitor::MonitorDaemon>> Session::make_monitor(
   options.remap = options_.mapper;
   auto daemon =
       std::make_unique<monitor::MonitorDaemon>(*plan_, std::move(engine.value()), options);
+  // The daemon takes over network measurement: an applied system's
+  // cliques would otherwise probe the same links beside it, uncoordinated.
+  // Its host sensors, name server and memories send no flows and keep
+  // running.
+  if (system_ != nullptr) {
+    for (const auto& clique : system_->cliques()) clique->stop();
+  }
   daemon->set_observer([this](const monitor::MonitorEvent& event) {
     std::string detail = std::string("monitor ") + monitor::to_string(event.kind) +
                          " cycle=" + std::to_string(event.cycle);

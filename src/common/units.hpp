@@ -9,7 +9,6 @@
 namespace envnws::units {
 
 // --- bandwidth (bits per second) ---
-constexpr double kbps(double v) { return v * 1e3; }
 constexpr double mbps(double v) { return v * 1e6; }
 constexpr double gbps(double v) { return v * 1e9; }
 constexpr double to_mbps(double bits_per_sec) { return bits_per_sec / 1e6; }
@@ -20,10 +19,7 @@ constexpr std::int64_t mib(std::int64_t v) { return v * 1024 * 1024; }
 
 // --- time (seconds) ---
 constexpr double usec(double v) { return v * 1e-6; }
-constexpr double msec(double v) { return v * 1e-3; }
 constexpr double minutes(double v) { return v * 60.0; }
-constexpr double hours(double v) { return v * 3600.0; }
 constexpr double days(double v) { return v * 86400.0; }
-constexpr double to_days(double seconds) { return seconds / 86400.0; }
 
 }  // namespace envnws::units

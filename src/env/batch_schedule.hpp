@@ -67,9 +67,6 @@ class BatchDispatcher {
   [[nodiscard]] bool all_started() const { return unstarted_ == 0; }
   [[nodiscard]] bool all_finished() const { return unstarted_ == 0 && in_flight_ == 0; }
   [[nodiscard]] std::size_t in_flight() const { return in_flight_; }
-  [[nodiscard]] const std::vector<std::string>& endpoints_of(std::size_t index) const {
-    return endpoints_[index];
-  }
 
   /// First contract violation, if any (sticky).
   [[nodiscard]] Status health() const {

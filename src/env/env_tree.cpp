@@ -1,6 +1,7 @@
 #include "env/env_tree.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/parse.hpp"
@@ -63,93 +64,111 @@ std::vector<std::string> EnvNetwork::gateways() const {
 
 namespace {
 
-gridml::NetworkType gridml_type(NetKind kind) {
+// ENV's GridML vocabulary (paper §4): NETWORK types `Structural`,
+// `ENV_Shared`, `ENV_Switched` and `ENV_Inconclusive`; PROPERTYs
+// `ENV_base_BW`, `ENV_base_local_BW` and `ENV_base_reverse_BW` (Mbit/s),
+// `ENV_route_asymmetric` (`true` / `false`) and `ENV_gateway`.
+const char* type_name(NetKind kind) {
   switch (kind) {
-    case NetKind::shared: return gridml::NetworkType::env_shared;
-    case NetKind::switched: return gridml::NetworkType::env_switched;
-    case NetKind::inconclusive: return gridml::NetworkType::env_inconclusive;
-    case NetKind::structural: return gridml::NetworkType::structural;
+    case NetKind::shared: return "ENV_Shared";
+    case NetKind::switched: return "ENV_Switched";
+    case NetKind::inconclusive: return "ENV_Inconclusive";
+    case NetKind::structural: return "Structural";
   }
-  return gridml::NetworkType::structural;
+  return "Structural";
 }
 
-NetKind kind_from_gridml(gridml::NetworkType type) {
-  switch (type) {
-    case gridml::NetworkType::env_shared: return NetKind::shared;
-    case gridml::NetworkType::env_switched: return NetKind::switched;
-    case gridml::NetworkType::env_inconclusive: return NetKind::inconclusive;
-    case gridml::NetworkType::structural: return NetKind::structural;
-  }
-  return NetKind::structural;
+Result<NetKind> kind_from_type(const std::string& type) {
+  if (type == "Structural" || type.empty()) return NetKind::structural;
+  if (type == "ENV_Shared") return NetKind::shared;
+  if (type == "ENV_Switched") return NetKind::switched;
+  if (type == "ENV_Inconclusive") return NetKind::inconclusive;
+  return make_error(ErrorCode::protocol, "unknown NETWORK type '" + type + "'");
 }
 
 }  // namespace
 
-gridml::NetworkNode EnvNetwork::to_gridml() const {
-  gridml::NetworkNode node;
-  node.type = gridml_type(kind);
-  node.label_name = label;
-  node.label_ip = label_ip;
-  if (base_bw_bps > 0.0) {
-    node.properties.push_back(gridml::Property{
-        "ENV_base_BW", strings::format_double(units::to_mbps(base_bw_bps), 2), "Mbps"});
+gridml::XmlElement EnvNetwork::to_xml() const {
+  gridml::XmlElement element("NETWORK");
+  element.set_attribute("type", type_name(kind));
+  if (!label.empty() || !label_ip.empty()) {
+    gridml::XmlElement label_el("LABEL");
+    if (!label_ip.empty()) label_el.set_attribute("ip", label_ip);
+    if (!label.empty()) label_el.set_attribute("name", label);
+    element.add_child(std::move(label_el));
   }
-  if (base_local_bw_bps > 0.0) {
-    node.properties.push_back(gridml::Property{
-        "ENV_base_local_BW", strings::format_double(units::to_mbps(base_local_bw_bps), 2),
-        "Mbps"});
+  const auto property = [&element](const char* name, std::string value, const char* units) {
+    element.add_child(gridml::property_to_xml(gridml::Property{name, std::move(value), units}));
+  };
+  const auto bandwidth = [&property](const char* name, double bps) {
+    if (bps > 0.0) property(name, strings::format_double(units::to_mbps(bps), 2), "Mbps");
+  };
+  bandwidth("ENV_base_BW", base_bw_bps);
+  bandwidth("ENV_base_local_BW", base_local_bw_bps);
+  bandwidth("ENV_base_reverse_BW", base_reverse_bw_bps);
+  if (route_asymmetric) property("ENV_route_asymmetric", "true", "");
+  if (!gateway.empty()) property("ENV_gateway", gateway, "");
+  for (const auto& machine : machines) {
+    gridml::XmlElement machine_el("MACHINE");
+    machine_el.set_attribute("name", machine);
+    element.add_child(std::move(machine_el));
   }
-  if (base_reverse_bw_bps > 0.0) {
-    node.properties.push_back(gridml::Property{
-        "ENV_base_reverse_BW",
-        strings::format_double(units::to_mbps(base_reverse_bw_bps), 2), "Mbps"});
-  }
-  if (route_asymmetric) {
-    node.properties.push_back(gridml::Property{"ENV_route_asymmetric", "true", ""});
-  }
-  if (!gateway.empty()) {
-    node.properties.push_back(gridml::Property{"ENV_gateway", gateway, ""});
-  }
-  node.machine_names = machines;
-  for (const auto& child : children) node.children.push_back(child.to_gridml());
-  return node;
+  for (const auto& child : children) element.add_child(child.to_xml());
+  return element;
 }
 
-Result<EnvNetwork> EnvNetwork::from_gridml(const gridml::NetworkNode& node) {
+Result<EnvNetwork> EnvNetwork::from_xml(const gridml::XmlElement& element) {
   EnvNetwork network;
-  network.kind = kind_from_gridml(node.type);
-  network.label = node.label_name;
-  network.label_ip = node.label_ip;
-  // Guarded parse (common/parse.hpp): a published document with
-  // "ENV_base_BW = garbage" used to throw a bare std::stod exception
-  // through load_map_from_gridml and kill the process.
-  const auto bandwidth_property = [&node](const char* name) -> Result<double> {
-    const auto text = node.property(name);
-    if (!text.has_value()) return 0.0;
-    const auto mbps = parse::to_double(*text);
-    if (!mbps.has_value()) {
-      return make_error(ErrorCode::protocol,
-                        std::string("bad ") + name + " '" + *text + "' in GridML network '" +
-                            node.label_name + "'");
+  const auto kind = kind_from_type(element.attribute("type"));
+  if (!kind.ok()) return kind.error();
+  network.kind = kind.value();
+  if (const gridml::XmlElement* label = element.first_child("LABEL")) {
+    network.label = label->attribute("name");
+    network.label_ip = label->attribute("ip");
+  }
+  const auto property = [&element](const char* name) -> std::optional<std::string> {
+    for (const auto& child : element.children()) {
+      if (child.name() == "PROPERTY" && child.attribute("name") == name) {
+        return child.attribute("value");
+      }
     }
-    return units::mbps(*mbps);
+    return std::nullopt;
   };
-  const auto base = bandwidth_property("ENV_base_BW");
-  if (!base.ok()) return base.error();
-  network.base_bw_bps = base.value();
-  const auto local = bandwidth_property("ENV_base_local_BW");
-  if (!local.ok()) return local.error();
-  network.base_local_bw_bps = local.value();
-  const auto reverse = bandwidth_property("ENV_base_reverse_BW");
-  if (!reverse.ok()) return reverse.error();
-  network.base_reverse_bw_bps = reverse.value();
-  network.route_asymmetric = node.property("ENV_route_asymmetric").has_value();
-  if (const auto gw = node.property("ENV_gateway")) network.gateway = *gw;
-  network.machines = node.machine_names;
-  for (const auto& child : node.children) {
-    auto nested = from_gridml(child);
-    if (!nested.ok()) return nested.error();
-    network.children.push_back(std::move(nested.value()));
+  const auto bad_property = [&network](const char* name, const std::string& text) {
+    return make_error(ErrorCode::protocol, std::string("bad ") + name + " '" + text +
+                                               "' in GridML network '" + network.label + "'");
+  };
+  // Guarded parse (common/parse.hpp): published documents come from
+  // outside the program, so a bad number is a Result error, not a throw.
+  const auto bandwidth = [&](const char* name, double& bps) -> Status {
+    const auto text = property(name);
+    if (!text.has_value()) return {};
+    const auto mbps = parse::to_double(*text);
+    if (!mbps.has_value()) return bad_property(name, *text);
+    bps = units::mbps(*mbps);
+    return {};
+  };
+  for (const Status& status : {bandwidth("ENV_base_BW", network.base_bw_bps),
+                               bandwidth("ENV_base_local_BW", network.base_local_bw_bps),
+                               bandwidth("ENV_base_reverse_BW", network.base_reverse_bw_bps)}) {
+    if (!status.ok()) return status.error();
+  }
+  if (const auto flag = property("ENV_route_asymmetric")) {
+    if (*flag != "true" && *flag != "false") return bad_property("ENV_route_asymmetric", *flag);
+    network.route_asymmetric = *flag == "true";
+  }
+  if (const auto gw = property("ENV_gateway")) network.gateway = *gw;
+  for (const auto& child : element.children()) {
+    if (child.name() == "MACHINE") {
+      // Members are references by name, through a LABEL or an attribute.
+      const gridml::XmlElement* label = child.first_child("LABEL");
+      network.machines.push_back(label != nullptr ? label->attribute("name")
+                                                  : child.attribute("name"));
+    } else if (child.name() == "NETWORK") {
+      auto nested = from_xml(child);
+      if (!nested.ok()) return nested.error();
+      network.children.push_back(std::move(nested.value()));
+    }
   }
   return network;
 }
@@ -158,7 +177,12 @@ Result<EnvNetwork> published_view(const gridml::GridDoc& doc) {
   if (doc.networks.empty()) {
     return make_error(ErrorCode::invalid_argument, "GridML document carries no NETWORK tree");
   }
-  return EnvNetwork::from_gridml(doc.networks.back());
+  for (std::size_t i = 0; i + 1 < doc.networks.size(); ++i) {
+    if (auto earlier = EnvNetwork::from_xml(doc.networks[i]); !earlier.ok()) {
+      return earlier.error();
+    }
+  }
+  return EnvNetwork::from_xml(doc.networks.back());
 }
 
 void canonicalize(EnvNetwork& network,

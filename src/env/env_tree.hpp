@@ -2,9 +2,10 @@
 //
 // The result of an ENV run is a tree of "ENV networks": LAN segments
 // classified as shared (hub-like) or switched, annotated with the
-// bandwidth observed from the master (ENV_base_BW) and between members
-// (ENV_base_local_BW), nested under the structural nodes that remain
-// relevant. This is the data the NWS deployment planner consumes.
+// bandwidth observed from the master and between members, nested under
+// the structural nodes that remain relevant. This is the data the NWS
+// deployment planner consumes. It is published as a GridML NETWORK
+// element, whose vocabulary env_tree.cpp alone knows.
 #pragma once
 
 #include <functional>
@@ -18,8 +19,8 @@ namespace envnws::env {
 
 enum class NetKind {
   structural,    ///< routing skeleton node (or a lone machine: no LAN inferred)
-  shared,        ///< hub / bus: one collision domain (paper: ENV_Shared)
-  switched,      ///< per-port independence (paper: ENV_Switched)
+  shared,        ///< hub / bus: one collision domain
+  switched,      ///< per-port independence
   inconclusive,  ///< jam ratio between the two thresholds: ENV gives up
 };
 
@@ -55,18 +56,25 @@ struct EnvNetwork {
   /// dual-homed hosts stitching levels/zones together).
   [[nodiscard]] std::vector<std::string> gateways() const;
 
-  [[nodiscard]] gridml::NetworkNode to_gridml() const;
-  /// Rebuild a view from published GridML. Fails with `protocol` when a
-  /// bandwidth property (ENV_base_BW & friends) is not a number — a
-  /// malformed published document must surface as a Result error, never
-  /// as an exception out of the public API.
-  static Result<EnvNetwork> from_gridml(const gridml::NetworkNode& node);
+  /// The GridML `NETWORK` element publishing this view (paper §4): its
+  /// type, an optional LABEL, the ENV_* PROPERTYs (bandwidths in Mbit/s
+  /// with two decimals), the member MACHINE references, then nested
+  /// NETWORKs.
+  [[nodiscard]] gridml::XmlElement to_xml() const;
+  /// Rebuild a view from a published `NETWORK` element. An empty type is
+  /// structural and the first PROPERTY of a name wins. Fails with
+  /// `protocol` on an unknown type, a bandwidth that is not a number or
+  /// an ENV_route_asymmetric other than `true` / `false`: a malformed
+  /// published document must surface as a Result error, never as an
+  /// exception out of the public API.
+  static Result<EnvNetwork> from_xml(const gridml::XmlElement& element);
 };
 
 /// The effective view a published GridML document carries: its last
 /// NETWORK element, where Mapper::map appends the merged view after the
-/// per-zone site data. Fails with `invalid_argument` when the document
-/// has no NETWORK element, and as from_gridml() does on a bad property.
+/// per-zone site data. Every NETWORK element of the document is parsed,
+/// so a malformed one anywhere fails as from_xml() does. Fails with
+/// `invalid_argument` when the document has no NETWORK element.
 [[nodiscard]] Result<EnvNetwork> published_view(const gridml::GridDoc& doc);
 
 /// Rewrite every machine / gateway name through `canon` (used after a

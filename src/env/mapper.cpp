@@ -800,8 +800,6 @@ Result<ZoneMapResult> Mapper::map_zone_with(ProbeEngine& engine, const ZoneSpec&
   ctx.sampling = &result.sampling;
   result.root = convert(engine, ctx, result.structural, machines, master, result.warnings, true);
 
-  result.grid.networks.push_back(result.root.to_gridml());
-
   const ProbeStats after = engine.stats();
   result.stats.experiments = after.experiments - before.experiments;
   result.stats.bytes_sent = after.bytes_sent - before.bytes_sent;
@@ -944,9 +942,6 @@ Result<MapResult> Mapper::map(const std::vector<ZoneSpec>& specs,
     zone_durations.push_back(zone.value().stats.duration_s);
     for (const auto& warning : zone.value().warnings) result.warnings.push_back(warning);
     docs.push_back(zone.value().grid);
-    // The NETWORK tree is re-assembled below from the EnvNetworks; keep
-    // only SITE information in the documents fed to the generic merge.
-    docs.back().networks.clear();
     result.zones.push_back(std::move(zone.value()));
   }
   const std::size_t workers =
@@ -968,7 +963,7 @@ Result<MapResult> Mapper::map(const std::vector<ZoneSpec>& specs,
     canonicalize(incoming, canon);
     merge_network(result.root, incoming, result.warnings);
   }
-  result.grid.networks.push_back(result.root.to_gridml());
+  result.grid.networks.push_back(result.root.to_xml());
   return result;
 }
 

@@ -130,7 +130,7 @@ struct SampleStats {
 struct ZoneMapResult {
   ZoneSpec spec;
   std::string master_fqdn;
-  gridml::GridDoc grid;
+  gridml::GridDoc grid;  ///< the zone's sites; its view is `root`
   StructuralNode structural;
   EnvNetwork root;
   MapStats stats;

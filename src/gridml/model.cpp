@@ -16,40 +16,6 @@ std::optional<std::string> Machine::property(const std::string& key) const {
   return std::nullopt;
 }
 
-const char* to_string(NetworkType type) {
-  switch (type) {
-    case NetworkType::structural: return "Structural";
-    case NetworkType::env_shared: return "ENV_Shared";
-    case NetworkType::env_switched: return "ENV_Switched";
-    case NetworkType::env_inconclusive: return "ENV_Inconclusive";
-  }
-  return "?";
-}
-
-Result<NetworkType> network_type_from_string(const std::string& text) {
-  if (text == "Structural" || text.empty()) return NetworkType::structural;
-  if (text == "ENV_Shared") return NetworkType::env_shared;
-  if (text == "ENV_Switched") return NetworkType::env_switched;
-  if (text == "ENV_Inconclusive") return NetworkType::env_inconclusive;
-  return make_error(ErrorCode::protocol, "unknown NETWORK type '" + text + "'");
-}
-
-std::optional<std::string> NetworkNode::property(const std::string& key) const {
-  for (const auto& prop : properties) {
-    if (prop.name == key) return prop.value;
-  }
-  return std::nullopt;
-}
-
-std::vector<std::string> NetworkNode::all_machine_names() const {
-  std::vector<std::string> out = machine_names;
-  for (const auto& child : children) {
-    const auto nested = child.all_machine_names();
-    out.insert(out.end(), nested.begin(), nested.end());
-  }
-  return out;
-}
-
 const Machine* GridDoc::find_machine(const std::string& any_name) const {
   for (const auto& site : sites) {
     for (const auto& machine : site.machines) {
@@ -69,8 +35,6 @@ std::size_t GridDoc::machine_count() const {
   return count;
 }
 
-namespace {
-
 XmlElement property_to_xml(const Property& prop) {
   XmlElement element("PROPERTY");
   element.set_attribute("name", prop.name);
@@ -78,6 +42,8 @@ XmlElement property_to_xml(const Property& prop) {
   if (!prop.units.empty()) element.set_attribute("units", prop.units);
   return element;
 }
+
+namespace {
 
 XmlElement machine_to_xml(const Machine& machine) {
   XmlElement element("MACHINE");
@@ -94,25 +60,6 @@ XmlElement machine_to_xml(const Machine& machine) {
   return element;
 }
 
-XmlElement network_to_xml(const NetworkNode& network) {
-  XmlElement element("NETWORK");
-  element.set_attribute("type", to_string(network.type));
-  if (!network.label_name.empty() || !network.label_ip.empty()) {
-    XmlElement label("LABEL");
-    if (!network.label_ip.empty()) label.set_attribute("ip", network.label_ip);
-    if (!network.label_name.empty()) label.set_attribute("name", network.label_name);
-    element.add_child(std::move(label));
-  }
-  for (const auto& prop : network.properties) element.add_child(property_to_xml(prop));
-  for (const auto& machine : network.machine_names) {
-    XmlElement machine_el("MACHINE");
-    machine_el.set_attribute("name", machine);
-    element.add_child(std::move(machine_el));
-  }
-  for (const auto& child : network.children) element.add_child(network_to_xml(child));
-  return element;
-}
-
 Property property_from_xml(const XmlElement& element) {
   return Property{element.attribute("name"), element.attribute("value"),
                   element.attribute("units")};
@@ -122,7 +69,7 @@ Result<Machine> machine_from_xml(const XmlElement& element) {
   Machine machine;
   const XmlElement* label = element.first_child("LABEL");
   if (label == nullptr) {
-    // Reference-style MACHINE (inside NETWORK): only a name attribute.
+    // Reference-style MACHINE, as NETWORK lists them: only a name attribute.
     machine.name = element.attribute("name");
     if (machine.name.empty()) {
       return make_error(ErrorCode::protocol, "MACHINE without LABEL or name");
@@ -138,32 +85,6 @@ Result<Machine> machine_from_xml(const XmlElement& element) {
     machine.properties.push_back(property_from_xml(*prop));
   }
   return machine;
-}
-
-Result<NetworkNode> network_from_xml(const XmlElement& element) {
-  NetworkNode network;
-  auto type = network_type_from_string(element.attribute("type"));
-  if (!type.ok()) return type.error();
-  network.type = type.value();
-  if (const XmlElement* label = element.first_child("LABEL")) {
-    network.label_name = label->attribute("name");
-    network.label_ip = label->attribute("ip");
-  }
-  for (const XmlElement* prop : element.children_named("PROPERTY")) {
-    network.properties.push_back(property_from_xml(*prop));
-  }
-  for (const XmlElement* machine : element.children_named("MACHINE")) {
-    // Inside NETWORK, machines are references by name.
-    const XmlElement* label = machine->first_child("LABEL");
-    network.machine_names.push_back(label != nullptr ? label->attribute("name")
-                                                     : machine->attribute("name"));
-  }
-  for (const XmlElement* child : element.children_named("NETWORK")) {
-    auto parsed = network_from_xml(*child);
-    if (!parsed.ok()) return parsed;
-    network.children.push_back(std::move(parsed.value()));
-  }
-  return network;
 }
 
 }  // namespace
@@ -186,7 +107,7 @@ XmlElement GridDoc::to_xml() const {
     for (const auto& machine : site.machines) site_el.add_child(machine_to_xml(machine));
     root.add_child(std::move(site_el));
   }
-  for (const auto& network : networks) root.add_child(network_to_xml(network));
+  for (const auto& network : networks) root.add_child(network);
   return root;
 }
 
@@ -214,9 +135,7 @@ Result<GridDoc> GridDoc::from_xml(const XmlElement& root) {
     doc.sites.push_back(std::move(site));
   }
   for (const XmlElement* network_el : root.children_named("NETWORK")) {
-    auto network = network_from_xml(*network_el);
-    if (!network.ok()) return network.error();
-    doc.networks.push_back(std::move(network.value()));
+    doc.networks.push_back(*network_el);
   }
   return doc;
 }

@@ -4,8 +4,10 @@
 // describing the physical and observable characteristics of resources and
 // networks constituting a Grid" (paper §4). The element vocabulary is the
 // one used by the paper's listings: GRID / SITE / MACHINE / LABEL / ALIAS /
-// PROPERTY / NETWORK. This model converts to and from the generic XML
-// layer and offers the lookups the mapper and planner need.
+// PROPERTY / NETWORK. This model types the site inventory (SITE, MACHINE)
+// and offers the lookups the mapper and planner need. NETWORK elements
+// pass through verbatim: the effective view they carry, and its ENV_*
+// vocabulary, belong to env::EnvNetwork (env/env_tree.hpp).
 #pragma once
 
 #include <optional>
@@ -39,30 +41,14 @@ struct Site {
   std::vector<Machine> machines;
 };
 
-/// ENV network node kinds as they appear in `NETWORK type="..."`.
-enum class NetworkType { structural, env_shared, env_switched, env_inconclusive };
-
-[[nodiscard]] const char* to_string(NetworkType type);
-[[nodiscard]] Result<NetworkType> network_type_from_string(const std::string& text);
-
-struct NetworkNode {
-  NetworkType type = NetworkType::structural;
-  std::string label_name;
-  std::string label_ip;
-  std::vector<Property> properties;
-  /// Machines directly on this network, referenced by fqdn.
-  std::vector<std::string> machine_names;
-  std::vector<NetworkNode> children;
-
-  [[nodiscard]] std::optional<std::string> property(const std::string& key) const;
-  /// Machines of this node and every descendant.
-  [[nodiscard]] std::vector<std::string> all_machine_names() const;
-};
+/// `<PROPERTY name=".." value=".." [units=".."] />`, the one PROPERTY writer.
+[[nodiscard]] XmlElement property_to_xml(const Property& prop);
 
 struct GridDoc {
   std::string label;
   std::vector<Site> sites;
-  std::vector<NetworkNode> networks;
+  /// NETWORK elements, kept as parsed or as appended.
+  std::vector<XmlElement> networks;
 
   /// Machine lookup across all sites, by canonical name or alias.
   [[nodiscard]] const Machine* find_machine(const std::string& any_name) const;

@@ -22,7 +22,6 @@ class XmlElement {
   explicit XmlElement(std::string name) : name_(std::move(name)) {}
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   // Attributes keep insertion order (GridML output is diffed in tests).
   void set_attribute(const std::string& key, const std::string& value);

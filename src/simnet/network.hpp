@@ -91,7 +91,6 @@ class Network {
   [[nodiscard]] const Topology& topology() const { return topo_; }
   /// The topology's link model (ideal unless the scenario was decorated).
   [[nodiscard]] const LinkModelSpec& link_model() const { return topo_.link_model(); }
-  [[nodiscard]] Topology& topology_mut() { return topo_; }
   [[nodiscard]] RouteTable& routes() { return routes_; }
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] const NetStats& stats() const { return stats_; }
@@ -114,7 +113,6 @@ class Network {
   // --- bulk data (fluid flows) ---
   Result<FlowId> start_flow(NodeId src, NodeId dst, std::int64_t bytes, FlowCallback on_done,
                             FlowOptions options = {});
-  [[nodiscard]] std::size_t active_flow_count() const { return active_order_.size(); }
 
   // --- small control messages (latency-bound, no contention) ---
   Status send_message(NodeId src, NodeId dst, std::int64_t bytes,

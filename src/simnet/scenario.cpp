@@ -146,7 +146,7 @@ Scenario ens_lyon() {
     topo.connect(id, hub3, mbps(100), usec(50), "hub3-port");
   }
   // sci cluster: switched, ~33 Mbps effective ports (the paper's ENV run
-  // reported ENV_base_BW = 32.65 Mbps for this cluster).
+  // reported a base bandwidth of 32.65 Mbps for this cluster).
   topo.connect(sci, sciswitch, mbps(33), usec(50), "sci-uplink");
   for (const NodeId id : sci_nodes) {
     topo.connect(id, sciswitch, mbps(33), usec(50), "sci-port");

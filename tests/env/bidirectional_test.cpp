@@ -92,10 +92,16 @@ TEST(Bidirectional, GridmlRoundTripKeepsAsymmetryAnnotations) {
   net.base_reverse_bw_bps = mbps(100);
   net.route_asymmetric = true;
   net.machines = {"a.lan", "b.lan"};
-  const gridml::NetworkNode node = net.to_gridml();
-  EXPECT_EQ(node.property("ENV_base_reverse_BW").value_or(""), "100.00");
-  EXPECT_TRUE(node.property("ENV_route_asymmetric").has_value());
-  const auto rebuilt = EnvNetwork::from_gridml(node);
+  const gridml::XmlElement element = net.to_xml();
+  const auto property = [&element](const std::string& name) {
+    for (const gridml::XmlElement* prop : element.children_named("PROPERTY")) {
+      if (prop->attribute("name") == name) return prop->attribute("value");
+    }
+    return std::string("(absent)");
+  };
+  EXPECT_EQ(property("ENV_base_reverse_BW"), "100.00");
+  EXPECT_EQ(property("ENV_route_asymmetric"), "true");
+  const auto rebuilt = EnvNetwork::from_xml(element);
   ASSERT_TRUE(rebuilt.ok());
   const EnvNetwork& back = rebuilt.value();
   EXPECT_TRUE(back.route_asymmetric);

@@ -145,8 +145,7 @@ TEST_F(EnsLyonMap, GridmlSerializationRoundTrips) {
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(reparsed.value().to_string(), xml);
   // The effective tree survives the round trip.
-  ASSERT_FALSE(reparsed.value().networks.empty());
-  const auto rebuilt = EnvNetwork::from_gridml(reparsed.value().networks.back());
+  const auto rebuilt = published_view(reparsed.value());
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(rebuilt.value().all_machines().size(), map_->root.all_machines().size());
 }

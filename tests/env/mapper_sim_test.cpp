@@ -99,8 +99,18 @@ TEST(MapperSim, MapperStatsAccountExperiments) {
 TEST(MapperSim, GridmlOutputCarriesEnvProperties) {
   auto scenario = simnet::star_hub(3, mbps(100));
   simnet::Network net(scenario.topology);
-  const auto result = map_single_zone(net, scenario);
-  const std::string xml = result.grid.to_string();
+  MapperOptions options;
+  SimProbeEngine engine(net, options);
+  Mapper mapper(engine, options);
+  const auto zones = zones_from_scenario(scenario);
+  ASSERT_TRUE(zones.ok());
+  const auto result = mapper.map(zones.value());
+  ASSERT_TRUE(result.ok()) << result.error().to_string();
+  // The view is published once, in the merged document; the zone's own
+  // document carries its sites only.
+  ASSERT_EQ(result.value().zones.size(), 1u);
+  EXPECT_TRUE(result.value().zones.front().grid.networks.empty());
+  const std::string xml = result.value().grid.to_string();
   EXPECT_NE(xml.find("ENV_Shared"), std::string::npos);
   EXPECT_NE(xml.find("ENV_base_BW"), std::string::npos);
   EXPECT_NE(xml.find("h1.lan"), std::string::npos);

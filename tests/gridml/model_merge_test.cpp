@@ -56,45 +56,6 @@ TEST(GridModel, ParsesPaperPropertyListing) {
   EXPECT_EQ(machine.properties[0].units, "MHz");
 }
 
-TEST(GridModel, ParsesPaperSwitchedNetworkListing) {
-  const auto doc = GridDoc::parse(R"(<GRID>
-<NETWORK type="ENV_Switched">
-<LABEL name="sci0" />
-<PROPERTY name="ENV_base_BW" value="32.65" units="Mbps" />
-<PROPERTY name="ENV_base_local_BW" value="32.29" units="Mbps" />
-<MACHINE name="sci1.popc.private" />
-<MACHINE name="sci2.popc.private" />
-</NETWORK>
-</GRID>)");
-  ASSERT_TRUE(doc.ok());
-  ASSERT_EQ(doc.value().networks.size(), 1u);
-  const NetworkNode& net = doc.value().networks.front();
-  EXPECT_EQ(net.type, NetworkType::env_switched);
-  EXPECT_EQ(net.label_name, "sci0");
-  EXPECT_EQ(net.property("ENV_base_BW").value_or(""), "32.65");
-  ASSERT_EQ(net.machine_names.size(), 2u);
-  EXPECT_EQ(net.machine_names[0], "sci1.popc.private");
-}
-
-TEST(GridModel, NestedStructuralNetworks) {
-  const auto doc = GridDoc::parse(R"(<GRID>
-<NETWORK type="Structural">
-<LABEL ip="192.168.254.1" name="192.168.254.1" />
-<NETWORK type="Structural">
-<LABEL ip="140.77.13.1" name="140.77.13.1" />
-<MACHINE name="canaria.ens-lyon.fr" />
-</NETWORK>
-</NETWORK>
-</GRID>)");
-  ASSERT_TRUE(doc.ok());
-  const NetworkNode& root = doc.value().networks.front();
-  ASSERT_EQ(root.children.size(), 1u);
-  EXPECT_EQ(root.children[0].label_ip, "140.77.13.1");
-  const auto all = root.all_machine_names();
-  ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0], "canaria.ens-lyon.fr");
-}
-
 TEST(GridModel, RoundTripSerialization) {
   const auto doc = GridDoc::parse(kPaperLookup);
   ASSERT_TRUE(doc.ok());
@@ -110,11 +71,6 @@ TEST(GridModel, FindMachineByNameOrAlias) {
   EXPECT_NE(doc.value().find_machine("canaria"), nullptr);
   EXPECT_EQ(doc.value().find_machine("unknown"), nullptr);
   EXPECT_EQ(doc.value().machine_count(), 2u);
-}
-
-TEST(GridModel, UnknownNetworkTypeIsError) {
-  const auto doc = GridDoc::parse(R"(<GRID><NETWORK type="Bogus" /></GRID>)");
-  EXPECT_FALSE(doc.ok());
 }
 
 // --- merge (paper §4.3 "Firewalls") --------------------------------------

@@ -319,6 +319,37 @@ TEST(MonitorDigests, TwoHundredSimulatedCyclesPinTheirDigest) {
             hash::hex64(hash::fnv1a64(SnapshotBoard().current()->render())));
 }
 
+// monitord is the platform's one network prober: created after apply(),
+// it stops the applied system's cliques, so it measures exactly what it
+// measures beside a plan that was never applied. Cliques probing the
+// same simulated links beside the daemon used to skew some of its
+// measurements by up to half.
+TEST(MonitorTakeover, DaemonAfterRunAllMeasuresWhatItMeasuresAfterPlanAlone) {
+  for (const std::string spec : {"dumbbell:8x8", "dumbbell:4x4", "multi-firewall:4x4"}) {
+    SCOPED_TRACE(spec);
+    const auto digest_after = [&spec](bool applied) -> std::string {
+      const simnet::Scenario scenario = make_scenario(spec);
+      simnet::Network net(simnet::Scenario(scenario).topology);
+      api::Session session(net, scenario);
+      EXPECT_TRUE((applied ? session.run_all() : session.plan()).ok());
+      auto daemon = make_daemon(session, MonitorOptions{});
+      if (daemon == nullptr) return "no daemon";
+      const auto clique_experiments = [&session, applied] {
+        std::uint64_t total = 0;
+        if (!applied) return total;
+        for (const auto& clique : session.system().cliques()) total += clique->experiments_run();
+        return total;
+      };
+      const std::uint64_t before = clique_experiments();
+      EXPECT_TRUE(daemon->run_cycles(400).ok());
+      // An experiment in flight at the takeover may still finish.
+      EXPECT_LE(clique_experiments(), before + session.plan_result().cliques.size());
+      return daemon->snapshot()->digest();
+    };
+    EXPECT_EQ(digest_after(true), digest_after(false));
+  }
+}
+
 std::uint64_t decision_cycle(const std::string& line) {
   return std::stoull(line.substr(line.find('=') + 1));
 }
