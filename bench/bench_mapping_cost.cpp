@@ -24,13 +24,16 @@
 //     digest-identical.
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/envnws.hpp"
@@ -114,12 +117,39 @@ void sweep_section(const std::string& spec_template, bench::JsonWriter* json) {
               env::naive_full_mapping_cost(20).days(30.0));
 }
 
+/// Least-squares slope of ln(seconds) against ln(hosts): the exponent e
+/// in seconds ~ hosts^e.
+double fitted_exponent(const std::vector<std::pair<double, double>>& hosts_seconds) {
+  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0;
+  for (const auto& [hosts, seconds] : hosts_seconds) {
+    const double x = std::log(hosts);
+    const double y = std::log(seconds);
+    sx += x;
+    sy += y;
+    sxx += x * x;
+    sxy += x * y;
+  }
+  const double n = static_cast<double>(hosts_seconds.size());
+  return (n * sxy - sx * sy) / (n * sxx - sx * sx);
+}
+
 /// Hierarchical sampled interrogation (MapperOptions::max_pairwise):
 /// push the same scenario family far past the full-interrogation wall
 /// and show the experiment count flattening from O(n^2) to ~O(n + k^2)
-/// while the digest stays a pure function of (spec, sample_seed).
+/// while the digest stays a pure function of (spec, sample_seed), and
+/// the real time of a map growing about linearly with the host count.
 void sampled_section(const std::string& spec_template, bench::JsonWriter* json) {
   constexpr int kMaxPairwise = 64;
+  // The real-time exponent is fitted over the sizes from kFitFromHosts
+  // on. Experiments grow linearly; a fit above kMaxExponent means the
+  // mapper's own bookkeeping went quadratic again (it measured 1.8-2.4
+  // when every name lookup scanned every machine). The bound leaves
+  // room for timing noise on a shared machine, and each fitted size is
+  // mapped kFitRuns times and fitted by its fastest run, so one stalled
+  // run does not move the fit.
+  constexpr unsigned long long kFitFromHosts = 4096;
+  constexpr double kMaxExponent = 1.3;
+  constexpr int kFitRuns = 3;
   std::printf("--- hierarchical sampled interrogation (--max-pairwise model: %d) ---\n",
               kMaxPairwise);
   Table table({"hosts", "full pairwise", "experiments", "reps", "inferred", "escalated",
@@ -129,25 +159,34 @@ void sampled_section(const std::string& spec_template, bench::JsonWriter* json) 
         .field("max_pairwise", kMaxPairwise)
         .begin_array("sweep");
   }
-  std::vector<int> sizes{256, 1024, 4096, 10000};
+  std::vector<int> sizes{256, 1024, 4096, 16384, 65534};
+  std::vector<std::pair<double, double>> fit_points;
   if (!bench::is_spec_template(spec_template)) sizes = {0};  // single fixed scenario
   for (const int n : sizes) {
     const std::string spec =
         n == 0 ? spec_template : bench::instantiate_spec(spec_template, n);
     simnet::Scenario scenario = bench::make_scenario_or_exit(spec);
     const auto hosts = static_cast<unsigned long long>(scenario.topology.hosts().size());
-    simnet::Network net(simnet::Scenario(scenario).topology);
-    api::Session session(net, scenario);
-    session.options().mapper.max_pairwise = kMaxPairwise;
-    const auto begin = std::chrono::steady_clock::now();
-    if (auto status = session.map(); !status.ok()) {
-      std::fprintf(stderr, "sampled map of '%s' failed: %s\n", spec.c_str(),
-                   status.error().to_string().c_str());
-      std::exit(1);
+    const bool fitted = n != 0 && hosts >= kFitFromHosts;
+    std::unique_ptr<simnet::Network> net;
+    std::unique_ptr<api::Session> session;
+    double wall = 0.0;
+    for (int run = 0; run < (fitted ? kFitRuns : 1); ++run) {
+      session.reset();
+      net = std::make_unique<simnet::Network>(simnet::Scenario(scenario).topology);
+      session = std::make_unique<api::Session>(*net, scenario);
+      session->options().mapper.max_pairwise = kMaxPairwise;
+      const auto begin = std::chrono::steady_clock::now();
+      if (auto status = session->map(); !status.ok()) {
+        std::fprintf(stderr, "sampled map of '%s' failed: %s\n", spec.c_str(),
+                     status.error().to_string().c_str());
+        std::exit(1);
+      }
+      const double seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
+      wall = run == 0 ? seconds : std::min(wall, seconds);
     }
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - begin).count();
-    const env::MapResult& result = session.map_result();
+    const env::MapResult& result = session->map_result();
     const env::SampleStats& sampling = result.sampling;
     // C(n-1, 2) concurrent-pair experiments the paper's full phase 2b
     // would have scheduled against the master (n-1 zone members).
@@ -161,6 +200,7 @@ void sampled_section(const std::string& spec_template, bench::JsonWriter* json) 
                    static_cast<unsigned long long>(result.stats.experiments));
       std::exit(1);
     }
+    if (fitted) fit_points.emplace_back(static_cast<double>(hosts), wall);
     const std::string digest = short_digest(result.identity_digest());
     table.add_row({std::to_string(hosts), std::to_string(full_pairwise),
                    std::to_string(result.stats.experiments),
@@ -183,9 +223,20 @@ void sampled_section(const std::string& spec_template, bench::JsonWriter* json) 
           .end_object();
     }
   }
-  if (json != nullptr) json->end_array().end_object();
+  if (json != nullptr) json->end_array();
   std::printf("%s", table.to_string().c_str());
-  std::printf("sampled interrogation keeps experiments ~O(n + k^2): yes\n\n");
+  std::printf("sampled interrogation keeps experiments ~O(n + k^2): yes\n");
+  if (fit_points.size() >= 2) {
+    const double exponent = fitted_exponent(fit_points);
+    const bool linear = exponent <= kMaxExponent;
+    std::printf("real seconds (fastest of %d runs) ~ hosts^%.2f from %llu hosts on"
+                " (gate <= %.2f): %s\n",
+                kFitRuns, exponent, kFitFromHosts, kMaxExponent, linear ? "yes" : "NO — BUG");
+    if (json != nullptr) json->field("real_seconds_exponent", exponent);
+    if (!linear) std::exit(1);
+  }
+  if (json != nullptr) json->end_object();
+  std::printf("\n");
 }
 
 /// Map `scenario` through a Session with the given zone-worker count;

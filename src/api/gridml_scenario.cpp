@@ -26,7 +26,7 @@ constexpr double kDefaultBwBps = 100e6;
 class ViewBuilder {
  public:
   ViewBuilder(const gridml::GridDoc& doc, simnet::Scenario& scenario)
-      : doc_(doc), scenario_(scenario), topo_(scenario.topology) {}
+      : names_(doc.name_index()), scenario_(scenario), topo_(scenario.topology) {}
 
   Status build(const env::EnvNetwork& root) {
     const NodeId root_device = add_device(root);
@@ -91,9 +91,8 @@ class ViewBuilder {
   }
 
   std::string unique_short_name(const std::string& fqdn) {
-    std::string base = strings::split_nonempty(fqdn, '.').empty()
-                           ? fqdn
-                           : strings::split_nonempty(fqdn, '.').front();
+    const auto labels = strings::split_nonempty(fqdn, '.');
+    std::string base = labels.empty() ? fqdn : labels.front();
     if (base.empty()) base = "host";
     std::string candidate = base;
     for (int suffix = 2; used_names_.count(candidate) > 0; ++suffix) {
@@ -103,8 +102,9 @@ class ViewBuilder {
     return candidate;
   }
 
-  Ipv4 host_ip(const std::string& machine_name) {
-    if (const gridml::Machine* machine = doc_.find_machine(machine_name)) {
+  /// The machine's published address, or the next synthetic one.
+  Ipv4 host_ip(const gridml::Machine* machine) {
+    if (machine != nullptr) {
       if (const auto parsed = Ipv4::parse(machine->ip); parsed.ok()) return parsed.value();
     }
     const int n = host_count_++;
@@ -124,8 +124,9 @@ class ViewBuilder {
                               "' appears on two networks of the GridML view");
       }
       const std::string short_name = unique_short_name(machine_name);
-      const NodeId host = topo_.add_host(short_name, machine_name, host_ip(machine_name));
-      if (const gridml::Machine* machine = doc_.find_machine(machine_name)) {
+      const gridml::Machine* machine = names_.find(machine_name);
+      const NodeId host = topo_.add_host(short_name, machine_name, host_ip(machine));
+      if (machine != nullptr) {
         for (const auto& property : machine->properties) {
           topo_.set_property(host, property.name, property.value);
         }
@@ -146,7 +147,7 @@ class ViewBuilder {
     return {};
   }
 
-  const gridml::GridDoc& doc_;
+  const gridml::NameIndex names_;
   simnet::Scenario& scenario_;
   simnet::Topology& topo_;
   std::map<std::string, NodeId> hosts_;

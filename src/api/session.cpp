@@ -402,7 +402,7 @@ Result<env::MapResult> Session::probe_map() {
          threads > 1 ? "probe traces recorded to '" + trace_path_ + ".zone<k>'"
                      : "probe trace recorded to '" + trace_path_ + "'");
   }
-  return *mapped;
+  return std::move(*mapped);
 }
 
 Status Session::map() {

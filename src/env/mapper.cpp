@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "common/codec.hpp"
 #include "common/hash.hpp"
@@ -211,12 +212,23 @@ std::vector<ProbeExperimentOutcome> Mapper::run_phase_batch(
   return outcomes;
 }
 
+Mapper::ZoneHosts::ZoneHosts(std::vector<MachineInfo> machines)
+    : all(std::move(machines)), bw(all.size(), 0.0), reverse_bw(all.size(), 0.0) {
+  by_fqdn.reserve(all.size());
+  by_ip.reserve(all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    by_fqdn.try_emplace(all[i].fqdn, i);
+    by_ip.try_emplace(all[i].identity.ip, i);
+  }
+}
+
 std::vector<EnvNetwork> Mapper::refine(ProbeEngine& engine, const BatchContext& ctx,
-                                       const std::vector<MachineInfo>& all,
+                                       ZoneHosts& hosts,
                                        const std::vector<std::size_t>& machines,
                                        const MachineInfo& master, const std::string& label,
                                        const std::string& label_ip,
                                        std::vector<std::string>& warnings) const {
+  const std::vector<MachineInfo>& all = hosts.all;
   // Split the node's machines into the master (not measurable from
   // itself) and the measurable members.
   std::vector<std::size_t> members;
@@ -240,8 +252,8 @@ std::vector<EnvNetwork> Mapper::refine(ProbeEngine& engine, const BatchContext& 
   // the batch degenerates to the sequential schedule (the endpoint
   // constraint in batch_makespan guarantees it), but keeps the uniform
   // batch path for engines, traces and events.
-  std::map<std::size_t, double> bw;
-  std::map<std::size_t, double> reverse_bw;
+  std::vector<double>& bw = hosts.bw;
+  std::vector<double>& reverse_bw = hosts.reverse_bw;
   {
     std::vector<ProbeExperiment> experiments;
     for (const std::size_t idx : members) {
@@ -416,6 +428,12 @@ std::vector<EnvNetwork> Mapper::refine(ProbeEngine& engine, const BatchContext& 
     for (std::size_t i = 0; i < group.size(); ++i) {
       if (is_rep[i]) reps.push_back(i);
     }
+    std::vector<std::vector<std::size_t>> bucket_reps(buckets.size());
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+      for (const std::size_t i : buckets[b]) {
+        if (is_rep[i]) bucket_reps[b].push_back(i);
+      }
+    }
     for (std::size_t a = 0; a < reps.size(); ++a) {
       for (std::size_t b = a + 1; b < reps.size(); ++b) pair_experiment(reps[a], reps[b]);
     }
@@ -426,13 +444,12 @@ std::vector<EnvNetwork> Mapper::refine(ProbeEngine& engine, const BatchContext& 
     // without a probe; the rest get one direct pairwise check each.
     std::size_t inferred = 0;
     std::size_t escalated = 0;
-    for (const auto& bucket : buckets) {
-      for (const std::size_t m : bucket) {
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+      for (const std::size_t m : buckets[b]) {
         if (is_rep[m]) continue;
-        std::size_t nearest = bucket.front();
+        std::size_t nearest = buckets[b].front();
         double nearest_ratio = std::numeric_limits<double>::infinity();
-        for (const std::size_t r : bucket) {
-          if (!is_rep[r]) continue;
+        for (const std::size_t r : bucket_reps[b]) {
           const double lo = std::min(bw[group[m]], bw[group[r]]);
           const double hi = std::max(bw[group[m]], bw[group[r]]);
           const double ratio = lo > 0.0 ? hi / lo : std::numeric_limits<double>::infinity();
@@ -658,37 +675,37 @@ std::vector<EnvNetwork> Mapper::refine(ProbeEngine& engine, const BatchContext& 
 }
 
 EnvNetwork Mapper::convert(ProbeEngine& engine, const BatchContext& ctx,
-                           const StructuralNode& node, const std::vector<MachineInfo>& all,
+                           const StructuralNode& node, ZoneHosts& hosts,
                            const MachineInfo& master, std::vector<std::string>& warnings,
                            bool is_root) const {
   // Indices of the machines attached directly to this structural node.
   std::vector<std::size_t> attached;
   for (const auto& fqdn : node.machines) {
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      if (all[i].fqdn == fqdn) {
-        attached.push_back(i);
-        break;
-      }
+    if (const auto it = hosts.by_fqdn.find(fqdn); it != hosts.by_fqdn.end()) {
+      attached.push_back(it->second);
     }
   }
 
   std::vector<EnvNetwork> clusters;
   if (!attached.empty()) {
-    clusters = refine(engine, ctx, all, attached, master, node.display(), node.ip, warnings);
+    clusters = refine(engine, ctx, hosts, attached, master, node.display(), node.ip, warnings);
   }
 
   std::vector<EnvNetwork> child_networks;
   for (const auto& child : node.children) {
-    EnvNetwork converted = convert(engine, ctx, child, all, master, warnings, false);
+    EnvNetwork converted = convert(engine, ctx, child, hosts, master, warnings, false);
     // The attachment point may itself be a mapped machine (a gateway):
-    // record it so the merge and the planner can nest correctly.
+    // record it so the merge and the planner can nest correctly. That is
+    // the first machine with the child's address or name.
     if (converted.gateway.empty()) {
-      for (const auto& machine : all) {
-        if (machine.identity.ip == child.ip || machine.fqdn == child.name) {
-          converted.gateway = machine.fqdn;
-          break;
-        }
+      std::size_t gateway = hosts.all.size();
+      if (const auto it = hosts.by_ip.find(child.ip); it != hosts.by_ip.end()) {
+        gateway = it->second;
       }
+      if (const auto it = hosts.by_fqdn.find(child.name); it != hosts.by_fqdn.end()) {
+        gateway = std::min(gateway, it->second);
+      }
+      if (gateway < hosts.all.size()) converted.gateway = hosts.all[gateway].fqdn;
     }
     child_networks.push_back(std::move(converted));
   }
@@ -753,10 +770,11 @@ Result<ZoneMapResult> Mapper::map_zone_with(ProbeEngine& engine, const ZoneSpec&
   }
   const MachineInfo master = *master_it;
   result.master_fqdn = master.fqdn;
+  ZoneHosts hosts(std::move(machines));
 
   // SITE grouping.
   std::map<std::string, gridml::Site> sites;
-  for (const auto& machine : machines) {
+  for (const auto& machine : hosts.all) {
     const std::string domain = site_key(machine.identity);
     auto [it, inserted] = sites.try_emplace(domain);
     if (inserted) {
@@ -778,7 +796,7 @@ Result<ZoneMapResult> Mapper::map_zone_with(ProbeEngine& engine, const ZoneSpec&
 
   // ---- phase 1c: structural topology -----------------------------------
   std::vector<HostTrace> traces;
-  for (const auto& machine : machines) {
+  for (const auto& machine : hosts.all) {
     HostTrace trace;
     trace.fqdn = machine.fqdn;
     const auto hops = engine.traceroute(machine.given_name, spec.traceroute_target);
@@ -798,7 +816,7 @@ Result<ZoneMapResult> Mapper::map_zone_with(ProbeEngine& engine, const ZoneSpec&
   ctx.zone_name = &spec.zone_name;
   ctx.stats = &result.batch;
   ctx.sampling = &result.sampling;
-  result.root = convert(engine, ctx, result.structural, machines, master, result.warnings, true);
+  result.root = convert(engine, ctx, result.structural, hosts, master, result.warnings, true);
 
   const ProbeStats after = engine.stats();
   result.stats.experiments = after.experiments - before.experiments;
@@ -809,28 +827,54 @@ Result<ZoneMapResult> Mapper::map_zone_with(ProbeEngine& engine, const ZoneSpec&
 
 namespace {
 
+/// A machine set to look for, as sorted distinct names, and one mark per
+/// name reused at every network visited.
+struct MachineSet {
+  std::vector<std::string> names;
+  std::vector<char> seen;
+
+  explicit MachineSet(const std::vector<std::string>& machines)
+      : names(machines) {
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    seen.resize(names.size());
+  }
+
+  /// Whether `machines`, as a set, is exactly this set.
+  bool equals(const std::vector<std::string>& machines) {
+    if (machines.size() < names.size()) return false;
+    std::fill(seen.begin(), seen.end(), 0);
+    std::size_t distinct = 0;
+    for (const auto& machine : machines) {
+      const auto it = std::lower_bound(names.begin(), names.end(), machine);
+      if (it == names.end() || *it != machine) return false;
+      char& mark = seen[static_cast<std::size_t>(it - names.begin())];
+      distinct += mark == 0 ? 1 : 0;
+      mark = 1;
+    }
+    return distinct == names.size();
+  }
+};
+
 /// Deepest mutable network with exactly the given machine set.
-EnvNetwork* find_matching(EnvNetwork& root, const std::set<std::string>& machine_set) {
+EnvNetwork* find_matching(EnvNetwork& root, MachineSet& machine_set) {
   for (auto& child : root.children) {
     if (EnvNetwork* hit = find_matching(child, machine_set)) return hit;
   }
-  if (!root.machines.empty() &&
-      std::set<std::string>(root.machines.begin(), root.machines.end()) == machine_set) {
-    return &root;
-  }
+  if (!root.machines.empty() && machine_set.equals(root.machines)) return &root;
   return nullptr;
 }
 
 /// Fold one secondary-zone network (and its subtree) into the merged view.
-void merge_network(EnvNetwork& merged_root, const EnvNetwork& incoming,
+void merge_network(EnvNetwork& merged_root, EnvNetwork&& incoming,
                    std::vector<std::string>& warnings) {
   if (incoming.kind == NetKind::structural && incoming.machines.empty()) {
-    for (const auto& child : incoming.children) {
-      merge_network(merged_root, child, warnings);
+    for (auto& child : incoming.children) {
+      merge_network(merged_root, std::move(child), warnings);
     }
     return;
   }
-  const std::set<std::string> machine_set(incoming.machines.begin(), incoming.machines.end());
+  MachineSet machine_set(incoming.machines);
   if (EnvNetwork* existing = find_matching(merged_root, machine_set)) {
     // Both zones observed this segment. The zone that measured the higher
     // bandwidth had the unobstructed (local) viewpoint: its shared /
@@ -849,8 +893,8 @@ void merge_network(EnvNetwork& merged_root, const EnvNetwork& incoming,
     if (existing->base_local_bw_bps == 0.0) {
       existing->base_local_bw_bps = incoming.base_local_bw_bps;
     }
-    for (const auto& child : incoming.children) {
-      merge_network(merged_root, child, warnings);
+    for (auto& child : incoming.children) {
+      merge_network(merged_root, std::move(child), warnings);
     }
     return;
   }
@@ -867,7 +911,7 @@ void merge_network(EnvNetwork& merged_root, const EnvNetwork& incoming,
     }
     parent = &merged_root;
   }
-  parent->children.push_back(incoming);
+  parent->children.push_back(std::move(incoming));
 }
 
 }  // namespace
@@ -941,27 +985,34 @@ Result<MapResult> Mapper::map(const std::vector<ZoneSpec>& specs,
     result.sampling += zone.value().sampling;
     zone_durations.push_back(zone.value().stats.duration_s);
     for (const auto& warning : zone.value().warnings) result.warnings.push_back(warning);
-    docs.push_back(zone.value().grid);
+    docs.push_back(std::exchange(zone.value().grid, {}));
     result.zones.push_back(std::move(zone.value()));
   }
   const std::size_t workers =
       zone_engines_ == nullptr ? 1 : static_cast<std::size_t>(std::max(options_.map_threads, 1));
   result.stats.duration_s = schedule_makespan(zone_durations, workers);
 
-  auto merged = gridml::merge(docs, gateway_aliases);
+  auto merged = gridml::merge(std::move(docs), gateway_aliases);
   if (!merged.ok()) return merged.error();
   result.grid = std::move(merged.value());
 
-  const auto canon = [&result](const std::string& name) { return result.canonical(name); };
+  // MapResult::canonical for every name of every tree, through one index.
+  const gridml::NameIndex names = result.grid.name_index();
+  const auto canon = [&names](const std::string& name) {
+    const gridml::Machine* machine = names.find(name);
+    return machine != nullptr ? machine->name : name;
+  };
   result.master_fqdn = canon(result.zones.front().master_fqdn);
 
   // Canonicalize every zone tree, then fold secondaries into the primary.
+  // The zones keep their own trees (the digest renders them), so each is
+  // copied once.
   result.root = result.zones.front().root;
   canonicalize(result.root, canon);
   for (std::size_t z = 1; z < result.zones.size(); ++z) {
     EnvNetwork incoming = result.zones[z].root;
     canonicalize(incoming, canon);
-    merge_network(result.root, incoming, result.warnings);
+    merge_network(result.root, std::move(incoming), result.warnings);
   }
   result.grid.networks.push_back(result.root.to_xml());
   return result;

@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.hpp"
@@ -130,7 +131,9 @@ struct SampleStats {
 struct ZoneMapResult {
   ZoneSpec spec;
   std::string master_fqdn;
-  gridml::GridDoc grid;  ///< the zone's sites; its view is `root`
+  /// The zone's sites; its view is `root`. Mapper::map moves them into
+  /// the merged MapResult::grid, so the zones of a MapResult carry none.
+  gridml::GridDoc grid;
   StructuralNode structural;
   EnvNetwork root;
   MapStats stats;
@@ -253,6 +256,22 @@ class Mapper {
     bool is_master = false;
   };
 
+  /// One zone's machines and the per-host state refine and convert
+  /// share. Built once per zone, so their work stays O(hosts) however
+  /// many structural nodes the zone has.
+  struct ZoneHosts {
+    std::vector<MachineInfo> all;
+    /// The first machine of `all` with a given fqdn / address.
+    std::unordered_map<std::string, std::size_t> by_fqdn;
+    std::unordered_map<std::string, std::size_t> by_ip;
+    /// Phase-2a bandwidths master -> host and host -> master, indexed
+    /// like `all`. A host reads 0.0 until its node's refine measures it.
+    std::vector<double> bw;
+    std::vector<double> reverse_bw;
+
+    explicit ZoneHosts(std::vector<MachineInfo> machines);
+  };
+
   /// Per-zone context threaded through refine/convert: which zone the
   /// batches belong to (for progress events) and where their modeled
   /// cost accumulates.
@@ -273,18 +292,17 @@ class Mapper {
       bool credit_makespan, double* makespan_out) const;
 
   /// Refine the machines attached to one structural node into classified
-  /// EnvNetworks (phases 2a-2d). `machines` are indices into `all`.
+  /// EnvNetworks (phases 2a-2d). `machines` are indices into `hosts.all`.
   /// Pure per-zone work: touches only `engine` and its own arguments, so
   /// zones can run on concurrent workers with separate engines.
-  std::vector<EnvNetwork> refine(ProbeEngine& engine, const BatchContext& ctx,
-                                 const std::vector<MachineInfo>& all,
+  std::vector<EnvNetwork> refine(ProbeEngine& engine, const BatchContext& ctx, ZoneHosts& hosts,
                                  const std::vector<std::size_t>& machines,
                                  const MachineInfo& master, const std::string& label,
                                  const std::string& label_ip,
                                  std::vector<std::string>& warnings) const;
 
   EnvNetwork convert(ProbeEngine& engine, const BatchContext& ctx, const StructuralNode& node,
-                     const std::vector<MachineInfo>& all, const MachineInfo& master,
+                     ZoneHosts& hosts, const MachineInfo& master,
                      std::vector<std::string>& warnings, bool is_root) const;
 
   /// One full ENV run against an explicit engine (the per-zone body).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 namespace envnws::gridml {
 
@@ -17,16 +18,17 @@ void add_alias_unique(Machine& machine, const std::string& alias) {
 
 }  // namespace
 
-Result<GridDoc> merge(const std::vector<GridDoc>& docs,
-                      const std::vector<AliasGroup>& gateway_aliases,
+Result<GridDoc> merge(std::vector<GridDoc> docs, const std::vector<AliasGroup>& gateway_aliases,
                       const std::string& merged_label) {
   GridDoc merged;
   merged.label = merged_label;
-  for (const auto& doc : docs) {
-    for (const auto& site : doc.sites) merged.sites.push_back(site);
-    for (const auto& network : doc.networks) merged.networks.push_back(network);
+  for (auto& doc : docs) {
+    for (auto& site : doc.sites) merged.sites.push_back(std::move(site));
+    for (auto& network : doc.networks) merged.networks.push_back(std::move(network));
   }
 
+  // A platform has few alias groups (one per multi-homed gateway), so each
+  // resolves by a scan of the merged machines.
   for (const auto& group : gateway_aliases) {
     if (group.size() < 2) {
       return make_error(ErrorCode::invalid_argument,

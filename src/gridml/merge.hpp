@@ -23,9 +23,9 @@ using AliasGroup = std::vector<std::string>;
 /// Merge `docs` into one document. Every alias group links machines that
 /// are physically the same box; their alias lists are unioned so lookups
 /// under either name resolve to the merged machine. Site lists and
-/// NETWORK elements are concatenated as they are (env::Mapper reconciles
+/// NETWORK elements are moved over as they are (env::Mapper reconciles
 /// the zones' ENV views and publishes one merged NETWORK).
-Result<GridDoc> merge(const std::vector<GridDoc>& docs,
+Result<GridDoc> merge(std::vector<GridDoc> docs,
                       const std::vector<AliasGroup>& gateway_aliases,
                       const std::string& merged_label = "Grid1");
 

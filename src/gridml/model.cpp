@@ -25,9 +25,21 @@ const Machine* GridDoc::find_machine(const std::string& any_name) const {
   return nullptr;
 }
 
-Machine* GridDoc::find_machine(const std::string& any_name) {
-  return const_cast<Machine*>(std::as_const(*this).find_machine(any_name));
+NameIndex::NameIndex(const GridDoc& doc) {
+  for (const auto& site : doc.sites) {
+    for (const auto& machine : site.machines) {
+      by_name_.try_emplace(machine.name, &machine);
+      for (const auto& alias : machine.aliases) by_name_.try_emplace(alias, &machine);
+    }
+  }
 }
+
+const Machine* NameIndex::find(const std::string& any_name) const {
+  const auto it = by_name_.find(any_name);
+  return it == by_name_.end() ? nullptr : it->second;
+}
+
+NameIndex GridDoc::name_index() const { return NameIndex(*this); }
 
 std::size_t GridDoc::machine_count() const {
   std::size_t count = 0;

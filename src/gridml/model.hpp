@@ -12,6 +12,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.hpp"
@@ -44,15 +45,37 @@ struct Site {
 /// `<PROPERTY name=".." value=".." [units=".."] />`, the one PROPERTY writer.
 [[nodiscard]] XmlElement property_to_xml(const Property& prop);
 
+struct GridDoc;
+
+/// Every machine name and alias of one document, hashed. A name
+/// resolves to the first machine answering to it in document order (site
+/// order, then machine order): exactly GridDoc::find_machine's answer, in
+/// O(1) instead of a scan. Built in O(names). It points into the
+/// document, so it is valid while the document's machines stay where
+/// they are.
+class NameIndex {
+ public:
+  /// find_machine(any_name) of the indexed document.
+  [[nodiscard]] const Machine* find(const std::string& any_name) const;
+
+ private:
+  friend struct GridDoc;
+  explicit NameIndex(const GridDoc& doc);
+
+  std::unordered_map<std::string, const Machine*> by_name_;
+};
+
 struct GridDoc {
   std::string label;
   std::vector<Site> sites;
   /// NETWORK elements, kept as parsed or as appended.
   std::vector<XmlElement> networks;
 
-  /// Machine lookup across all sites, by canonical name or alias.
+  /// Machine lookup across all sites, by canonical name or alias: the
+  /// first machine answering to it, found by a linear scan.
   [[nodiscard]] const Machine* find_machine(const std::string& any_name) const;
-  [[nodiscard]] Machine* find_machine(const std::string& any_name);
+  /// find_machine for many names: index once, then look up in O(1).
+  [[nodiscard]] NameIndex name_index() const;
   [[nodiscard]] std::size_t machine_count() const;
 
   [[nodiscard]] XmlElement to_xml() const;

@@ -5,11 +5,13 @@
 // budget and the SampleStats accounting.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/envnws.hpp"
+#include "common/hash.hpp"
 #include "common/units.hpp"
 #include "env/mapper.hpp"
 #include "env/scenario_zones.hpp"
@@ -27,8 +29,8 @@ simnet::Scenario make_scenario(const std::string& spec) {
 }
 
 /// Full multi-zone map of `spec` with the given sampling knobs.
-MapResult map_with(const std::string& spec, int max_pairwise, std::uint64_t sample_seed,
-                   int probe_jobs = 1) {
+MapResult map_with(const std::string& spec, int max_pairwise,
+                   std::uint64_t sample_seed = MapperOptions{}.sample_seed, int probe_jobs = 1) {
   const simnet::Scenario scenario = make_scenario(spec);
   simnet::Network net(simnet::Scenario(scenario).topology);
   MapperOptions options;
@@ -110,6 +112,45 @@ TEST(SampledMapping, MultiZonePlatformsSampleEachZoneIndependently) {
 
   const MapResult batched = map_with("multi-firewall:2x12@100/100", 6, 7, 8);
   EXPECT_EQ(first.identity_digest(), batched.identity_digest());
+}
+
+std::string short_digest(const MapResult& result) {
+  return hash::hex64(hash::fnv1a64(result.identity_digest()));
+}
+
+TEST(SampledMapping, LargeStarDigestsArePinned) {
+  // Recorded before the mapper resolved names through one hash index
+  // and kept per-host state in flat vectors: the bookkeeping changed,
+  // the result must not.
+  const std::vector<std::pair<std::string, std::string>> pinned{
+      {"star-switch:2048@100", "bb1291ea4f351522"},
+      {"star-switch:4096@100", "542297ba5083de80"},
+      {"star-switch:16384@100", "0e741af3263d628c"}};
+  for (const auto& [spec, digest] : pinned) {
+    EXPECT_EQ(short_digest(map_with(spec, 64)), digest) << spec;
+  }
+}
+
+TEST(SampledMapping, MultiZoneSampledMergeIsPinned) {
+  // Four firewall zones behind a public one, each sampled, folded into
+  // the primary view by the §4.3 merge: every machine of the merged
+  // document lands in the merged view under its canonical name, and the
+  // result is the one recorded before the merge went through one name
+  // index.
+  const MapResult result = map_with("multi-firewall:4x16@100/100", 6);
+  ASSERT_EQ(result.zones.size(), 5u);
+  EXPECT_GT(result.sampling.sampled_groups, 0u);
+  for (const auto& warning : result.warnings) {
+    EXPECT_EQ(warning.find("not in merged view"), std::string::npos) << warning;
+  }
+  std::set<std::string> in_view;
+  for (const auto& machine : result.root.all_machines()) in_view.insert(result.canonical(machine));
+  std::set<std::string> in_grid;
+  for (const auto& site : result.grid.sites) {
+    for (const auto& machine : site.machines) in_grid.insert(result.canonical(machine.name));
+  }
+  EXPECT_EQ(in_view, in_grid);
+  EXPECT_EQ(short_digest(result), "8b38d60fac897e50");
 }
 
 TEST(SampledMapping, LargeStarRoutesThroughOneShortestPathTree) {
