@@ -560,9 +560,8 @@ Result<std::unique_ptr<monitor::MonitorDaemon>> Session::make_monitor(
   if (!engine.ok()) return engine.error();
   // Incremental re-maps probe with the same tunables the map stage used
   // (probe payload, stabilization gap, thresholds).
-  options.remap = options_.mapper;
-  auto daemon =
-      std::make_unique<monitor::MonitorDaemon>(*plan_, std::move(engine.value()), options);
+  auto daemon = std::make_unique<monitor::MonitorDaemon>(*plan_, std::move(engine.value()),
+                                                         options_.mapper, options);
   // The daemon takes over network measurement: an applied system's
   // cliques would otherwise probe the same links beside it, uncoordinated.
   // Its host sensors, name server and memories send no flows and keep

@@ -181,10 +181,10 @@ class Session {
   /// first when needed. The daemon owns a fresh sequential engine built
   /// from the current spec — so "replay:<trace>" monitors fully offline
   /// and "record:<trace>@socket:<roster>" captures a live session for
-  /// later replay — and `options.remap` is overwritten with this
-  /// session's mapper options (incremental re-maps probe exactly like the
-  /// map stage did). Daemon events surface as Stage::apply notes through
-  /// the session observer, and a successful incremental re-map
+  /// later replay — and its incremental re-maps probe with this
+  /// session's mapper options, exactly like the map stage did. Daemon
+  /// events surface as Stage::apply notes through the session
+  /// observer, and a successful incremental re-map
   /// invalidates the session's map-cache entry: the platform provably
   /// changed under the cached view. The daemon must not outlive the
   /// session.

@@ -1,6 +1,6 @@
 // The text codec shared by every serialized format: probe traces, the
-// probe/query wire protocol, map-cache entries, identity digests and
-// monitor snapshots.
+// probe/query wire protocol, map-cache entries, identity digests,
+// monitor snapshots and the NWS memory dump.
 //
 //  - Doubles print with 17 significant digits, which is enough for any
 //    IEEE double to parse back bit-identically (parse::to_double).

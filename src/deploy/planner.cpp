@@ -10,6 +10,10 @@ using env::NetKind;
 
 namespace {
 
+/// Tokens per switched clique when host locks are on (capped at
+/// floor(members/2), the concurrency a switched segment supports).
+constexpr std::size_t kSwitchedParallelTokens = 2;
+
 class Planner {
  public:
   Planner(const std::string& master, const PlannerOptions& options)
@@ -85,7 +89,7 @@ class Planner {
     clique.probe_bytes = role == CliqueRole::inter ? kWanProbeBytes : kLanProbeBytes;
     if (options_.use_host_locks && role == CliqueRole::switched_all) {
       clique.parallel_tokens =
-          std::min(options_.switched_parallel_tokens, clique.members.size() / 2);
+          std::min(kSwitchedParallelTokens, clique.members.size() / 2);
       if (clique.parallel_tokens < 1) clique.parallel_tokens = 1;
     }
     plan_.cliques.push_back(std::move(clique));

@@ -23,11 +23,9 @@ struct PlannerOptions {
   std::vector<std::string> preferred_representatives;
   /// Extension (paper conclusion): plan for host-level locks. Cross-
   /// clique collisions through shared representatives disappear, and
-  /// switched cliques get several parallel tokens.
+  /// switched cliques get two parallel tokens (one when they have fewer
+  /// than four members).
   bool use_host_locks = false;
-  /// Tokens per switched clique when host locks are on (capped at
-  /// floor(members/2), the concurrency a switched segment supports).
-  std::size_t switched_parallel_tokens = 2;
 };
 
 /// Plan from a merged map result. Memory servers are placed on the

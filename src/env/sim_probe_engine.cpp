@@ -5,9 +5,7 @@ namespace envnws::env {
 using simnet::NodeId;
 
 SimProbeEngine::SimProbeEngine(simnet::Network& net, const MapperOptions& options)
-    : net_(net),
-      options_(options),
-      session_(net, simnet::ProbeOptions{"env-probe", options.stabilization_gap_s}) {}
+    : net_(net), options_(options) {}
 
 Result<NodeId> SimProbeEngine::resolve(const std::string& hostname) const {
   if (auto by_name = net_.topology().find_by_name(hostname); by_name.ok()) {
@@ -65,22 +63,53 @@ Result<std::vector<TraceHop>> SimProbeEngine::traceroute(const std::string& from
   return out;
 }
 
+void SimProbeEngine::start_transfer(NodeId src, NodeId dst, Result<double>& slot,
+                                    std::size_t& pending) {
+  // Every started flow's callback is a queued event, so finish_experiment
+  // runs them all before `slot` and `pending` go out of scope.
+  const auto flow = net_.start_flow(
+      src, dst, options_.probe_bytes,
+      [this, &slot, &pending](const simnet::FlowResult& result) {
+        slot = net_.timed_bandwidth(result);
+        --pending;
+      },
+      simnet::FlowOptions{true, "env-probe"});
+  if (!flow.ok()) {
+    slot = flow.error();
+    return;
+  }
+  ++pending;
+  stats_.bytes_sent += options_.probe_bytes;
+}
+
+void SimProbeEngine::finish_experiment(double started_at, const std::size_t& pending) {
+  while (pending > 0 && net_.step()) {
+  }
+  ++stats_.experiments;
+  net_.run_until(net_.now() + options_.stabilization_gap_s);
+  stats_.busy_time_s += net_.now() - started_at;
+}
+
 Result<double> SimProbeEngine::bandwidth(const std::string& from, const std::string& to) {
   const auto src = resolve(from);
   if (!src.ok()) return src.error();
   const auto dst = resolve(to);
   if (!dst.ok()) return dst.error();
-  const auto outcome = session_.single(src.value(), dst.value(), options_.probe_bytes);
-  if (!outcome.ok) return outcome.error;
-  return outcome.bandwidth_bps;
+  const double started_at = net_.now();
+  Result<double> measured = 0.0;
+  std::size_t pending = 0;
+  start_transfer(src.value(), dst.value(), measured, pending);
+  finish_experiment(started_at, pending);
+  return measured;
 }
 
 std::vector<Result<double>> SimProbeEngine::concurrent_bandwidth(
     const std::vector<BandwidthRequest>& requests) {
+  const double started_at = net_.now();
   std::vector<Result<double>> results;
+  // Reserved up front: the flows write into these slots by reference.
   results.reserve(requests.size());
-  std::vector<simnet::TransferSpec> specs;
-  std::vector<std::size_t> spec_to_result;
+  std::size_t pending = 0;
   for (const auto& request : requests) {
     const auto src = resolve(request.from);
     const auto dst = src.ok() ? resolve(request.to) : src;
@@ -88,22 +117,11 @@ std::vector<Result<double>> SimProbeEngine::concurrent_bandwidth(
       results.push_back((!src.ok() ? src : dst).error());
       continue;
     }
-    specs.push_back(simnet::TransferSpec{src.value(), dst.value(), options_.probe_bytes});
-    spec_to_result.push_back(results.size());
-    results.push_back(make_error(ErrorCode::internal, "pending"));
+    results.push_back(0.0);
+    start_transfer(src.value(), dst.value(), results.back(), pending);
   }
-  const auto outcomes = session_.concurrent(specs);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    results[spec_to_result[i]] =
-        outcomes[i].ok ? Result<double>(outcomes[i].bandwidth_bps)
-                       : Result<double>(outcomes[i].error);
-  }
+  finish_experiment(started_at, pending);
   return results;
-}
-
-ProbeStats SimProbeEngine::stats() const {
-  return ProbeStats{session_.experiment_count(), session_.bytes_sent(),
-                    session_.busy_time_s()};
 }
 
 }  // namespace envnws::env

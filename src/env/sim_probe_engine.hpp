@@ -4,7 +4,6 @@
 #include "env/options.hpp"
 #include "env/probe_engine.hpp"
 #include "simnet/network.hpp"
-#include "simnet/probe.hpp"
 
 namespace envnws::env {
 
@@ -18,15 +17,22 @@ class SimProbeEngine final : public ProbeEngine {
   Result<double> bandwidth(const std::string& from, const std::string& to) override;
   std::vector<Result<double>> concurrent_bandwidth(
       const std::vector<BandwidthRequest>& requests) override;
-  [[nodiscard]] ProbeStats stats() const override;
+  [[nodiscard]] ProbeStats stats() const override { return stats_; }
 
  private:
   /// Resolve by short name, primary fqdn or alias fqdn.
   Result<simnet::NodeId> resolve(const std::string& hostname) const;
+  /// Start one timed "env-probe" flow whose bandwidth lands in `slot`
+  /// on completion; `slot` takes the error when the flow cannot start.
+  void start_transfer(simnet::NodeId src, simnet::NodeId dst, Result<double>& slot,
+                      std::size_t& pending);
+  /// Step until `pending` reaches 0, run the stabilization gap and count
+  /// one experiment (busy time includes the gap).
+  void finish_experiment(double started_at, const std::size_t& pending);
 
   simnet::Network& net_;
   MapperOptions options_;
-  simnet::ProbeSession session_;
+  ProbeStats stats_;
 };
 
 }  // namespace envnws::env

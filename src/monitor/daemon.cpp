@@ -39,9 +39,10 @@ constexpr std::size_t kSeriesHistory = 512;
 }  // namespace
 
 MonitorDaemon::MonitorDaemon(deploy::DeploymentPlan plan, std::unique_ptr<env::ProbeEngine> engine,
-                             MonitorOptions options)
+                             env::MapperOptions remap, MonitorOptions options)
     : plan_(std::move(plan)),
       engine_(std::move(engine)),
+      remap_(std::move(remap)),
       options_(options),
       clock_(options.period_s > 0 ? options.period_s : 1.0),
       scheduler_(plan_),
@@ -269,7 +270,7 @@ Status MonitorDaemon::remap_segment(const std::string& segment, std::size_t pair
   // engine: the experiment-count diff below is exactly its probe cost,
   // and recorded/replayed sessions capture it like any other probing.
   const std::uint64_t experiments_before = engine_->stats().experiments;
-  env::Mapper mapper(*engine_, options_.remap);
+  env::Mapper mapper(*engine_, remap_);
   Result<env::ZoneMapResult> remapped = mapper.map_zone(spec);
   const std::uint64_t cost = engine_->stats().experiments - experiments_before;
   remap_experiments_.fetch_add(cost);

@@ -60,8 +60,6 @@ struct MonitorOptions {
   /// start() only: sleep one period of real time per cycle. run_cycles()
   /// never paces — offline runs and tests go full speed.
   bool pace = true;
-  /// Mapper tunables for incremental re-maps.
-  env::MapperOptions remap;
   /// Schedule-exploration seam (src/testing/): when set, the cycle's
   /// batch dispatch AND the order outcomes are folded into the store
   /// become scheduler decisions, so tests can permute them and assert
@@ -95,9 +93,10 @@ class MonitorDaemon {
   /// The daemon owns its engine: all probing — periodic cycles and
   /// incremental re-maps alike — flows through this one instance, so a
   /// `record:` spec captures the complete session and a `replay:` spec
-  /// reproduces it.
+  /// reproduces it. Incremental re-maps probe with `remap`, the mapper
+  /// tunables of the map they refresh.
   MonitorDaemon(deploy::DeploymentPlan plan, std::unique_ptr<env::ProbeEngine> engine,
-                MonitorOptions options = {});
+                env::MapperOptions remap, MonitorOptions options = {});
   ~MonitorDaemon();
 
   MonitorDaemon(const MonitorDaemon&) = delete;
@@ -172,6 +171,7 @@ class MonitorDaemon {
 
   deploy::DeploymentPlan plan_;
   std::unique_ptr<env::ProbeEngine> engine_;
+  env::MapperOptions remap_;
   MonitorOptions options_;
   MonitorClock clock_;
   CycleScheduler scheduler_;

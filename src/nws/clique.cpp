@@ -11,6 +11,8 @@ namespace {
 constexpr std::int64_t kTokenBytes = 32;
 constexpr std::int64_t kStoreBytes = 64;
 constexpr std::int64_t kLatencyProbeBytes = 4;  // "a 4 byte TCP socket transfer"
+/// Silence, in clique periods, after which the token is declared lost.
+constexpr double kRegenerationPeriods = 6.0;
 }  // namespace
 
 Clique::Clique(simnet::Network& net, CliqueSpec spec, MemoryServer& memory,
@@ -124,22 +126,15 @@ void Clique::run_experiment(Token token, NodeId holder) {
             [this, token, holder, src, dst, src_name, dst_name, rtt_start] {
               const double rtt = (net_.now() - rtt_start) * net_.measurement_jitter();
               store(src, SeriesKey{ResourceKind::latency, src_name, dst_name}, rtt);
-              if (spec_.measure_connect_time) {
-                // TCP connect ~ 1.5 RTT (3-way handshake).
-                store(src, SeriesKey{ResourceKind::connect_time, src_name, dst_name},
-                      1.5 * rtt);
-              }
+              // TCP connect ~ 1.5 RTT (3-way handshake).
+              store(src, SeriesKey{ResourceKind::connect_time, src_name, dst_name}, 1.5 * rtt);
               // --- bandwidth: timed 64 KiB transfer ---------------------
               const auto flow = net_.start_flow(
                   src, dst, spec_.bandwidth_probe_bytes,
                   [this, token, holder, src, dst, src_name,
                    dst_name](const simnet::FlowResult& result) {
-                    const double duration = result.duration() * net_.measurement_jitter();
-                    const double bw =
-                        duration > 0.0 ? static_cast<double>(result.bytes) * 8.0 / duration
-                                       : 0.0;
                     store(result.src, SeriesKey{ResourceKind::bandwidth, src_name, dst_name},
-                          bw);
+                          net_.timed_bandwidth(result));
                     ++experiments_;
                     finish_experiment(token, result.src, true, src, dst);
                   },
@@ -192,7 +187,7 @@ void Clique::pass_token(Token token, NodeId from) {
 }
 
 void Clique::arm_watchdog() {
-  const double check_every = spec_.period_s * spec_.regeneration_periods;
+  const double check_every = spec_.period_s * kRegenerationPeriods;
   net_.schedule_after(check_every, [this, check_every] {
     if (!running_) return;
     if (net_.now() - last_token_activity_ >= check_every) {

@@ -46,12 +46,9 @@ struct CliqueSpec {
   /// Idle time between two consecutive experiments of this clique.
   double period_s = 10.0;
   std::int64_t bandwidth_probe_bytes = units::kib(64);
-  bool measure_connect_time = true;
   /// Experiments to cycle through; empty means every ordered member pair
   /// ("given n computers, there is n x (n-1) links to test").
   std::vector<std::pair<simnet::NodeId, simnet::NodeId>> pairs;
-  /// Silence (in periods) after which the token is declared lost.
-  double regeneration_periods = 6.0;
   /// Extension (paper conclusion): number of tokens circulating
   /// concurrently. More than 1 is only safe on switched segments AND
   /// with a HostLockService guarding the endpoints.

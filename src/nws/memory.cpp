@@ -1,9 +1,9 @@
 #include "nws/memory.hpp"
 
-#include <cstdio>
 #include <optional>
 #include <sstream>
 
+#include "common/codec.hpp"
 #include "common/parse.hpp"
 #include "common/strings.hpp"
 
@@ -26,12 +26,14 @@ std::string MemoryServer::dump() const {
   for (const auto& [key, series] : series_) {
     out << "series " << to_string(key.resource) << " " << key.src << " "
         << (key.dst.empty() ? "-" : key.dst) << "\n";
+    std::string points;
     for (std::size_t i = 0; i < series.size(); ++i) {
-      char line[64];
-      std::snprintf(line, sizeof(line), "%.9g %.9g\n", series.at(i).time,
-                    series.at(i).value);
-      out << line;
+      codec::append_full(points, series.at(i).time);
+      points += ' ';
+      codec::append_full(points, series.at(i).value);
+      points += '\n';
     }
+    out << points;
   }
   return out.str();
 }

@@ -37,7 +37,9 @@ class MemoryServer {
   [[nodiscard]] std::uint64_t stored_count() const { return stored_count_; }
 
   /// Serialize every series to the line-oriented on-disk format:
-  ///   series <resource> <src> <dst>\n followed by "<time> <value>" lines.
+  ///   series <resource> <src> <dst>\n followed by "<time> <value>" lines,
+  /// both with 17 significant digits (common/codec), so restore() reads
+  /// back every double bit-identically.
   [[nodiscard]] std::string dump() const;
   /// Restore a dump (appends to existing series; grammar and errors as
   /// parse_dump).

@@ -67,11 +67,8 @@ void UncoordinatedProbe::tick() {
     net_.start_flow(
         src_, dst_, probe_bytes_,
         [this, src_name, dst_name](const simnet::FlowResult& result) {
-          const double duration = result.duration() * net_.measurement_jitter();
-          const double bw =
-              duration > 0.0 ? static_cast<double>(result.bytes) * 8.0 / duration : 0.0;
           memory_.store(SeriesKey{ResourceKind::bandwidth, src_name, dst_name}, net_.now(),
-                        bw);
+                        net_.timed_bandwidth(result));
           ++experiments_;
         },
         simnet::FlowOptions{true, "nws-uncoordinated"});

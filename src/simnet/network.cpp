@@ -432,4 +432,9 @@ double Network::measurement_jitter() {
   return std::max(0.05, factor);
 }
 
+double Network::timed_bandwidth(const FlowResult& result) {
+  const double duration = result.duration() * measurement_jitter();
+  return duration > 0.0 ? static_cast<double>(result.bytes) * 8.0 / duration : 0.0;
+}
+
 }  // namespace envnws::simnet

@@ -158,6 +158,11 @@ class Network {
 
   /// Multiplicative measurement noise factor (1.0 when jitter disabled).
   double measurement_jitter();
+  /// What a user-level timed transfer reports for a finished flow: its
+  /// duration times one measurement_jitter() draw, as bits per second
+  /// (0 for a zero duration). ENV's simulated probes and the NWS
+  /// bandwidth sensors all measure through this one rule.
+  double timed_bandwidth(const FlowResult& result);
 
  private:
   struct FlowState {

@@ -105,7 +105,7 @@ TEST(MapCache, SecondMapOfTheSameSpecPerformsZeroProbes) {
   EXPECT_TRUE(saw_cache_note);
 }
 
-TEST(MapCache, KeyDependsOnProbeOptionsButNotOnThreads) {
+TEST(MapCache, KeyDependsOnProbeBytesButNotOnThreads) {
   env::MapperOptions base;
   env::MapperOptions threaded = base;
   threaded.map_threads = 8;

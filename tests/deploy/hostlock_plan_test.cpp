@@ -30,7 +30,6 @@ TEST(HostLockPlan, PlannerAssignsParallelTokensToSwitchedCliques) {
 
   PlannerOptions options;
   options.use_host_locks = true;
-  options.switched_parallel_tokens = 2;
   const auto plan = plan_from_tree(root, "m.x", options);
   ASSERT_TRUE(plan.ok());
   EXPECT_TRUE(plan.value().use_host_locks);

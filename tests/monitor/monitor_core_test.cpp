@@ -149,7 +149,7 @@ TEST(CycleScheduler, UnlabeledCliquesReportTheirNameAsSegment) {
 
   MonitorOptions options;
   options.remap_on_drift = false;
-  MonitorDaemon daemon(plan, std::make_unique<UnreachableEngine>(), options);
+  MonitorDaemon daemon(plan, std::make_unique<UnreachableEngine>(), env::MapperOptions{}, options);
   std::vector<MonitorEvent> failures;
   daemon.set_observer([&failures](const MonitorEvent& event) {
     if (event.kind == MonitorEvent::Kind::probe_failed) failures.push_back(event);
@@ -303,6 +303,33 @@ TEST(SeriesStore, DumpRestoreRewarmsForecasters) {
   }
   // And the dump grammar round-trips bit-identically.
   EXPECT_EQ(restored.dump(), dump);
+}
+
+TEST(SeriesStore, DumpKeepsEveryDigitOfTimesAndValues) {
+  // A jittered bandwidth like 99762148.503101468 needs all 17 significant
+  // digits; a dump that rounds it restores a different series and so
+  // different forecasts.
+  SeriesStore store(64, DriftPolicy{});
+  for (int i = 1; i <= 8; ++i) {
+    store.record(bw_key("a", "b"), i * 0.1, 99762148.503101468 + i / 3.0);
+  }
+  SeriesStore restored(64, DriftPolicy{});
+  ASSERT_TRUE(restored.restore(store.dump()).ok());
+
+  const auto original = store.series(bw_key("a", "b"), 0);
+  const auto reread = restored.series(bw_key("a", "b"), 0);
+  ASSERT_EQ(reread.size(), original.size());
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(reread[i].time, original[i].time);
+    EXPECT_EQ(reread[i].value, original[i].value);
+  }
+  const auto live = store.collect();
+  const auto warm = restored.collect();
+  ASSERT_EQ(warm.size(), 1u);
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(warm[0].forecast.value, live[0].forecast.value);
+  EXPECT_EQ(warm[0].forecast.mae, live[0].forecast.mae);
+  EXPECT_EQ(warm[0].forecast.rmse, live[0].forecast.rmse);
 }
 
 TEST(SeriesStore, RestoreRejectsMalformedDumps) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/units.hpp"
-#include "simnet/probe.hpp"
+#include "env/sim_probe_engine.hpp"
 #include "simnet/scenario.hpp"
 
 namespace envnws::simnet {
@@ -57,13 +57,11 @@ TEST(CrossTraffic, ContendsWithProbes) {
   CrossTraffic traffic(net, spec);
   traffic.start();
   net.run_until(5.0);
-  ProbeSession session(net);
-  const auto outcome = session.single(net.topology().find_by_name("h0").value(),
-                                      net.topology().find_by_name("h1").value(),
-                                      units::mib(1));
+  env::SimProbeEngine engine(net, env::MapperOptions{});  // 1 MiB probes
+  const auto measured = engine.bandwidth("h0", "h1");
   traffic.stop();
-  ASSERT_TRUE(outcome.ok);
-  EXPECT_LT(outcome.bandwidth_bps, mbps(6.5));
+  ASSERT_TRUE(measured.ok());
+  EXPECT_LT(measured.value(), mbps(6.5));
 }
 
 TEST(CrossTraffic, DeterministicPerSeed) {
