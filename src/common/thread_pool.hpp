@@ -1,9 +1,10 @@
 // Fixed-size worker pool.
 //
 // The simulation core is deliberately single-threaded (determinism), but
-// parameter sweeps in the benchmark harness run *independent* simulations
-// — one per parameter point — and those parallelize embarrassingly. The
-// pool hands out std::future results so callers keep ordinary structured
+// ENV maps firewall zones independently: Mapper::map_zones, the pool's
+// one caller, runs each zone's interrogation on its own probe engine
+// across the workers and merges the results in zone order. The pool
+// hands out std::future results so callers keep ordinary structured
 // control flow.
 //
 // For the schedule-exploration harness the pool has a second, virtual

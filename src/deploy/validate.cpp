@@ -6,6 +6,7 @@
 
 #include "common/strings.hpp"
 #include "deploy/query.hpp"
+#include "nws/clique.hpp"
 #include "simnet/fairshare.hpp"
 
 namespace envnws::deploy {
@@ -143,11 +144,7 @@ ValidationReport validate_plan(const DeploymentPlan& plan, simnet::Network& net,
         clique.members.push_back(id.value());
       }
     }
-    for (const simnet::NodeId a : clique.members) {
-      for (const simnet::NodeId b : clique.members) {
-        if (a != b) clique.pairs.emplace_back(a, b);
-      }
-    }
+    clique.pairs = nws::ordered_experiment_pairs(clique.members);
     report.max_clique_size = std::max(report.max_clique_size, clique.members.size());
     report.worst_cycle_time_s = std::max(
         report.worst_cycle_time_s, clique.period_s * static_cast<double>(clique.pairs.size()));

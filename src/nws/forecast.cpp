@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <span>
 
 #include "common/stats.hpp"
 
@@ -10,255 +10,144 @@ namespace envnws::nws {
 
 namespace {
 
-class LastValue final : public Predictor {
- public:
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] double predict() const override { return last_; }
-  void update(double value) override { last_ = value; }
-
- private:
-  std::string name_ = "last";
-  double last_ = 0.0;
+/// Battery members, in the order forecast() breaks ties and
+/// predictor_errors() reports them.
+enum Member : std::size_t {
+  kLast,
+  kMean,
+  kMeanW5,
+  kMeanW21,
+  kMeanW51,
+  kMedianW5,
+  kMedianW21,
+  kMedianW51,
+  kTrimmedW31,
+  kExpSmooth005,
+  kExpSmooth020,
+  kExpSmooth050,
+  kExpSmooth090,
+  kAdaptSmooth,
+  kMomentum,
 };
 
-class RunningMean final : public Predictor {
- public:
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] double predict() const override { return count_ > 0 ? sum_ / count_ : 0.0; }
-  void update(double value) override {
-    sum_ += value;
-    count_ += 1.0;
-  }
-
- private:
-  std::string name_ = "mean";
-  double sum_ = 0.0;
-  double count_ = 0.0;
-};
-
-class SlidingMean final : public Predictor {
- public:
-  explicit SlidingMean(std::size_t window)
-      : name_("mean_w" + std::to_string(window)), window_(window) {}
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] double predict() const override {
-    return values_.empty() ? 0.0 : sum_ / static_cast<double>(values_.size());
-  }
-  void update(double value) override {
-    values_.push_back(value);
-    sum_ += value;
-    if (values_.size() > window_) {
-      sum_ -= values_.front();
-      values_.pop_front();
-    }
-  }
-
- private:
-  std::string name_;
-  std::size_t window_;
-  std::deque<double> values_;
-  double sum_ = 0.0;
-};
-
-class SlidingMedian final : public Predictor {
- public:
-  explicit SlidingMedian(std::size_t window)
-      : name_("median_w" + std::to_string(window)), window_(window) {}
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] double predict() const override {
-    if (values_.empty()) return 0.0;
-    std::vector<double> copy(values_.begin(), values_.end());
-    return stats::median(copy);
-  }
-  void update(double value) override {
-    values_.push_back(value);
-    if (values_.size() > window_) values_.pop_front();
-  }
-
- private:
-  std::string name_;
-  std::size_t window_;
-  std::deque<double> values_;
-};
-
-class TrimmedMean final : public Predictor {
- public:
-  TrimmedMean(std::size_t window, double trim_fraction)
-      : name_("trimmed_w" + std::to_string(window)),
-        window_(window),
-        trim_fraction_(trim_fraction) {}
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] double predict() const override {
-    if (values_.empty()) return 0.0;
-    std::vector<double> copy(values_.begin(), values_.end());
-    return stats::trimmed_mean(copy, trim_fraction_);
-  }
-  void update(double value) override {
-    values_.push_back(value);
-    if (values_.size() > window_) values_.pop_front();
-  }
-
- private:
-  std::string name_;
-  std::size_t window_;
-  double trim_fraction_;
-  std::deque<double> values_;
-};
-
-class ExponentialSmoothing final : public Predictor {
- public:
-  explicit ExponentialSmoothing(double gain)
-      : name_("expsmooth_g" + std::to_string(gain).substr(0, 4)), gain_(gain) {}
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] double predict() const override { return state_; }
-  void update(double value) override {
-    if (!primed_) {
-      state_ = value;
-      primed_ = true;
-      return;
-    }
-    state_ = gain_ * value + (1.0 - gain_) * state_;
-  }
-
- private:
-  std::string name_;
-  double gain_;
-  double state_ = 0.0;
-  bool primed_ = false;
-};
-
-/// Gain follows the sign of the error trend: when recent predictions lag
-/// the signal, the gain grows (track faster); when they overshoot noisy
-/// samples, it shrinks (smooth harder).
-class AdaptiveSmoothing final : public Predictor {
- public:
-  explicit AdaptiveSmoothing(double initial_gain)
-      : name_("adaptsmooth"), gain_(initial_gain) {}
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] double predict() const override { return state_; }
-  void update(double value) override {
-    if (!primed_) {
-      state_ = value;
-      primed_ = true;
-      return;
-    }
-    const double error = value - state_;
-    // Same-sign consecutive errors mean the smoother is lagging.
-    if (error * last_error_ > 0.0) {
-      gain_ = std::min(0.95, gain_ * 1.1);
-    } else {
-      gain_ = std::max(0.05, gain_ * 0.9);
-    }
-    last_error_ = error;
-    state_ += gain_ * error;
-  }
-
- private:
-  std::string name_;
-  double gain_;
-  double state_ = 0.0;
-  double last_error_ = 0.0;
-  bool primed_ = false;
-};
-
-class Momentum final : public Predictor {
- public:
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] double predict() const override { return last_ + (last_ - previous_); }
-  void update(double value) override {
-    previous_ = primed_ ? last_ : value;
-    last_ = value;
-    primed_ = true;
-  }
-
- private:
-  std::string name_ = "momentum";
-  double last_ = 0.0;
-  double previous_ = 0.0;
-  bool primed_ = false;
-};
+constexpr std::array<const char*, 15> kNames = {
+    "last",
+    "mean",
+    "mean_w5",         "mean_w21",        "mean_w51",
+    "median_w5",       "median_w21",      "median_w51",
+    "trimmed_w31",
+    "expsmooth_g0.05", "expsmooth_g0.20", "expsmooth_g0.50", "expsmooth_g0.90",
+    "adaptsmooth",
+    "momentum"};
+constexpr std::array<std::size_t, 3> kWindows = {5, 21, 51};  ///< sliding means and medians
+constexpr std::size_t kTrimmedWindow = 31;
+constexpr double kTrimFraction = 0.1;
+constexpr std::array<double, 4> kGains = {0.05, 0.2, 0.5, 0.9};
 
 }  // namespace
 
-std::unique_ptr<Predictor> make_last_value() { return std::make_unique<LastValue>(); }
-std::unique_ptr<Predictor> make_running_mean() { return std::make_unique<RunningMean>(); }
-std::unique_ptr<Predictor> make_sliding_mean(std::size_t window) {
-  return std::make_unique<SlidingMean>(window);
-}
-std::unique_ptr<Predictor> make_sliding_median(std::size_t window) {
-  return std::make_unique<SlidingMedian>(window);
-}
-std::unique_ptr<Predictor> make_trimmed_mean(std::size_t window, double trim_fraction) {
-  return std::make_unique<TrimmedMean>(window, trim_fraction);
-}
-std::unique_ptr<Predictor> make_exponential_smoothing(double gain) {
-  return std::make_unique<ExponentialSmoothing>(gain);
-}
-std::unique_ptr<Predictor> make_adaptive_smoothing(double initial_gain) {
-  return std::make_unique<AdaptiveSmoothing>(initial_gain);
-}
-std::unique_ptr<Predictor> make_momentum() { return std::make_unique<Momentum>(); }
-
-std::vector<std::unique_ptr<Predictor>> default_battery() {
-  std::vector<std::unique_ptr<Predictor>> battery;
-  battery.push_back(make_last_value());
-  battery.push_back(make_running_mean());
-  battery.push_back(make_sliding_mean(5));
-  battery.push_back(make_sliding_mean(21));
-  battery.push_back(make_sliding_mean(51));
-  battery.push_back(make_sliding_median(5));
-  battery.push_back(make_sliding_median(21));
-  battery.push_back(make_sliding_median(51));
-  battery.push_back(make_trimmed_mean(31, 0.1));
-  battery.push_back(make_exponential_smoothing(0.05));
-  battery.push_back(make_exponential_smoothing(0.2));
-  battery.push_back(make_exponential_smoothing(0.5));
-  battery.push_back(make_exponential_smoothing(0.9));
-  battery.push_back(make_adaptive_smoothing(0.3));
-  battery.push_back(make_momentum());
-  return battery;
-}
-
-AdaptiveForecaster::AdaptiveForecaster(std::vector<std::unique_ptr<Predictor>> battery) {
-  if (battery.empty()) battery = default_battery();
-  for (auto& predictor : battery) {
-    battery_.push_back(Tracked{std::move(predictor), 0.0, 0.0});
+double AdaptiveForecaster::predict(std::size_t member) const {
+  switch (member) {
+    case kLast:
+      return last_;
+    case kMean:
+      return count_ > 0 ? running_sum_ / static_cast<double>(count_) : 0.0;
+    case kMeanW5:
+    case kMeanW21:
+    case kMeanW51: {
+      const std::size_t held = std::min(count_, kWindows[member - kMeanW5]);
+      return held == 0 ? 0.0 : window_sums_[member - kMeanW5] / static_cast<double>(held);
+    }
+    case kMedianW5:
+    case kMedianW21:
+    case kMedianW51:
+    case kTrimmedW31: {
+      const bool trimmed = member == kTrimmedW31;
+      const std::size_t held =
+          std::min(count_, trimmed ? kTrimmedWindow : kWindows[member - kMedianW5]);
+      // The last `held` observations, oldest first.
+      std::array<double, kHistory> window{};
+      for (std::size_t i = 0; i < held; ++i) {
+        window[i] = history_[(count_ - held + i) % kHistory];
+      }
+      const std::span<const double> recent(window.data(), held);
+      return trimmed ? stats::trimmed_mean(recent, kTrimFraction) : stats::median(recent);
+    }
+    case kExpSmooth005:
+    case kExpSmooth020:
+    case kExpSmooth050:
+    case kExpSmooth090:
+      return smoothed_[member - kExpSmooth005];
+    case kAdaptSmooth:
+      return adaptive_state_;
+    default:  // kMomentum
+      return last_ + (last_ - previous_);
   }
+}
+
+void AdaptiveForecaster::update(double value) {
+  static_assert(kWindows.back() == kHistory && kTrimmedWindow <= kHistory);
+  const bool primed = count_ > 0;
+  // Slide each mean's window: add the new value, then subtract the one
+  // leaving, read before the ring slot is overwritten.
+  for (std::size_t i = 0; i < kWindows.size(); ++i) {
+    window_sums_[i] += value;
+    if (count_ >= kWindows[i]) window_sums_[i] -= history_[(count_ - kWindows[i]) % kHistory];
+  }
+  history_[count_ % kHistory] = value;
+  running_sum_ += value;
+  for (std::size_t i = 0; i < kGains.size(); ++i) {
+    smoothed_[i] = primed ? kGains[i] * value + (1.0 - kGains[i]) * smoothed_[i] : value;
+  }
+  // Adaptive smoothing: same-sign consecutive errors mean the smoother is
+  // lagging, so its gain grows (track faster); otherwise it shrinks
+  // (smooth harder).
+  if (!primed) {
+    adaptive_state_ = value;
+  } else {
+    const double error = value - adaptive_state_;
+    adaptive_gain_ = error * adaptive_last_error_ > 0.0 ? std::min(0.95, adaptive_gain_ * 1.1)
+                                                        : std::max(0.05, adaptive_gain_ * 0.9);
+    adaptive_last_error_ = error;
+    adaptive_state_ += adaptive_gain_ * error;
+  }
+  previous_ = primed ? last_ : value;
+  last_ = value;
 }
 
 void AdaptiveForecaster::observe(double value) {
-  for (auto& tracked : battery_) {
-    if (count_ > 0) {
-      const double error = tracked.predictor->predict() - value;
-      tracked.sum_abs_error += std::abs(error);
-      tracked.sum_sq_error += error * error;
+  if (count_ > 0) {
+    for (std::size_t member = 0; member < kPredictors; ++member) {
+      const double error = predict(member) - value;
+      sum_abs_error_[member] += std::abs(error);
+      sum_sq_error_[member] += error * error;
     }
-    tracked.predictor->update(value);
   }
+  update(value);
   ++count_;
 }
 
 Forecast AdaptiveForecaster::forecast() const {
-  Forecast out;
-  out.samples = count_;
-  if (battery_.empty()) return out;
-  const Tracked* best = &battery_.front();
-  for (const auto& tracked : battery_) {
-    if (tracked.sum_sq_error < best->sum_sq_error) best = &tracked;
+  std::size_t best = 0;
+  for (std::size_t member = 1; member < kPredictors; ++member) {
+    if (sum_sq_error_[member] < sum_sq_error_[best]) best = member;
   }
-  out.value = best->predictor->predict();
-  out.winner = best->predictor->name();
   const double denom = count_ > 1 ? static_cast<double>(count_ - 1) : 1.0;
-  out.mae = best->sum_abs_error / denom;
-  out.rmse = std::sqrt(best->sum_sq_error / denom);
+  Forecast out;
+  out.value = predict(best);
+  out.winner = kNames[best];
+  out.mae = sum_abs_error_[best] / denom;
+  out.rmse = std::sqrt(sum_sq_error_[best] / denom);
+  out.samples = count_;
   return out;
 }
 
 std::vector<std::pair<std::string, double>> AdaptiveForecaster::predictor_errors() const {
+  static_assert(kNames.size() == kPredictors);
   std::vector<std::pair<std::string, double>> out;
   const double denom = count_ > 1 ? static_cast<double>(count_ - 1) : 1.0;
-  for (const auto& tracked : battery_) {
-    out.emplace_back(tracked.predictor->name(), tracked.sum_abs_error / denom);
+  for (std::size_t member = 0; member < kPredictors; ++member) {
+    out.emplace_back(kNames[member], sum_abs_error_[member] / denom);
   }
   return out;
 }

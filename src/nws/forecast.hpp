@@ -1,51 +1,26 @@
 // The NWS statistical forecasting battery.
 //
 // The NWS forecaster (paper §2.1; Wolski et al., FGCS 15(5-6)) runs a
-// family of cheap predictors over each measurement series in parallel,
-// tracks every predictor's cumulative error, and answers each query with
-// the prediction of the currently most accurate one ("dynamic predictor
-// selection"). This module reproduces that design: a battery of
-// incremental O(1)-per-update predictors and an adaptive selector that
-// reports both the forecast and the winner's error estimate.
+// fixed family of cheap predictors over each measurement series in
+// parallel, tracks every predictor's cumulative error, and answers each
+// query with the prediction of the currently most accurate one ("dynamic
+// predictor selection"). This module reproduces that design. The battery
+// is fixed: last value, running mean, sliding means (windows 5/21/51),
+// sliding medians (5/21/51), a 10%-trimmed mean (31), exponential
+// smoothing (gains 0.05/0.20/0.50/0.90), adaptive smoothing and momentum.
+// The windowed predictors share one history, an inline ring of the last
+// 51 observations; the sliding means keep running sums, while the medians
+// and the trimmed mean sort their window on each prediction. A
+// forecaster allocates nothing on construction.
 #pragma once
 
-#include <deque>
-#include <memory>
+#include <array>
+#include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace envnws::nws {
-
-/// Incremental one-step-ahead predictor.
-class Predictor {
- public:
-  virtual ~Predictor() = default;
-  [[nodiscard]] virtual const std::string& name() const = 0;
-  /// Prediction for the *next* value (call before update()).
-  [[nodiscard]] virtual double predict() const = 0;
-  /// Feed the actual next value.
-  virtual void update(double value) = 0;
-};
-
-// --- the battery --------------------------------------------------------
-
-std::unique_ptr<Predictor> make_last_value();
-std::unique_ptr<Predictor> make_running_mean();
-std::unique_ptr<Predictor> make_sliding_mean(std::size_t window);
-std::unique_ptr<Predictor> make_sliding_median(std::size_t window);
-/// Sliding mean over the window with the given fraction trimmed per side.
-std::unique_ptr<Predictor> make_trimmed_mean(std::size_t window, double trim_fraction);
-std::unique_ptr<Predictor> make_exponential_smoothing(double gain);
-/// Exponential smoothing whose gain adapts to the observed error
-/// (the NWS "adaptive" gradient predictor).
-std::unique_ptr<Predictor> make_adaptive_smoothing(double initial_gain);
-/// Last value plus momentum (difference of the last two observations).
-std::unique_ptr<Predictor> make_momentum();
-
-/// The default NWS-style predictor set.
-std::vector<std::unique_ptr<Predictor>> default_battery();
-
-// --- dynamic predictor selection ----------------------------------------
 
 struct Forecast {
   double value = 0.0;
@@ -59,9 +34,6 @@ struct Forecast {
 
 class AdaptiveForecaster {
  public:
-  /// Uses default_battery() when `battery` is empty.
-  explicit AdaptiveForecaster(std::vector<std::unique_ptr<Predictor>> battery = {});
-
   /// Feed the next observed value (updates every predictor's error).
   void observe(double value);
   /// Forecast the next value using the minimum-MSE predictor so far.
@@ -71,12 +43,26 @@ class AdaptiveForecaster {
   [[nodiscard]] std::size_t observations() const { return count_; }
 
  private:
-  struct Tracked {
-    std::unique_ptr<Predictor> predictor;
-    double sum_abs_error = 0.0;
-    double sum_sq_error = 0.0;
-  };
-  std::vector<Tracked> battery_;
+  static constexpr std::size_t kPredictors = 15;
+  /// The longest window in the battery: the history ring's capacity.
+  static constexpr std::size_t kHistory = 51;
+
+  /// Battery member `member`'s prediction for the next value.
+  [[nodiscard]] double predict(std::size_t member) const;
+  /// Feed `value` to every predictor's state.
+  void update(double value);
+
+  std::array<double, kHistory> history_{};  ///< ring; the next write goes to count_ % kHistory
+  std::array<double, 3> window_sums_{};     ///< mean_w5, mean_w21, mean_w51
+  double last_ = 0.0;
+  double previous_ = 0.0;  ///< momentum's second-to-last value
+  double running_sum_ = 0.0;
+  std::array<double, 4> smoothed_{};  ///< expsmooth_g0.05 .. expsmooth_g0.90
+  double adaptive_state_ = 0.0;
+  double adaptive_gain_ = 0.3;
+  double adaptive_last_error_ = 0.0;
+  std::array<double, kPredictors> sum_abs_error_{};
+  std::array<double, kPredictors> sum_sq_error_{};
   std::size_t count_ = 0;
 };
 

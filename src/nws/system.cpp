@@ -16,23 +16,22 @@ constexpr std::uint64_t kMaxQuerySteps = 20'000'000;
 NwsSystem::NwsSystem(simnet::Network& net, SystemConfig config)
     : net_(net), config_(std::move(config)) {
   assert(!config_.nameserver_host.empty());
-  nameserver_ = std::make_unique<NameServer>(node(config_.nameserver_host));
+  nameserver_ = std::make_unique<NameServer>(node(config_.nameserver_host).value());
   if (config_.enable_host_locks) locks_ = std::make_unique<HostLockService>();
-  forecaster_host_ =
-      config_.forecaster_host.empty() ? nameserver_->host() : node(config_.forecaster_host);
+  forecaster_host_ = config_.forecaster_host.empty()
+                         ? nameserver_->host()
+                         : node(config_.forecaster_host).value();
   if (config_.memory_hosts.empty()) config_.memory_hosts = {config_.nameserver_host};
   for (const auto& host : config_.memory_hosts) {
-    memories_.push_back(std::make_unique<MemoryServer>("memory@" + host, node(host),
+    memories_.push_back(std::make_unique<MemoryServer>("memory@" + host, node(host).value(),
                                                        config_.series_capacity));
   }
 }
 
 NwsSystem::~NwsSystem() { stop(); }
 
-NodeId NwsSystem::node(const std::string& name) const {
-  const auto id = net_.topology().find_by_name(name);
-  assert(id.ok() && "unknown host name in NWS configuration");
-  return id.value();
+Result<NodeId> NwsSystem::node(const std::string& name) const {
+  return net_.topology().find_by_name(name);
 }
 
 MemoryServer& NwsSystem::memory_for_clique(const std::vector<simnet::NodeId>& members) {
@@ -68,9 +67,11 @@ Clique& NwsSystem::add_clique(const CliqueSpec& spec) {
   return clique;
 }
 
-void NwsSystem::add_host_sensor(const std::string& host_name) {
+Status NwsSystem::add_host_sensor(const std::string& host_name) {
+  const auto found = node(host_name);
+  if (!found.ok()) return found.error();
+  const NodeId host = found.value();
   MemoryServer& memory = *memories_.front();
-  const NodeId host = node(host_name);
   sensors_.push_back(
       std::make_unique<HostSensor>(net_, host, memory, config_.host_sensor_period_s));
   for (const ResourceKind kind :
@@ -79,16 +80,21 @@ void NwsSystem::add_host_sensor(const std::string& host_name) {
   }
   net_.send_message(host, nameserver_->host(), kControlBytes, nullptr, "nws-register");
   if (started_) sensors_.back()->start();
+  return {};
 }
 
-UncoordinatedProbe& NwsSystem::add_uncoordinated_probe(const std::string& src,
-                                                       const std::string& dst,
-                                                       double period_s) {
+Result<UncoordinatedProbe*> NwsSystem::add_uncoordinated_probe(const std::string& src,
+                                                                const std::string& dst,
+                                                                double period_s) {
+  const auto src_id = node(src);
+  if (!src_id.ok()) return src_id.error();
+  const auto dst_id = node(dst);
+  if (!dst_id.ok()) return dst_id.error();
   MemoryServer& memory = *memories_.front();
-  probes_.push_back(
-      std::make_unique<UncoordinatedProbe>(net_, node(src), node(dst), memory, period_s));
+  probes_.push_back(std::make_unique<UncoordinatedProbe>(net_, src_id.value(), dst_id.value(),
+                                                         memory, period_s));
   if (started_) probes_.back()->start();
-  return *probes_.back();
+  return probes_.back().get();
 }
 
 void NwsSystem::start() {
@@ -152,7 +158,9 @@ AdaptiveForecaster& NwsSystem::forecaster_state(const SeriesKey& key,
 }
 
 Result<QueryReply> NwsSystem::query(const std::string& client_host, const SeriesKey& key) {
-  const NodeId client = node(client_host);
+  const auto found = node(client_host);
+  if (!found.ok()) return found.error();
+  const NodeId client = found.value();
   const double started_at = net_.now();
 
   // Step 2 happens server-side: resolve the memory for this series.

@@ -52,18 +52,20 @@ class NwsSystem {
 
   /// Create a measurement clique (before or after start()).
   Clique& add_clique(const CliqueSpec& spec);
-  /// Start CPU/memory/disk monitoring on a host.
-  void add_host_sensor(const std::string& host_name);
-  /// Anti-pattern probe for the collision experiments.
-  UncoordinatedProbe& add_uncoordinated_probe(const std::string& src, const std::string& dst,
-                                              double period_s);
+  /// Start CPU/memory/disk monitoring on a host; not_found for a name
+  /// the topology does not know.
+  Status add_host_sensor(const std::string& host_name);
+  /// Anti-pattern probe for the collision experiments; not_found for an
+  /// unknown endpoint.
+  Result<UncoordinatedProbe*> add_uncoordinated_probe(const std::string& src,
+                                                      const std::string& dst, double period_s);
 
   /// Register everything with the name server and start all activity.
   void start();
   void stop();
 
   /// Issue a forecast query from `client_host` and run the simulation
-  /// until the reply arrives.
+  /// until the reply arrives; not_found for an unknown client host.
   Result<QueryReply> query(const std::string& client_host, const SeriesKey& key);
 
   // --- introspection (tests, benches, validator) ---
@@ -76,7 +78,10 @@ class NwsSystem {
   [[nodiscard]] simnet::Network& network() { return net_; }
 
  private:
-  [[nodiscard]] simnet::NodeId node(const std::string& name) const;
+  /// The topology node named `name`. The constructor takes its
+  /// configured hosts' ids unchecked: the deployment manager has checked
+  /// those names before building the system.
+  [[nodiscard]] Result<simnet::NodeId> node(const std::string& name) const;
   /// Memory server for a new clique: round-robin over the configured
   /// hosts, restricted to those every member can actually reach (a
   /// firewalled zone must store to its own site's memory).

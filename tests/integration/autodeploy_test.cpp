@@ -136,6 +136,22 @@ TEST_F(EnsLyonDeploy, AggregatedLatencyAddsUp) {
   EXPECT_LT(reply.value().value, truth * 4.0);
 }
 
+TEST_F(EnsLyonDeploy, UnknownClientIsNotFound) {
+  // A client the platform does not know is a lookup failure, not a crash.
+  auto bandwidth = deploy_->queries().bandwidth("no-such-host.example", "canaria.ens-lyon.fr",
+                                                "moby.cri2000.ens-lyon.fr");
+  ASSERT_FALSE(bandwidth.ok());
+  EXPECT_EQ(bandwidth.error().code, ErrorCode::not_found);
+  auto latency = deploy_->queries().latency("no-such-host.example", "the-doors.ens-lyon.fr",
+                                            "sci3.popc.private");
+  ASSERT_FALSE(latency.ok());
+  EXPECT_EQ(latency.error().code, ErrorCode::not_found);
+  // The service keeps answering known clients afterwards.
+  EXPECT_TRUE(deploy_->queries()
+                  .bandwidth("the-doors", "canaria.ens-lyon.fr", "moby.cri2000.ens-lyon.fr")
+                  .ok());
+}
+
 TEST_F(EnsLyonDeploy, EveryHostPairIsAnswerable) {
   const auto& hosts = deploy_->plan_result().hosts;
   for (std::size_t i = 0; i < hosts.size(); ++i) {

@@ -263,6 +263,24 @@ TEST(System, UncoordinatedProbesCollideOnHub) {
   system.stop();
 }
 
+TEST(System, UnknownHostNamesAreNotFound) {
+  auto scenario = simnet::star_hub(4, mbps(10));
+  simnet::Network net(std::move(scenario.topology));
+  SystemConfig config;
+  config.nameserver_host = "h0";
+  NwsSystem system(net, config);
+  const auto probe = system.add_uncoordinated_probe("h0", "no-such-host", 5.0);
+  ASSERT_FALSE(probe.ok());
+  EXPECT_EQ(probe.error().code, ErrorCode::not_found);
+  const Status sensor = system.add_host_sensor("no-such-host");
+  ASSERT_FALSE(sensor.ok());
+  EXPECT_EQ(sensor.error().code, ErrorCode::not_found);
+  const auto reply = system.query("no-such-host", {ResourceKind::bandwidth, "h0", "h1"});
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(reply.error().code, ErrorCode::not_found);
+  EXPECT_TRUE(system.add_uncoordinated_probe("h0", "h1", 5.0).ok());
+}
+
 TEST(System, NameServerDirectoryIsPopulated) {
   auto scenario = simnet::star_switch(3, mbps(100));
   simnet::Network net(std::move(scenario.topology));

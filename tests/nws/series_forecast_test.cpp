@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "nws/forecast.hpp"
@@ -42,57 +45,75 @@ TEST(Series, KeyOrderingAndNames) {
   EXPECT_FALSE(is_network_resource(ResourceKind::cpu));
 }
 
+/// Battery member `name`'s prediction for the next value, read back
+/// through predictor_errors(): observing a probe above every prediction
+/// adds exactly (probe - prediction) to the member's summed absolute error.
+double prediction_of(AdaptiveForecaster forecaster, const std::string& name) {
+  const auto summed_error = [&name](const AdaptiveForecaster& f) {
+    const double denom =
+        f.observations() > 1 ? static_cast<double>(f.observations() - 1) : 1.0;
+    for (const auto& [member, mae] : f.predictor_errors()) {
+      if (member == name) return mae * denom;
+    }
+    ADD_FAILURE() << "no battery member " << name;
+    return 0.0;
+  };
+  constexpr double kProbe = 1e4;
+  const double before = summed_error(forecaster);
+  forecaster.observe(kProbe);
+  return kProbe - (summed_error(forecaster) - before);
+}
+
+AdaptiveForecaster fed(std::initializer_list<double> values) {
+  AdaptiveForecaster forecaster;
+  for (const double v : values) forecaster.observe(v);
+  return forecaster;
+}
+
 TEST(Forecast, LastValuePredictsLast) {
-  auto predictor = make_last_value();
-  predictor->update(5.0);
-  predictor->update(7.0);
-  EXPECT_DOUBLE_EQ(predictor->predict(), 7.0);
+  EXPECT_NEAR(prediction_of(fed({5.0, 7.0}), "last"), 7.0, 1e-9);
 }
 
 TEST(Forecast, RunningMean) {
-  auto predictor = make_running_mean();
-  for (double v : {2.0, 4.0, 6.0}) predictor->update(v);
-  EXPECT_DOUBLE_EQ(predictor->predict(), 4.0);
+  EXPECT_NEAR(prediction_of(fed({2.0, 4.0, 6.0}), "mean"), 4.0, 1e-9);
 }
 
 TEST(Forecast, SlidingMeanWindow) {
-  auto predictor = make_sliding_mean(2);
-  for (double v : {100.0, 2.0, 4.0}) predictor->update(v);
-  EXPECT_DOUBLE_EQ(predictor->predict(), 3.0);  // window holds {2, 4}
+  // mean_w5 holds {2, 4, 6, 8, 10}; the 100 has left the window.
+  EXPECT_NEAR(prediction_of(fed({100.0, 2.0, 4.0, 6.0, 8.0, 10.0}), "mean_w5"), 6.0, 1e-9);
+  // Before the window fills it averages what it holds.
+  EXPECT_NEAR(prediction_of(fed({100.0, 2.0}), "mean_w21"), 51.0, 1e-9);
 }
 
 TEST(Forecast, SlidingMedianResistsOutliers) {
-  auto predictor = make_sliding_median(5);
-  for (double v : {10.0, 10.0, 1000.0, 10.0, 10.0}) predictor->update(v);
-  EXPECT_DOUBLE_EQ(predictor->predict(), 10.0);
+  const AdaptiveForecaster forecaster = fed({10.0, 10.0, 1000.0, 10.0, 10.0});
+  EXPECT_NEAR(prediction_of(forecaster, "median_w5"), 10.0, 1e-9);
+  // The window slides: three 20s push out 10, 10 and the 1000.
+  EXPECT_NEAR(prediction_of(fed({10.0, 10.0, 1000.0, 10.0, 10.0, 20.0, 20.0, 20.0}), "median_w5"),
+              20.0, 1e-9);
 }
 
 TEST(Forecast, TrimmedMeanResistsOutliers) {
-  auto predictor = make_trimmed_mean(10, 0.2);
-  for (double v : {10.0, 10.0, 10.0, 10.0, 500.0}) predictor->update(v);
-  EXPECT_NEAR(predictor->predict(), 10.0, 1.0);
+  // Ten values trim one from each end: the 500 and one 10 go.
+  const AdaptiveForecaster forecaster =
+      fed({10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 500.0});
+  EXPECT_NEAR(prediction_of(forecaster, "trimmed_w31"), 10.0, 1e-9);
 }
 
 TEST(Forecast, ExponentialSmoothingTracks) {
-  auto predictor = make_exponential_smoothing(0.5);
-  predictor->update(0.0);
-  predictor->update(10.0);
-  EXPECT_DOUBLE_EQ(predictor->predict(), 5.0);
-  predictor->update(10.0);
-  EXPECT_DOUBLE_EQ(predictor->predict(), 7.5);
+  EXPECT_NEAR(prediction_of(fed({0.0, 10.0}), "expsmooth_g0.50"), 5.0, 1e-9);
+  EXPECT_NEAR(prediction_of(fed({0.0, 10.0, 10.0}), "expsmooth_g0.50"), 7.5, 1e-9);
+  EXPECT_NEAR(prediction_of(fed({0.0, 10.0}), "expsmooth_g0.90"), 9.0, 1e-9);
 }
 
 TEST(Forecast, MomentumExtrapolatesTrend) {
-  auto predictor = make_momentum();
-  predictor->update(10.0);
-  predictor->update(12.0);
-  EXPECT_DOUBLE_EQ(predictor->predict(), 14.0);
+  EXPECT_NEAR(prediction_of(fed({10.0, 12.0}), "momentum"), 14.0, 1e-9);
 }
 
 TEST(Forecast, AdaptiveSmoothingConverges) {
-  auto predictor = make_adaptive_smoothing(0.3);
-  for (int i = 0; i < 200; ++i) predictor->update(42.0);
-  EXPECT_NEAR(predictor->predict(), 42.0, 0.5);
+  AdaptiveForecaster forecaster;
+  for (int i = 0; i < 200; ++i) forecaster.observe(42.0);
+  EXPECT_NEAR(prediction_of(forecaster, "adaptsmooth"), 42.0, 0.5);
 }
 
 TEST(Forecast, AdaptiveForecasterPerfectOnConstantSeries) {
