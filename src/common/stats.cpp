@@ -38,12 +38,16 @@ double max(std::span<const double> xs) {
 }
 
 double median(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
   std::vector<double> copy(xs.begin(), xs.end());
   std::sort(copy.begin(), copy.end());
-  const std::size_t n = copy.size();
-  if (n % 2 == 1) return copy[n / 2];
-  return 0.5 * (copy[n / 2 - 1] + copy[n / 2]);
+  return median_sorted(copy);
+}
+
+double median_sorted(std::span<const double> sorted) {
+  if (sorted.empty()) return 0.0;
+  const std::size_t n = sorted.size();
+  if (n % 2 == 1) return sorted[n / 2];
+  return 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
 }
 
 double percentile(std::span<const double> xs, double p) {
@@ -59,16 +63,20 @@ double percentile(std::span<const double> xs, double p) {
 }
 
 double trimmed_mean(std::span<const double> xs, double trim_fraction) {
-  if (xs.empty()) return 0.0;
-  trim_fraction = std::clamp(trim_fraction, 0.0, 0.49);
   std::vector<double> copy(xs.begin(), xs.end());
   std::sort(copy.begin(), copy.end());
+  return trimmed_mean_sorted(copy, trim_fraction);
+}
+
+double trimmed_mean_sorted(std::span<const double> sorted, double trim_fraction) {
+  if (sorted.empty()) return 0.0;
+  trim_fraction = std::clamp(trim_fraction, 0.0, 0.49);
   const auto cut = static_cast<std::size_t>(
-      std::floor(trim_fraction * static_cast<double>(copy.size())));
-  if (copy.size() <= 2 * cut) return median(xs);
+      std::floor(trim_fraction * static_cast<double>(sorted.size())));
+  if (sorted.size() <= 2 * cut) return median_sorted(sorted);
   double acc = 0.0;
-  for (std::size_t i = cut; i < copy.size() - cut; ++i) acc += copy[i];
-  return acc / static_cast<double>(copy.size() - 2 * cut);
+  for (std::size_t i = cut; i < sorted.size() - cut; ++i) acc += sorted[i];
+  return acc / static_cast<double>(sorted.size() - 2 * cut);
 }
 
 double mean_absolute_error(std::span<const double> predicted, std::span<const double> actual) {

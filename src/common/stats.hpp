@@ -17,10 +17,14 @@ namespace envnws::stats {
 [[nodiscard]] double max(std::span<const double> xs);
 /// Median (average of the middle two for even sizes). 0 for empty input.
 [[nodiscard]] double median(std::span<const double> xs);
+/// median() of input already in ascending order, without the sorted copy.
+[[nodiscard]] double median_sorted(std::span<const double> sorted);
 /// Linear-interpolated percentile, p in [0, 100].
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
 /// Mean of the values that survive trimming `trim_fraction` from each end.
 [[nodiscard]] double trimmed_mean(std::span<const double> xs, double trim_fraction);
+/// trimmed_mean() of input already in ascending order, without the sorted copy.
+[[nodiscard]] double trimmed_mean_sorted(std::span<const double> sorted, double trim_fraction);
 /// Mean absolute error between pairwise-aligned sequences.
 [[nodiscard]] double mean_absolute_error(std::span<const double> predicted,
                                          std::span<const double> actual);

@@ -8,10 +8,8 @@ SimProbeEngine::SimProbeEngine(simnet::Network& net, const MapperOptions& option
     : net_(net), options_(options) {}
 
 Result<NodeId> SimProbeEngine::resolve(const std::string& hostname) const {
-  if (auto by_name = net_.topology().find_by_name(hostname); by_name.ok()) {
-    return by_name.value();
-  }
-  return net_.topology().find_host_by_fqdn(hostname);
+  if (const NodeId id = net_.topology().find_by_name_or_fqdn(hostname); id.valid()) return id;
+  return net_.topology().find_host_by_fqdn(hostname);  // the not_found error
 }
 
 Result<HostIdentity> SimProbeEngine::lookup(const std::string& hostname) {

@@ -65,13 +65,15 @@ double AdaptiveForecaster::predict(std::size_t member) const {
       const bool trimmed = member == kTrimmedW31;
       const std::size_t held =
           std::min(count_, trimmed ? kTrimmedWindow : kWindows[member - kMedianW5]);
-      // The last `held` observations, oldest first.
+      // The last `held` observations, sorted in place on the stack.
       std::array<double, kHistory> window{};
       for (std::size_t i = 0; i < held; ++i) {
         window[i] = history_[(count_ - held + i) % kHistory];
       }
-      const std::span<const double> recent(window.data(), held);
-      return trimmed ? stats::trimmed_mean(recent, kTrimFraction) : stats::median(recent);
+      const auto recent = std::span<double>(window.data(), held);
+      std::sort(recent.begin(), recent.end());
+      return trimmed ? stats::trimmed_mean_sorted(recent, kTrimFraction)
+                     : stats::median_sorted(recent);
     }
     case kExpSmooth005:
     case kExpSmooth020:

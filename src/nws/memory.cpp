@@ -10,7 +10,7 @@
 namespace envnws::nws {
 
 void MemoryServer::store(const SeriesKey& key, double time, double value) {
-  auto [it, inserted] = series_.try_emplace(key, TimeSeries(series_capacity_));
+  auto [it, inserted] = series_.try_emplace(key, series_capacity_);
   it->second.add(time, value);
   ++stored_count_;
 }

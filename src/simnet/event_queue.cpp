@@ -1,32 +1,60 @@
 #include "simnet/event_queue.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace envnws::simnet {
 
 EventHandle EventQueue::schedule_at(SimTime t, EventFn fn) {
-  const EventHandle handle = next_seq_++;
-  heap_.push(Key{t, handle});
-  live_.emplace(handle, std::move(fn));
-  return handle;
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& entry = slots_[slot];
+  entry.fn = std::move(fn);
+  entry.pending = true;
+  ++live_;
+  heap_.push_back(Key{t, next_seq_++, slot, entry.generation});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  return (static_cast<EventHandle>(entry.generation) << 32) | slot;
 }
 
-void EventQueue::cancel(EventHandle handle) { live_.erase(handle); }
+void EventQueue::release(std::uint32_t slot) {
+  Slot& entry = slots_[slot];
+  entry.fn = nullptr;
+  entry.pending = false;
+  ++entry.generation;
+  --live_;
+  free_slots_.push_back(slot);
+}
+
+void EventQueue::cancel(EventHandle handle) {
+  const auto slot = static_cast<std::uint32_t>(handle);
+  const auto generation = static_cast<std::uint32_t>(handle >> 32);
+  if (slot >= slots_.size()) return;
+  const Slot& entry = slots_[slot];
+  // The heap entry stays behind; pop() recognises it by its generation.
+  if (entry.pending && entry.generation == generation) release(slot);
+}
 
 SimTime EventQueue::next_time() const {
   assert(!heap_.empty());
-  return heap_.top().time;
+  return heap_.front().time;
 }
 
 bool EventQueue::pop(SimTime& time_out, EventFn& fn_out) {
   while (!heap_.empty()) {
-    const Key key = heap_.top();
-    heap_.pop();
-    const auto it = live_.find(key.seq);
-    if (it == live_.end()) continue;  // cancelled
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const Key key = heap_.back();
+    heap_.pop_back();
+    if (!is_live(key)) continue;  // cancelled
     time_out = key.time;
-    fn_out = std::move(it->second);
-    live_.erase(it);
+    fn_out = std::move(slots_[key.slot].fn);
+    release(key.slot);
     return true;
   }
   return false;

@@ -3,13 +3,18 @@
 // Events at equal timestamps fire in insertion order (a monotonically
 // increasing sequence number breaks ties), so a given scenario replays
 // identically on every run and platform.
+//
+// Callbacks live in a slot vector whose freed slots are reused through a
+// free list, so a long-running simulation holds as many slots as it ever
+// had events pending at once, and scheduling allocates nothing once the
+// slot vector and the heap have grown to that size. A handle names a slot
+// and the slot's generation at scheduling time; the generation changes
+// whenever the slot is freed, so a stale handle (its event fired or was
+// cancelled, its slot since reused) never cancels a newer event.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <queue>
-#include <utility>
 #include <vector>
 
 #include "simnet/types.hpp"
@@ -17,7 +22,8 @@
 namespace envnws::simnet {
 
 using EventFn = std::function<void()>;
-/// Opaque handle for cancellation.
+/// Opaque handle for cancellation: valid until its event fires or is
+/// cancelled, inert (cancel() does nothing) afterwards.
 using EventHandle = std::uint64_t;
 
 class EventQueue {
@@ -26,8 +32,8 @@ class EventQueue {
   /// Remove a pending event; no-op if it already fired or was cancelled.
   void cancel(EventHandle handle);
 
-  [[nodiscard]] bool empty() const { return live_.empty(); }
-  [[nodiscard]] std::size_t size() const { return live_.size(); }
+  [[nodiscard]] bool empty() const { return live_ == 0; }
+  [[nodiscard]] std::size_t size() const { return live_; }
   /// Timestamp of the next event; only valid when !empty().
   [[nodiscard]] SimTime next_time() const;
 
@@ -39,16 +45,32 @@ class EventQueue {
  private:
   struct Key {
     SimTime time;
-    EventHandle seq;
+    std::uint64_t seq;
+    std::uint32_t slot;
+    std::uint32_t generation;
     bool operator>(const Key& other) const {
       if (time != other.time) return time > other.time;
       return seq > other.seq;
     }
   };
+  struct Slot {
+    EventFn fn;
+    /// Bumped on every release; starts at 1 so handle 0 is never live.
+    std::uint32_t generation = 1;
+    bool pending = false;
+  };
 
-  std::priority_queue<Key, std::vector<Key>, std::greater<>> heap_;
-  std::map<EventHandle, EventFn> live_;
-  EventHandle next_seq_ = 0;
+  [[nodiscard]] bool is_live(const Key& key) const {
+    const Slot& slot = slots_[key.slot];
+    return slot.pending && slot.generation == key.generation;
+  }
+  void release(std::uint32_t slot);
+
+  std::vector<Key> heap_;  ///< min-heap on (time, seq) via std::greater
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_ = 0;
+  std::uint64_t next_seq_ = 0;
 };
 
 }  // namespace envnws::simnet

@@ -6,30 +6,30 @@
 
 namespace envnws::simnet {
 
-std::vector<WeightedUse> flow_uses(const std::vector<std::uint32_t>& forward,
-                                   const std::vector<std::uint32_t>& reverse,
-                                   double reverse_weight) {
-  std::vector<WeightedUse> uses;
-  uses.reserve(forward.size() + reverse.size());
-  for (const std::uint32_t r : forward) uses.push_back(WeightedUse{r, 1.0});
-  const std::size_t forward_count = uses.size();
+void flow_uses_into(const std::vector<std::uint32_t>& forward,
+                    const std::vector<std::uint32_t>& reverse, double reverse_weight,
+                    std::vector<WeightedUse>& out) {
+  out.clear();
+  out.reserve(forward.size() + reverse.size());
+  for (const std::uint32_t r : forward) out.push_back(WeightedUse{r, 1.0});
+  const std::size_t forward_count = out.size();
   for (const std::uint32_t r : reverse) {
-    const auto end = uses.begin() + static_cast<std::ptrdiff_t>(forward_count);
-    const auto shared = std::find_if(uses.begin(), end,
+    const auto end = out.begin() + static_cast<std::ptrdiff_t>(forward_count);
+    const auto shared = std::find_if(out.begin(), end,
                                      [r](const WeightedUse& use) { return use.resource == r; });
     if (shared != end) {
       shared->weight += reverse_weight;
     } else {
-      uses.push_back(WeightedUse{r, reverse_weight});
+      out.push_back(WeightedUse{r, reverse_weight});
     }
   }
-  return uses;
 }
 
-std::vector<double> solve_max_min(const std::vector<double>& capacities,
-                                  const std::vector<std::vector<WeightedUse>>& flows) {
+void solve_max_min_into(const std::vector<double>& capacities,
+                        const std::vector<std::vector<WeightedUse>>& flows,
+                        std::vector<double>& rates) {
   const std::size_t flow_count = flows.size();
-  std::vector<double> rates(flow_count, std::numeric_limits<double>::infinity());
+  rates.assign(flow_count, std::numeric_limits<double>::infinity());
 
   // Remap the touched resources to dense local indices, in order of first
   // use, so the filling loop never scans a resource no flow crosses. The
@@ -37,14 +37,21 @@ std::vector<double> solve_max_min(const std::vector<double>& capacities,
   // each resource still sums and subtracts its flows in flow order.
   // `local_of` maps a resource to its local index during one solve; it
   // outlives the solve (one per thread) and only the touched entries are
-  // reset, so a solve costs nothing per untouched resource.
+  // reset, so a solve costs nothing per untouched resource. The working
+  // arrays below are per-thread scratch as well: cleared, never shrunk.
   constexpr std::uint32_t kUnmapped = std::numeric_limits<std::uint32_t>::max();
   thread_local std::vector<std::uint32_t> local_of;
+  thread_local std::vector<std::uint32_t> local;    // local index of every term, flows concatenated
+  thread_local std::vector<std::uint32_t> touched;  // resource of every local index
+  thread_local std::vector<double> residual;
+  thread_local std::vector<double> weight_sum;
+  thread_local std::vector<std::uint32_t> live_users;
+  thread_local std::vector<char> fixed;
   if (local_of.size() < capacities.size()) local_of.resize(capacities.size(), kUnmapped);
   std::size_t term_count = 0;
   for (const auto& uses : flows) term_count += uses.size();
-  std::vector<std::uint32_t> local;    // local index of every term, flows concatenated
-  std::vector<std::uint32_t> touched;  // resource of every local index
+  local.clear();
+  touched.clear();
   // Reserved up front: nothing between marking and resetting `local_of`
   // may throw, or a stale entry would outlive this solve.
   local.reserve(term_count);
@@ -63,7 +70,7 @@ std::vector<double> solve_max_min(const std::vector<double>& capacities,
   for (const std::uint32_t r : touched) local_of[r] = kUnmapped;
   const std::size_t touched_count = touched.size();
 
-  std::vector<double> residual(touched_count);
+  residual.resize(touched_count);
   for (std::size_t t = 0; t < touched_count; ++t) residual[t] = capacities[touched[t]];
   // weight_sum[t] = total weight of still-unfixed flows crossing t; the
   // equal-rate share of t is residual[t] / weight_sum[t]. The integer
@@ -73,8 +80,8 @@ std::vector<double> solve_max_min(const std::vector<double>& capacities,
   // share residual/dust can undercut every live flow's share — a
   // bottleneck no flow crosses, so no flow freezes and the filling
   // loop never terminates.
-  std::vector<double> weight_sum(touched_count, 0.0);
-  std::vector<std::uint32_t> live_users(touched_count, 0);
+  weight_sum.assign(touched_count, 0.0);
+  live_users.assign(touched_count, 0);
   const std::uint32_t* term = local.data();
   for (const auto& uses : flows) {
     for (const WeightedUse& use : uses) {
@@ -85,11 +92,11 @@ std::vector<double> solve_max_min(const std::vector<double>& capacities,
     }
   }
 
-  std::vector<bool> fixed(flow_count, false);
+  fixed.assign(flow_count, 0);
   std::size_t remaining = 0;
   for (std::size_t f = 0; f < flow_count; ++f) {
     if (flows[f].empty()) {
-      fixed[f] = true;  // rate stays infinite: no shared resource involved
+      fixed[f] = 1;  // rate stays infinite: no shared resource involved
     } else {
       ++remaining;
     }
@@ -121,7 +128,7 @@ std::vector<double> solve_max_min(const std::vector<double>& capacities,
         return residual[t] / weight_sum[t] <= bottleneck_share * (1.0 + 1e-12);
       });
       if (!at_bottleneck) continue;
-      fixed[f] = true;
+      fixed[f] = 1;
       froze_any = true;
       --remaining;
       rates[f] = bottleneck_share;
@@ -139,7 +146,6 @@ std::vector<double> solve_max_min(const std::vector<double>& capacities,
     assert(froze_any);
     (void)froze_any;
   }
-  return rates;
 }
 
 }  // namespace envnws::simnet

@@ -135,63 +135,70 @@ Status Network::check_communicate(NodeId a, NodeId b) const {
   return {};
 }
 
-Result<std::vector<std::uint32_t>> Network::resources_for_path(const Path& path) const {
-  std::set<std::uint32_t> resources;
+void Network::resources_for_path(const Path& path, std::vector<std::uint32_t>& out) const {
+  out.clear();
   for (const Hop& hop : path.hops) {
     const Link& link = topo_.link(hop.link);
-    resources.insert(hop.from == link.a ? link_res_ab_[hop.link.index()]
-                                        : link_res_ba_[hop.link.index()]);
-    if (hub_res_[hop.to.index()] != kNoResource) resources.insert(hub_res_[hop.to.index()]);
+    out.push_back(hop.from == link.a ? link_res_ab_[hop.link.index()]
+                                     : link_res_ba_[hop.link.index()]);
+    if (hub_res_[hop.to.index()] != kNoResource) out.push_back(hub_res_[hop.to.index()]);
   }
-  return std::vector<std::uint32_t>(resources.begin(), resources.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
 Result<FlowId> Network::start_flow(NodeId src, NodeId dst, std::int64_t bytes,
                                    FlowCallback on_done, FlowOptions options) {
   if (const Status status = check_communicate(src, dst); !status.ok()) return status.error();
-  auto path = routes_.path(src, dst);
-  if (!path.ok()) return path.error();
-  auto resources = resources_for_path(path.value());
-  if (!resources.ok()) return resources.error();
+  if (const Status status = routes_.path_into(src, dst, route_); !status.ok()) {
+    return status.error();
+  }
+  resources_for_path(route_, resources_);
+  const LinkModelSpec& model = topo_.link_model();
+  const double fwd_latency = model.effective_latency(route_.total_latency(topo_));
+  double rev_latency = 0.0;
+  cross_resources_.clear();
+  // The ack travels the reverse path (may differ under asymmetric routes).
+  if (options.ack || model.weighted()) {
+    const bool reverse_ok = routes_.path_into(dst, src, route_).ok();
+    const double reverse_latency =
+        reverse_ok ? model.effective_latency(route_.total_latency(topo_)) : fwd_latency;
+    if (options.ack) rev_latency = reverse_latency;
+    // lv08 cross-traffic: the flow's ack stream loads the reverse path
+    // with `cross_traffic_share` of its rate.
+    if (model.weighted() && reverse_ok) resources_for_path(route_, cross_resources_);
+  }
 
-  FlowState flow;
-  flow.id = FlowId(static_cast<FlowId::underlying_type>(flows_.size()));
+  FlowId id;
+  if (free_flows_.empty()) {
+    id = FlowId(static_cast<FlowId::underlying_type>(flows_.size()));
+    flows_.emplace_back();
+  } else {
+    id = free_flows_.back();
+    free_flows_.pop_back();
+  }
+  FlowState& flow = flows_[id.index()];
+  std::vector<WeightedUse> uses = std::move(flow.uses);  // a reused slot keeps its capacity
+  flow_uses_into(resources_, cross_resources_, model.cross_traffic_share, uses);
+  flow = FlowState{};
+  flow.id = id;
   flow.src = src;
   flow.dst = dst;
   flow.total_bits = static_cast<double>(bytes) * 8.0;
   flow.remaining_bits = flow.total_bits;
-  const LinkModelSpec& model = topo_.link_model();
-  std::vector<std::uint32_t> cross_resources;
-  flow.fwd_latency = model.effective_latency(path.value().total_latency(topo_));
-  // The ack travels the reverse path (may differ under asymmetric routes).
-  if (options.ack || model.weighted()) {
-    const auto reverse = routes_.path(dst, src);
-    const double rev_latency =
-        reverse.ok() ? model.effective_latency(reverse.value().total_latency(topo_))
-                     : flow.fwd_latency;
-    if (options.ack) flow.rev_latency = rev_latency;
-    // lv08 cross-traffic: the flow's ack stream loads the reverse path
-    // with `cross_traffic_share` of its rate.
-    if (model.weighted() && reverse.ok()) {
-      if (auto rev_resources = resources_for_path(reverse.value()); rev_resources.ok()) {
-        cross_resources = std::move(rev_resources.value());
-      }
-    }
-  }
-  flow.uses = flow_uses(resources.value(), cross_resources, model.cross_traffic_share);
+  flow.uses = std::move(uses);
+  flow.fwd_latency = fwd_latency;
+  flow.rev_latency = rev_latency;
   flow.ack = options.ack;
   flow.start_time = now_;
   flow.on_done = std::move(on_done);
-  flow.purpose = options.purpose;
 
-  const FlowId id = flow.id;
-  flows_.push_back(std::move(flow));
   ++stats_.flows_started;
-  auto& purpose_stats = stats_.by_purpose[flows_.back().purpose];
+  auto& purpose_stats = stats_.by_purpose[options.purpose];
   ++purpose_stats.flow_count;
   purpose_stats.bytes += bytes;
 
-  schedule_after(flows_[id.index()].fwd_latency, [this, id] { activate_flow(id); });
+  schedule_after(fwd_latency, [this, id] { activate_flow(id); });
   return id;
 }
 
@@ -220,12 +227,12 @@ void Network::settle_flows() {
 }
 
 void Network::recompute_rates() {
-  const std::vector<double> rates = solve_max_min(resource_capacity_, active_uses_);
+  solve_max_min_into(resource_capacity_, active_uses_, rates_);
 
   for (std::size_t i = 0; i < active_order_.size(); ++i) {
     const FlowId id = active_order_[i];
     FlowState& flow = flows_[id.index()];
-    flow.rate_bps = rates[i];
+    flow.rate_bps = rates_[i];
     if (flow.completion_scheduled) {
       queue_.cancel(flow.completion_event);
       flow.completion_scheduled = false;
@@ -250,6 +257,8 @@ void Network::finish_flow(FlowId id) {
   const auto slot =
       std::find(active_order_.begin(), active_order_.end(), id) - active_order_.begin();
   active_order_.erase(active_order_.begin() + slot);
+  // The terms go back to the flow's slot, whose next flow reuses them.
+  flow.uses = std::move(active_uses_[static_cast<std::size_t>(slot)]);
   active_uses_.erase(active_uses_.begin() + slot);
   recompute_rates();
   ++stats_.flows_completed;
@@ -257,7 +266,6 @@ void Network::finish_flow(FlowId id) {
   const double callback_delay = flow.ack ? flow.rev_latency : 0.0;
   schedule_after(callback_delay, [this, id] {
     FlowState& finished = flows_[id.index()];
-    if (!finished.on_done) return;
     FlowResult result;
     result.id = finished.id;
     result.src = finished.src;
@@ -265,10 +273,12 @@ void Network::finish_flow(FlowId id) {
     result.bytes = static_cast<std::int64_t>(finished.total_bits / 8.0);
     result.start_time = finished.start_time;
     result.end_time = now_;
-    // Move the callback out so captured state is released afterwards.
+    // Move the callback out so captured state is released afterwards,
+    // and free the slot first: a flow the callback starts may reuse it.
     FlowCallback cb = std::move(finished.on_done);
     finished.on_done = nullptr;
-    cb(result);
+    free_flows_.push_back(id);
+    if (cb) cb(result);
   });
 }
 
@@ -380,7 +390,9 @@ Result<double> Network::ground_truth_latency(NodeId src, NodeId dst) const {
 Result<std::vector<std::uint32_t>> Network::path_resources(NodeId src, NodeId dst) const {
   const auto path = routes_.path(src, dst);
   if (!path.ok()) return path.error();
-  return resources_for_path(path.value());
+  std::vector<std::uint32_t> resources;
+  resources_for_path(path.value(), resources);
+  return resources;
 }
 
 Result<std::vector<double>> Network::predicted_rates(

@@ -54,7 +54,8 @@ struct FlowOptions {
   /// Completion is reported only after an acknowledgment crosses back
   /// (how both ENV and the NWS bandwidth sensor time their transfers).
   bool ack = true;
-  /// Accounting tag: "env-probe", "nws-bandwidth", "app", ...
+  /// Accounting tag: "env-probe", "nws-bandwidth", "app", ... Counted in
+  /// NetStats::by_purpose when the flow starts; the flow keeps no copy.
   std::string purpose = "app";
 };
 
@@ -111,6 +112,10 @@ class Network {
   void run_until(SimTime t);
 
   // --- bulk data (fluid flows) ---
+  /// Start a transfer; `on_done` runs once the flow (and its ack, if
+  /// any) has arrived. The returned id is valid only until then: the
+  /// flow's slot is freed just before `on_done` runs, and the next
+  /// started flow — possibly one `on_done` starts — reuses it.
   Result<FlowId> start_flow(NodeId src, NodeId dst, std::int64_t bytes, FlowCallback on_done,
                             FlowOptions options = {});
 
@@ -173,7 +178,8 @@ class Network {
     double remaining_bits = 0.0;
     /// Fair-share terms: weight 1.0 on the forward path, plus the lv08
     /// ack cross-traffic's `cross_traffic_share` on the reverse path
-    /// when the model is weighted. Moved to `active_uses_` on activation.
+    /// when the model is weighted. Moved to `active_uses_` on activation
+    /// and back on completion, so the slot's next flow reuses the storage.
     std::vector<WeightedUse> uses;
     double fwd_latency = 0.0;
     double rev_latency = 0.0;
@@ -186,11 +192,11 @@ class Network {
     EventHandle completion_event = 0;
     bool completion_scheduled = false;
     FlowCallback on_done;
-    std::string purpose;
   };
 
   void build_resources();
-  [[nodiscard]] Result<std::vector<std::uint32_t>> resources_for_path(const Path& path) const;
+  /// The sorted, duplicate-free resources `path` consumes, written over `out`.
+  void resources_for_path(const Path& path, std::vector<std::uint32_t>& out) const;
   void activate_flow(FlowId id);
   void finish_flow(FlowId id);
   void settle_flows();
@@ -211,10 +217,20 @@ class Network {
   // Per node: hub collision-domain resource (UINT32_MAX when not a hub).
   std::vector<std::uint32_t> hub_res_;
 
+  /// Flow slots, indexed by FlowId; a slot is freed (pushed on
+  /// free_flows_) when its flow's completion callback runs.
   std::vector<FlowState> flows_;
+  std::vector<FlowId> free_flows_;
   std::vector<FlowId> active_order_;  ///< active flows, insertion order
   /// Fair-share terms of active_order_[i], the solver's input as is.
   std::vector<std::vector<WeightedUse>> active_uses_;
+  // start_flow/recompute_rates scratch, reused so the per-flow path
+  // allocates nothing once it has grown: a route, its resources, the
+  // reverse path's resources and the solver's rates.
+  Path route_;
+  std::vector<std::uint32_t> resources_;
+  std::vector<std::uint32_t> cross_resources_;
+  std::vector<double> rates_;
   /// Generators for the topology's background spec (owned so replicas
   /// replay identical load; empty without a `bg:` decorator).
   std::vector<std::unique_ptr<CrossTraffic>> background_;

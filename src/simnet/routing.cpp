@@ -101,14 +101,21 @@ void RouteTable::build_from(NodeId src) const {
   ++trees_built_;
 }
 
-Result<Path> RouteTable::path(NodeId src, NodeId dst) const {
-  if (src == dst) return Path{src, dst, {}};
-  const auto it = overrides_.find({src, dst});
-  if (it != overrides_.end()) return it->second;
+Status RouteTable::path_into(NodeId src, NodeId dst, Path& out) const {
+  out.src = src;
+  out.dst = dst;
+  out.hops.clear();
+  if (src == dst) return {};
+  if (!overrides_.empty()) {
+    const auto it = overrides_.find({src, dst});
+    if (it != overrides_.end()) {
+      out.hops = it->second.hops;
+      return {};
+    }
+  }
 
   const Hop& lead = lead_[src.index()];
   const NodeId root = lead.link.valid() ? lead.to : src;
-  Path path{src, dst, {}};
   if (dst != root) {
     if (!built_[root.index()]) build_from(root);
     last_used_[root.index()] = ++use_clock_;
@@ -118,11 +125,17 @@ Result<Path> RouteTable::path(NodeId src, NodeId dst) const {
                         "no route from " + topo_.node(src).name + " to " + topo_.node(dst).name);
     }
     for (NodeId cursor = dst; cursor != root; cursor = pred[cursor.index()].from) {
-      path.hops.push_back(pred[cursor.index()]);
+      out.hops.push_back(pred[cursor.index()]);
     }
   }
-  if (lead.link.valid()) path.hops.push_back(lead);
-  std::reverse(path.hops.begin(), path.hops.end());
+  if (lead.link.valid()) out.hops.push_back(lead);
+  std::reverse(out.hops.begin(), out.hops.end());
+  return {};
+}
+
+Result<Path> RouteTable::path(NodeId src, NodeId dst) const {
+  Path path;
+  if (const Status status = path_into(src, dst, path); !status.ok()) return status.error();
   return path;
 }
 

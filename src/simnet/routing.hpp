@@ -70,7 +70,10 @@ class RouteTable {
 
   explicit RouteTable(const Topology& topo);
 
-  /// Shortest path honoring directional weights; Error if unreachable.
+  /// Shortest path honoring directional weights, written over `out`
+  /// (whose hop storage is reused); Error if unreachable.
+  Status path_into(NodeId src, NodeId dst, Path& out) const;
+  /// path_into() as a value.
   [[nodiscard]] Result<Path> path(NodeId src, NodeId dst) const;
 
   /// Force the route for (src, dst) to the given link sequence (validated

@@ -147,6 +147,12 @@ Result<NodeId> Topology::find_host_by_fqdn(const std::string& fqdn) const {
   return it->second;
 }
 
+NodeId Topology::find_by_name_or_fqdn(const std::string& name) const {
+  if (const auto it = by_name_.find(name); it != by_name_.end()) return it->second;
+  if (const auto it = host_by_fqdn_.find(name); it != host_by_fqdn_.end()) return it->second;
+  return NodeId::invalid();
+}
+
 std::vector<NodeId> Topology::hosts() const {
   std::vector<NodeId> out;
   for (const auto& node : nodes_) {

@@ -1,0 +1,84 @@
+// Allocation budgets of the per-flow simulation path and the NWS
+// forecaster, counted by replacing the global operator new.
+//
+// This file builds into its own test executable (see CMakeLists.txt):
+// the counting allocator would otherwise count every other test's
+// allocations too. Sanitizer builds leave it out, since they bring
+// their own allocator.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "api/scenario_registry.hpp"
+#include "env/mapper.hpp"
+#include "env/scenario_zones.hpp"
+#include "env/sim_probe_engine.hpp"
+#include "nws/forecast.hpp"
+#include "simnet/network.hpp"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
+
+namespace envnws {
+namespace {
+
+/// Global operator new calls made while running `body`.
+template <typename Body>
+std::uint64_t allocations_during(Body&& body) {
+  const std::uint64_t before = g_allocations.load();
+  body();
+  return g_allocations.load() - before;
+}
+
+TEST(AllocBudget, MappingStarSwitch50CostsAtMostSixAllocationsPerFlow) {
+  const auto scenario = api::ScenarioRegistry::builtin().make("star-switch:50@100");
+  ASSERT_TRUE(scenario.ok()) << scenario.error().to_string();
+  const auto zones = env::zones_from_scenario(scenario.value());
+  ASSERT_TRUE(zones.ok());
+  ASSERT_EQ(zones.value().size(), 1u);
+  simnet::Network net(scenario.value().topology);
+  const env::MapperOptions options;
+  env::SimProbeEngine engine(net, options);
+  env::Mapper mapper(engine, options);
+
+  bool mapped = false;
+  const std::uint64_t allocations = allocations_during(
+      [&] { mapped = mapper.map_zone(zones.value().front()).ok(); });
+  ASSERT_TRUE(mapped);
+  const std::uint64_t flows = net.stats().flows_started;
+  ASSERT_GT(flows, 1000u);
+  const double per_flow = static_cast<double>(allocations) / static_cast<double>(flows);
+  RecordProperty("allocations_per_flow", std::to_string(per_flow));
+  EXPECT_LE(per_flow, 6.0) << allocations << " allocations for " << flows << " flows";
+}
+
+TEST(AllocBudget, ForecasterObservesWithoutAllocating) {
+  nws::AdaptiveForecaster forecaster;
+  // Warm-up past the longest window, then a stretch of fresh values.
+  double value = 1.0;
+  auto next = [&value] {
+    value = value * 1.37 + 0.11;
+    if (value > 100.0) value -= 97.0;
+    return value;
+  };
+  for (int i = 0; i < 64; ++i) forecaster.observe(next());
+  const std::uint64_t allocations = allocations_during([&] {
+    for (int i = 0; i < 512; ++i) forecaster.observe(next());
+  });
+  EXPECT_EQ(allocations, 0u);
+}
+
+}  // namespace
+}  // namespace envnws

@@ -79,5 +79,50 @@ TEST(EventQueue, SizeCountsLiveEventsOnly) {
   EXPECT_EQ(queue.size(), 1u);
 }
 
+TEST(EventQueue, StaleHandleNeverCancelsTheSlotsNextEvent) {
+  EventQueue queue;
+  SimTime t = 0;
+  EventFn fn;
+  // A handle whose event fired: its slot is reused by the next event.
+  const EventHandle fired = queue.schedule_at(1.0, [] {});
+  ASSERT_TRUE(queue.pop(t, fn));
+  bool second = false;
+  queue.schedule_at(2.0, [&second] { second = true; });
+  queue.cancel(fired);
+  EXPECT_EQ(queue.size(), 1u);
+  // A handle whose event was cancelled: cancelling it again after the
+  // slot was reused must not touch the new occupant either.
+  const EventHandle cancelled = queue.schedule_at(3.0, [] {});
+  queue.cancel(cancelled);
+  bool third = false;
+  queue.schedule_at(4.0, [&third] { third = true; });
+  queue.cancel(cancelled);
+  queue.cancel(fired);
+  EXPECT_EQ(queue.size(), 2u);
+  while (queue.pop(t, fn)) fn();
+  EXPECT_TRUE(second);
+  EXPECT_TRUE(third);
+  EXPECT_DOUBLE_EQ(t, 4.0);
+}
+
+TEST(EventQueue, EqualTimesStayFifoAcrossSlotReuse) {
+  EventQueue queue;
+  std::vector<int> order;
+  SimTime t = 0;
+  EventFn fn;
+  // Fire and cancel a few events so later ones land in freed slots in
+  // an order unrelated to their insertion order.
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 6; ++i) handles.push_back(queue.schedule_at(1.0, [] {}));
+  queue.cancel(handles[4]);
+  queue.cancel(handles[1]);
+  ASSERT_TRUE(queue.pop(t, fn));
+  ASSERT_TRUE(queue.pop(t, fn));
+  for (int i = 0; i < 8; ++i) queue.schedule_at(5.0, [&order, i] { order.push_back(i); });
+  queue.cancel(handles[5]);
+  while (queue.pop(t, fn)) fn();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 }  // namespace
 }  // namespace envnws::simnet

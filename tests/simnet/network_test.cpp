@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <optional>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "simnet/scenario.hpp"
 
@@ -293,6 +299,116 @@ TEST(Network, RunUntilAdvancesClockWithoutEvents) {
   Network net(two_hosts_direct(mbps(100), 0.0));
   net.run_until(12.5);
   EXPECT_DOUBLE_EQ(net.now(), 12.5);
+}
+
+TEST(Network, FlowStartedFromACompletionCallbackReusesTheSlot) {
+  Network net(two_hosts_direct(mbps(100), 1e-3));
+  const NodeId a = net.topology().find_by_name("a").value();
+  const NodeId b = net.topology().find_by_name("b").value();
+  std::optional<FlowResult> first;
+  std::optional<FlowResult> second;
+  std::optional<FlowId> second_id;
+  const auto first_id = net.start_flow(a, b, 1'000'000, [&](const FlowResult& r) {
+    first = r;
+    const auto started = net.start_flow(b, a, 500'000, [&second](const FlowResult& r2) {
+      second = r2;
+    });
+    ASSERT_TRUE(started.ok());
+    second_id = started.value();
+  });
+  ASSERT_TRUE(first_id.ok());
+  net.run();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second_id, first_id.value());
+  EXPECT_EQ(first->id, first_id.value());
+  EXPECT_EQ(first->src, a);
+  EXPECT_EQ(first->dst, b);
+  EXPECT_EQ(first->bytes, 1'000'000);
+  EXPECT_DOUBLE_EQ(first->start_time, 0.0);
+  EXPECT_NEAR(first->duration(), 0.082, 1e-9);
+  EXPECT_EQ(second->id, first_id.value());
+  EXPECT_EQ(second->src, b);
+  EXPECT_EQ(second->dst, a);
+  EXPECT_EQ(second->bytes, 500'000);
+  EXPECT_DOUBLE_EQ(second->start_time, first->end_time);
+  EXPECT_NEAR(second->duration(), 0.042, 1e-9);
+}
+
+// A seeded random tree of switches, hubs and routers with hosts hanging
+// off them; its paths cross full- and half-duplex links and hub (or, in
+// wifi zones, access-point) media.
+Topology random_tree(Rng& rng, bool wifi) {
+  Topology topo;
+  std::vector<NodeId> inner{topo.add_switch("s0")};
+  for (int i = 1; i < 12; ++i) {
+    const NodeId parent = inner[rng.next_below(inner.size())];
+    const std::string name = "n" + std::to_string(i);
+    NodeId node;
+    switch (rng.next_below(3)) {
+      case 0: node = topo.add_switch(name); break;
+      case 1: node = topo.add_hub(name, mbps(10)); break;
+      default:
+        node = topo.add_router(name, name + ".lan", Ipv4(10, 1, 0, static_cast<std::uint8_t>(i)));
+    }
+    topo.connect(parent, node, mbps(100), 1e-4);
+    inner.push_back(node);
+  }
+  for (int i = 0; i < 10; ++i) {
+    const NodeId parent = inner[rng.next_below(inner.size())];
+    const std::string name = "h" + std::to_string(i);
+    const NodeId host =
+        topo.add_host(name, name + ".lan", Ipv4(10, 0, 0, static_cast<std::uint8_t>(i + 1)));
+    const double up = mbps(static_cast<double>(10 + 10 * rng.next_below(10)));
+    topo.connect_directional(host, parent, up, up / 2, 1e-4);
+  }
+  LinkModelSpec model;
+  model.wifi = wifi;
+  topo.set_link_model(model);
+  return topo;
+}
+
+TEST(Network, PathResourcesMatchASetOracle) {
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    Network net(random_tree(rng, seed % 2 == 0));
+    const Topology& topo = net.topology();
+    // The resource layout: each link's directions in link order (one
+    // shared resource when half-duplex), then each hub's or wifi
+    // switch's medium in node order.
+    std::vector<std::uint32_t> res_ab(topo.link_count());
+    std::vector<std::uint32_t> res_ba(topo.link_count());
+    std::uint32_t next = 0;
+    for (const Link& link : topo.links()) {
+      res_ab[link.id.index()] = next++;
+      res_ba[link.id.index()] = link.half_duplex ? res_ab[link.id.index()] : next++;
+    }
+    std::vector<std::uint32_t> medium(topo.node_count(), kNone);
+    for (const Node& node : topo.nodes()) {
+      const bool access_point = topo.link_model().wifi && node.kind == NodeKind::switch_;
+      if (node.kind == NodeKind::hub || access_point) medium[node.id.index()] = next++;
+    }
+    ASSERT_EQ(next, net.resource_capacities().size()) << "seed " << seed;
+
+    const std::vector<NodeId> hosts = topo.hosts();
+    for (const NodeId src : hosts) {
+      for (const NodeId dst : hosts) {
+        const auto path = net.routes().path(src, dst);
+        ASSERT_TRUE(path.ok());
+        std::set<std::uint32_t> oracle;
+        for (const Hop& hop : path.value().hops) {
+          const Link& link = topo.link(hop.link);
+          oracle.insert(hop.from == link.a ? res_ab[hop.link.index()] : res_ba[hop.link.index()]);
+          if (medium[hop.to.index()] != kNone) oracle.insert(medium[hop.to.index()]);
+        }
+        const auto resources = net.path_resources(src, dst);
+        ASSERT_TRUE(resources.ok());
+        EXPECT_EQ(resources.value(), std::vector<std::uint32_t>(oracle.begin(), oracle.end()))
+            << "seed " << seed << ": " << topo.node(src).name << " -> " << topo.node(dst).name;
+      }
+    }
+  }
 }
 
 }  // namespace
