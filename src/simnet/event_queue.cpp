@@ -37,27 +37,34 @@ void EventQueue::cancel(EventHandle handle) {
   const auto generation = static_cast<std::uint32_t>(handle >> 32);
   if (slot >= slots_.size()) return;
   const Slot& entry = slots_[slot];
-  // The heap entry stays behind; pop() recognises it by its generation.
+  // The heap entry stays behind; drop_stale_top() discards it by its
+  // generation once it reaches the top.
   if (entry.pending && entry.generation == generation) release(slot);
 }
 
-SimTime EventQueue::next_time() const {
+void EventQueue::drop_stale_top() {
+  while (!heap_.empty() && !is_live(heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    heap_.pop_back();
+  }
+}
+
+SimTime EventQueue::next_time() {
+  drop_stale_top();
   assert(!heap_.empty());
   return heap_.front().time;
 }
 
 bool EventQueue::pop(SimTime& time_out, EventFn& fn_out) {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const Key key = heap_.back();
-    heap_.pop_back();
-    if (!is_live(key)) continue;  // cancelled
-    time_out = key.time;
-    fn_out = std::move(slots_[key.slot].fn);
-    release(key.slot);
-    return true;
-  }
-  return false;
+  drop_stale_top();
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  const Key key = heap_.back();
+  heap_.pop_back();
+  time_out = key.time;
+  fn_out = std::move(slots_[key.slot].fn);
+  release(key.slot);
+  return true;
 }
 
 }  // namespace envnws::simnet

@@ -34,8 +34,10 @@ class EventQueue {
 
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
-  /// Timestamp of the next event; only valid when !empty().
-  [[nodiscard]] SimTime next_time() const;
+  /// Timestamp of the next live event; only valid when !empty(). Drops
+  /// cancelled entries off the heap top on the way, so it never reports
+  /// the time of an event that will not run.
+  [[nodiscard]] SimTime next_time();
 
   /// Pop the next event (time order, then insertion order). The callable
   /// is returned rather than invoked so the caller can advance its clock
@@ -65,6 +67,8 @@ class EventQueue {
     return slot.pending && slot.generation == key.generation;
   }
   void release(std::uint32_t slot);
+  /// Pop cancelled entries until a live one (or nothing) is on top.
+  void drop_stale_top();
 
   std::vector<Key> heap_;  ///< min-heap on (time, seq) via std::greater
   std::vector<Slot> slots_;

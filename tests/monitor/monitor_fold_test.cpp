@@ -284,7 +284,7 @@ TEST(MonitorFold, MatchesTheOracleThroughMonitordRunsThatDrift) {
     EXPECT_EQ(publishes, 200u);
     if (remap) {
       EXPECT_GT(daemon->remaps(), 0u) << "the run never exercised reset_learning";
-      EXPECT_EQ(daemon->snapshot()->digest(), "f31968b1f7c79dda");
+      EXPECT_EQ(daemon->snapshot()->digest(), "f3aba73e7dcbce34");
     } else {
       EXPECT_GT(drifting_publishes, 0u) << "the run never published a drifting pair";
     }
@@ -299,7 +299,7 @@ TEST(MonitorDigests, TwoHundredSimulatedCyclesPinTheirDigest) {
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"dumbbell:8x8", "b479d642e12f8c5c"},
       {"star-switch:6", "f04edc1eb2cb4b63"},
-      {"bg:4:tcp-lv08:dumbbell:4x4", "f31968b1f7c79dda"},  // 3 re-maps
+      {"bg:4:tcp-lv08:dumbbell:4x4", "f3aba73e7dcbce34"},  // 3 re-maps
   };
   for (const auto& [spec, digest] : cases) {
     SCOPED_TRACE(spec);

@@ -62,12 +62,26 @@ TEST(EventQueue, NextTimeReportsEarliestLiveEvent) {
   queue.schedule_at(2.0, [] {});
   EXPECT_DOUBLE_EQ(queue.next_time(), 1.0);
   queue.cancel(early);
-  // The heap may still surface the cancelled entry until popped; pop
-  // must skip it.
+  // The cancelled entry may still sit on the heap; neither next_time()
+  // nor pop() may surface it.
+  EXPECT_DOUBLE_EQ(queue.next_time(), 2.0);
   SimTime t = 0;
   EventFn fn;
   ASSERT_TRUE(queue.pop(t, fn));
   EXPECT_DOUBLE_EQ(t, 2.0);
+}
+
+TEST(EventQueue, NextTimeSkipsCancelledEntriesBuriedUnderReuse) {
+  EventQueue queue;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 5; ++i) handles.push_back(queue.schedule_at(1.0 + i, [] {}));
+  queue.schedule_at(9.0, [] {});
+  for (const EventHandle handle : handles) queue.cancel(handle);
+  // The freed slots are reused by later events; the stale heap entries
+  // for times 1..5 must still not count as the next event.
+  queue.schedule_at(7.0, [] {});
+  EXPECT_EQ(queue.size(), 2u);
+  EXPECT_DOUBLE_EQ(queue.next_time(), 7.0);
 }
 
 TEST(EventQueue, SizeCountsLiveEventsOnly) {

@@ -301,6 +301,31 @@ TEST(Network, RunUntilAdvancesClockWithoutEvents) {
   EXPECT_DOUBLE_EQ(net.now(), 12.5);
 }
 
+TEST(Network, RunUntilStopsBeforeACancelledCompletion) {
+  // Flow A alone would finish at 0.08 s. B joins at 0.01 s and halves
+  // A's rate, which moves A's completion to 0.15 s and leaves the
+  // cancelled 0.08 s entry in the queue. run_until(0.1) must not take
+  // that entry as an event due before 0.1 s and run A's completion.
+  Network net(two_hosts_direct(mbps(100), 0.0));
+  const NodeId a = net.topology().find_by_name("a").value();
+  const NodeId b = net.topology().find_by_name("b").value();
+  std::optional<FlowResult> first;
+  std::optional<FlowResult> second;
+  ASSERT_TRUE(net.start_flow(a, b, 1'000'000, [&first](const FlowResult& r) { first = r; }).ok());
+  net.schedule_at(0.01, [&] {
+    ASSERT_TRUE(
+        net.start_flow(a, b, 1'000'000, [&second](const FlowResult& r) { second = r; }).ok());
+  });
+  net.run_until(0.1);
+  EXPECT_DOUBLE_EQ(net.now(), 0.1);
+  EXPECT_FALSE(first.has_value());
+  net.run();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_NEAR(first->end_time, 0.15, 1e-9);
+  EXPECT_NEAR(second->end_time, 0.16, 1e-9);
+}
+
 TEST(Network, FlowStartedFromACompletionCallbackReusesTheSlot) {
   Network net(two_hosts_direct(mbps(100), 1e-3));
   const NodeId a = net.topology().find_by_name("a").value();
