@@ -2,13 +2,12 @@
 """Check that envnws_monitord runs in bounded memory.
 
     python3 scripts/check_monitord_rss.py [--binary build/examples/envnws_monitord]
-        [--scenario dumbbell:8x8] [--cycles 8000 128000] [--bound 0.10]
 
-Runs the daemon (plan only, simulated engine) once per cycle count, in
-increasing order, and reads each run's peak RSS through
-resource.getrusage(RUSAGE_CHILDREN). Fails (exit 1) when the longest
-run's peak RSS exceeds the shortest run's by more than --bound: a
-daemon whose state grows per cycle shows up as RSS growing with cycles.
+Runs the daemon (plan only, simulated engine) on dumbbell:8x8 for 8,000
+and then 128,000 cycles, and reads each run's peak RSS through
+resource.getrusage(RUSAGE_CHILDREN). Fails (exit 1) when the longer
+run's peak RSS exceeds the shorter run's by more than 10%: a daemon
+whose state grows per cycle shows up as RSS growing with cycles.
 """
 
 import argparse
@@ -16,34 +15,33 @@ import resource
 import subprocess
 import sys
 
+SCENARIO = "dumbbell:8x8"
+CYCLES = (8000, 128000)
+BOUND = 0.10  # allowed relative growth of peak RSS
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--binary", default="build/examples/envnws_monitord")
-    parser.add_argument("--scenario", default="dumbbell:8x8")
-    parser.add_argument("--cycles", type=int, nargs="+", default=[8000, 128000])
-    parser.add_argument("--bound", type=float, default=0.10,
-                        help="allowed relative growth of peak RSS (default 0.10)")
     args = parser.parse_args()
 
     peaks = []
-    for cycles in sorted(args.cycles):
-        command = [args.binary, f"--scenario={args.scenario}", f"--cycles={cycles}"]
+    for cycles in CYCLES:
+        command = [args.binary, f"--scenario={SCENARIO}", f"--cycles={cycles}"]
         run = subprocess.run(command, stdout=subprocess.PIPE, text=True)
         if run.returncode != 0:
             print(f"{' '.join(command)} exited {run.returncode}", file=sys.stderr)
             return 1
         # RUSAGE_CHILDREN reports the largest peak of any finished child;
-        # the runs go in increasing length, so this is the current run's
-        # peak unless an earlier, shorter run peaked higher.
+        # the shorter run goes first, so this is the current run's peak
+        # unless the shorter run peaked higher.
         peak_mib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-        peaks.append((cycles, peak_mib))
-        print(f"{args.scenario} {cycles} cycles: peak RSS {peak_mib:.1f} MiB")
+        peaks.append(peak_mib)
+        print(f"{SCENARIO} {cycles} cycles: peak RSS {peak_mib:.1f} MiB")
 
-    (_, first), (_, last) = peaks[0], peaks[-1]
-    growth = last / first - 1.0
-    print(f"peak RSS growth {growth:+.1%} (bound {args.bound:+.0%})")
-    return 0 if growth <= args.bound else 1
+    growth = peaks[-1] / peaks[0] - 1.0
+    print(f"peak RSS growth {growth:+.1%} (bound {BOUND:+.0%})")
+    return 0 if growth <= BOUND else 1
 
 
 if __name__ == "__main__":

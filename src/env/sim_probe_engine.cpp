@@ -8,8 +8,7 @@ SimProbeEngine::SimProbeEngine(simnet::Network& net, const MapperOptions& option
     : net_(net), options_(options) {}
 
 Result<NodeId> SimProbeEngine::resolve(const std::string& hostname) const {
-  if (const NodeId id = net_.topology().find_by_name_or_fqdn(hostname); id.valid()) return id;
-  return net_.topology().find_host_by_fqdn(hostname);  // the not_found error
+  return net_.topology().find_by_name_or_fqdn(hostname);
 }
 
 Result<HostIdentity> SimProbeEngine::lookup(const std::string& hostname) {

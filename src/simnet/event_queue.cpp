@@ -1,6 +1,5 @@
 #include "simnet/event_queue.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace envnws::simnet {
@@ -18,8 +17,7 @@ EventHandle EventQueue::schedule_at(SimTime t, EventFn fn) {
   entry.fn = std::move(fn);
   entry.pending = true;
   ++live_;
-  heap_.push_back(Key{t, next_seq_++, slot, entry.generation});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  heap_.push(Key{t, next_seq_++, slot, entry.generation});
   return (static_cast<EventHandle>(entry.generation) << 32) | slot;
 }
 
@@ -43,24 +41,20 @@ void EventQueue::cancel(EventHandle handle) {
 }
 
 void EventQueue::drop_stale_top() {
-  while (!heap_.empty() && !is_live(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    heap_.pop_back();
-  }
+  while (!heap_.empty() && !is_live(heap_.top())) heap_.pop();
 }
 
 SimTime EventQueue::next_time() {
   drop_stale_top();
   assert(!heap_.empty());
-  return heap_.front().time;
+  return heap_.top().time;
 }
 
 bool EventQueue::pop(SimTime& time_out, EventFn& fn_out) {
   drop_stale_top();
   if (heap_.empty()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  const Key key = heap_.back();
-  heap_.pop_back();
+  const Key key = heap_.top();
+  heap_.pop();
   time_out = key.time;
   fn_out = std::move(slots_[key.slot].fn);
   release(key.slot);

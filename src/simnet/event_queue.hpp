@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <queue>
 #include <vector>
 
 #include "simnet/types.hpp"
@@ -70,7 +71,7 @@ class EventQueue {
   /// Pop cancelled entries until a live one (or nothing) is on top.
   void drop_stale_top();
 
-  std::vector<Key> heap_;  ///< min-heap on (time, seq) via std::greater
+  std::priority_queue<Key, std::vector<Key>, std::greater<>> heap_;  ///< min on (time, seq)
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;

@@ -147,10 +147,10 @@ Result<NodeId> Topology::find_host_by_fqdn(const std::string& fqdn) const {
   return it->second;
 }
 
-NodeId Topology::find_by_name_or_fqdn(const std::string& name) const {
+Result<NodeId> Topology::find_by_name_or_fqdn(const std::string& name) const {
   if (const auto it = by_name_.find(name); it != by_name_.end()) return it->second;
   if (const auto it = host_by_fqdn_.find(name); it != host_by_fqdn_.end()) return it->second;
-  return NodeId::invalid();
+  return make_error(ErrorCode::not_found, "no host with fqdn '" + name + "'");
 }
 
 std::vector<NodeId> Topology::hosts() const {

@@ -161,8 +161,9 @@ class Topology {
   /// Looks up hosts by primary fqdn or any alias fqdn.
   [[nodiscard]] Result<NodeId> find_host_by_fqdn(const std::string& fqdn) const;
   /// The node named `name`, else the host whose fqdn (primary or alias)
-  /// it is; invalid when neither. Builds no error on a miss.
-  [[nodiscard]] NodeId find_by_name_or_fqdn(const std::string& name) const;
+  /// it is; find_host_by_fqdn's not_found error when neither. Builds the
+  /// error only on a miss.
+  [[nodiscard]] Result<NodeId> find_by_name_or_fqdn(const std::string& name) const;
   [[nodiscard]] std::vector<NodeId> hosts() const;
   [[nodiscard]] std::vector<NodeId> hosts_in_zone(const std::string& zone) const;
   /// All firewall zones mentioned by any host.
