@@ -570,10 +570,11 @@ Result<std::unique_ptr<monitor::MonitorDaemon>> Session::make_monitor(
     for (const auto& clique : system_->cliques()) clique->stop();
   }
   daemon->set_observer([this](const monitor::MonitorEvent& event) {
+    if (observer_ == nullptr) return;  // nothing to format for
     std::string detail = std::string("monitor ") + monitor::to_string(event.kind) +
                          " cycle=" + std::to_string(event.cycle);
     if (!event.segment.empty()) detail += " segment=" + event.segment;
-    if (!event.detail.empty()) detail += " " + event.detail;
+    if (const std::string text = event.describe(); !text.empty()) detail += " " + text;
     emit(Event::Kind::note, Stage::apply, std::move(detail));
   });
   daemon->set_remap_sink([this](const std::string& segment, const env::ZoneMapResult&) {

@@ -60,27 +60,26 @@ Result<std::vector<TraceHop>> SimProbeEngine::traceroute(const std::string& from
   return out;
 }
 
-void SimProbeEngine::start_transfer(NodeId src, NodeId dst, Result<double>& slot,
-                                    std::size_t& pending) {
+void SimProbeEngine::start_transfer(NodeId src, NodeId dst, Result<double>& slot) {
   // Every started flow's callback is a queued event, so finish_experiment
-  // runs them all before `slot` and `pending` go out of scope.
+  // runs them all before `slot` goes out of scope.
   const auto flow = net_.start_flow(
       src, dst, options_.probe_bytes,
-      [this, &slot, &pending](const simnet::FlowResult& result) {
+      [this, &slot](const simnet::FlowResult& result) {
         slot = net_.timed_bandwidth(result);
-        --pending;
+        --pending_;
       },
       simnet::FlowOptions{true, "env-probe"});
   if (!flow.ok()) {
     slot = flow.error();
     return;
   }
-  ++pending;
+  ++pending_;
   stats_.bytes_sent += options_.probe_bytes;
 }
 
-void SimProbeEngine::finish_experiment(double started_at, const std::size_t& pending) {
-  while (pending > 0 && net_.step()) {
+void SimProbeEngine::finish_experiment(double started_at) {
+  while (pending_ > 0 && net_.step()) {
   }
   ++stats_.experiments;
   net_.run_until(net_.now() + options_.stabilization_gap_s);
@@ -94,9 +93,8 @@ Result<double> SimProbeEngine::bandwidth(const std::string& from, const std::str
   if (!dst.ok()) return dst.error();
   const double started_at = net_.now();
   Result<double> measured = 0.0;
-  std::size_t pending = 0;
-  start_transfer(src.value(), dst.value(), measured, pending);
-  finish_experiment(started_at, pending);
+  start_transfer(src.value(), dst.value(), measured);
+  finish_experiment(started_at);
   return measured;
 }
 
@@ -106,7 +104,6 @@ std::vector<Result<double>> SimProbeEngine::concurrent_bandwidth(
   std::vector<Result<double>> results;
   // Reserved up front: the flows write into these slots by reference.
   results.reserve(requests.size());
-  std::size_t pending = 0;
   for (const auto& request : requests) {
     const auto src = resolve(request.from);
     const auto dst = src.ok() ? resolve(request.to) : src;
@@ -115,9 +112,9 @@ std::vector<Result<double>> SimProbeEngine::concurrent_bandwidth(
       continue;
     }
     results.push_back(0.0);
-    start_transfer(src.value(), dst.value(), results.back(), pending);
+    start_transfer(src.value(), dst.value(), results.back());
   }
-  finish_experiment(started_at, pending);
+  finish_experiment(started_at);
   return results;
 }
 

@@ -24,15 +24,19 @@ class SimProbeEngine final : public ProbeEngine {
   Result<simnet::NodeId> resolve(const std::string& hostname) const;
   /// Start one timed "env-probe" flow whose bandwidth lands in `slot`
   /// on completion; `slot` takes the error when the flow cannot start.
-  void start_transfer(simnet::NodeId src, simnet::NodeId dst, Result<double>& slot,
-                      std::size_t& pending);
-  /// Step until `pending` reaches 0, run the stabilization gap and count
-  /// one experiment (busy time includes the gap).
-  void finish_experiment(double started_at, const std::size_t& pending);
+  void start_transfer(simnet::NodeId src, simnet::NodeId dst, Result<double>& slot);
+  /// Step until every started flow has finished, run the stabilization
+  /// gap and count one experiment (busy time includes the gap).
+  void finish_experiment(double started_at);
 
   simnet::Network& net_;
   MapperOptions options_;
   ProbeStats stats_;
+  /// Flows of the current experiment still running. A member, so a
+  /// flow's callback captures only `this` and its slot: 16 bytes fit
+  /// std::function's inline buffer, and starting a flow allocates no
+  /// callback.
+  std::size_t pending_ = 0;
 };
 
 }  // namespace envnws::env

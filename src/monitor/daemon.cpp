@@ -31,6 +31,19 @@ const char* to_string(MonitorEvent::Kind kind) {
   return "unknown";
 }
 
+std::string MonitorEvent::describe() const {
+  switch (kind) {
+    case Kind::cycle_finished:
+      return "probes=" + std::to_string(probes) + " failures=" + std::to_string(failures);
+    case Kind::snapshot_published:
+      if (snapshot == nullptr) break;
+      return "version=" + std::to_string(snapshot->version) + " digest=" + snapshot->digest();
+    default:
+      break;
+  }
+  return detail;
+}
+
 namespace {
 
 /// Measurement history kept per series.
@@ -181,22 +194,23 @@ void MonitorDaemon::run_one_cycle() {
       remaining.erase(remaining.begin() + static_cast<std::ptrdiff_t>(slot));
     }
   }
-  std::uint64_t cycle_failures = 0;
+  std::size_t cycle_failures = 0;
+  const auto fail = [&](const ScheduledProbe& probe, const std::string& why) {
+    ++cycle_failures;
+    probe_failures_.fetch_add(1);
+    if (!observer_) return;
+    emit(MonitorEvent::Kind::probe_failed, probe.segment,
+         probe.transfer.from + "->" + probe.transfer.to + ": " + why);
+  };
   for (const std::size_t i : record_order) {
     const ScheduledProbe& probe = probes[i];
-    const std::string pair_label = probe.transfer.from + "->" + probe.transfer.to;
     if (i >= outcomes.size() || outcomes[i].results.empty()) {
-      ++cycle_failures;
-      probe_failures_.fetch_add(1);
-      emit(MonitorEvent::Kind::probe_failed, probe.segment, pair_label + ": no batch outcome");
+      fail(probe, "no batch outcome");
       continue;
     }
     const Result<double>& measured = outcomes[i].results.front();
     if (!measured.ok()) {
-      ++cycle_failures;
-      probe_failures_.fetch_add(1);
-      emit(MonitorEvent::Kind::probe_failed, probe.segment,
-           pair_label + ": " + measured.error().message);
+      fail(probe, measured.error().message);
       continue;
     }
     store_.record(nws::SeriesKey{nws::ResourceKind::bandwidth, probe.transfer.from,
@@ -208,9 +222,11 @@ void MonitorDaemon::run_one_cycle() {
 
   publish_snapshot(drift_pass());
 
-  std::ostringstream detail;
-  detail << "probes=" << probes.size() << " failures=" << cycle_failures;
-  emit(MonitorEvent::Kind::cycle_finished, {}, detail.str());
+  MonitorEvent finished;
+  finished.kind = MonitorEvent::Kind::cycle_finished;
+  finished.probes = probes.size();
+  finished.failures = cycle_failures;
+  emit(std::move(finished));
 }
 
 std::vector<std::string> MonitorDaemon::drift_pass() {
@@ -235,8 +251,7 @@ std::vector<std::string> MonitorDaemon::drift_pass() {
       still_drifting.push_back(segment);
       continue;
     }
-    emit(MonitorEvent::Kind::drift_detected, segment,
-         "pairs=" + std::to_string(pairs));
+    emit(MonitorEvent::Kind::drift_detected, segment, "pairs=" + std::to_string(pairs));
     if (!options_.remap_on_drift) {
       line << " action=observe";
       log_decision(line.str());
@@ -304,20 +319,25 @@ void MonitorDaemon::publish_snapshot(std::vector<std::string> drifting_segments)
   auto snapshot = build_snapshot(store_, snapshot_version_, clock_.cycles(), clock_.now(),
                                  measurements_.load(), probe_failures_.load(), remaps_.load(),
                                  remap_experiments_.load(), std::move(drifting_segments));
-  const std::string digest = snapshot->digest();
-  board_.publish(std::move(snapshot));
-  emit(MonitorEvent::Kind::snapshot_published, {},
-       "version=" + std::to_string(snapshot_version_) + " digest=" + digest);
+  board_.publish(snapshot);
+  MonitorEvent published;
+  published.kind = MonitorEvent::Kind::snapshot_published;
+  published.snapshot = std::move(snapshot);
+  emit(std::move(published));
 }
 
 void MonitorDaemon::emit(MonitorEvent::Kind kind, std::string segment, std::string detail) {
-  if (!observer_) return;
   MonitorEvent event;
   event.kind = kind;
-  event.cycle = clock_.cycles();
-  event.time_s = clock_.now();
   event.segment = std::move(segment);
   event.detail = std::move(detail);
+  emit(std::move(event));
+}
+
+void MonitorDaemon::emit(MonitorEvent event) {
+  if (!observer_) return;
+  event.cycle = clock_.cycles();
+  event.time_s = clock_.now();
   observer_(event);
 }
 

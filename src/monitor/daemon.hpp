@@ -83,7 +83,18 @@ struct MonitorEvent {
   std::uint64_t cycle = 0;  ///< cycles completed when the event fired
   double time_s = 0.0;      ///< virtual clock
   std::string segment;      ///< drift/remap/probe events: the segment
-  std::string detail;
+  std::string detail;       ///< drift/remap/probe events: what happened
+  /// cycle_finished: probes the cycle scheduled, and how many failed.
+  std::size_t probes = 0;
+  std::size_t failures = 0;
+  /// snapshot_published: the snapshot just published. Its digest is
+  /// computed when someone first reads it, not for the event.
+  std::shared_ptr<const MonitorSnapshot> snapshot;
+
+  /// The event's text after its kind, cycle and segment: `detail`, or
+  /// `probes=N failures=F` (cycle_finished), or `version=V digest=D`
+  /// (snapshot_published, which reads the digest).
+  [[nodiscard]] std::string describe() const;
 };
 
 [[nodiscard]] const char* to_string(MonitorEvent::Kind kind);
@@ -166,6 +177,9 @@ class MonitorDaemon {
   std::vector<std::string> drift_pass();
   Status remap_segment(const std::string& segment, std::size_t pairs_drifting);
   void publish_snapshot(std::vector<std::string> drifting_segments);
+  /// Stamp `event` with the clock and deliver it (a no-op without an
+  /// observer; per-cycle callers build no text unless one is set).
+  void emit(MonitorEvent event);
   void emit(MonitorEvent::Kind kind, std::string segment, std::string detail);
   void log_decision(std::string line);
 

@@ -8,8 +8,8 @@
 // off: SNAPSHOT and QUERY answer entirely from the currently published
 // MonitorSnapshot — one shared_ptr copy under the board's pointer lock,
 // then no lock at all, however many clients hammer the daemon while the
-// measurement loop runs; SNAPSHOT sends the digest the snapshot stored
-// when it was built.
+// measurement loop runs; SNAPSHOT sends the snapshot's digest, which
+// the first request to ask for it computes (once per snapshot).
 // Only SERIES (raw history, not part of the snapshot) reads the series
 // store, under its mutex.
 #pragma once

@@ -12,19 +12,7 @@ namespace envnws::monitor {
 // convention as MapResult::identity_digest().
 using codec::format_full;
 
-SnapshotBoard::SnapshotBoard() {
-  auto boot = std::make_shared<MonitorSnapshot>();
-  boot->seal({});
-  current_ = std::move(boot);
-}
-
-const PairReading* MonitorSnapshot::find(const nws::SeriesKey& key) const {
-  const auto it = std::lower_bound(
-      pairs.begin(), pairs.end(), key,
-      [](const PairReading& reading, const nws::SeriesKey& wanted) { return reading.key < wanted; });
-  if (it == pairs.end() || !(it->key == key)) return nullptr;
-  return &*it;
-}
+SnapshotBoard::SnapshotBoard() : current_(std::make_shared<MonitorSnapshot>()) {}
 
 std::string MonitorSnapshot::header() const {
   std::ostringstream out;
@@ -45,8 +33,13 @@ std::string MonitorSnapshot::render() const {
   return out;
 }
 
-void MonitorSnapshot::seal(std::string_view pair_lines) {
-  digest_ = hash::hex64(hash::fnv1a64(pair_lines, hash::fnv1a64(header())));
+const std::string& MonitorSnapshot::digest() const {
+  std::call_once(digest_once_, [this] {
+    std::uint64_t state = hash::fnv1a64(header());
+    for (const PairList::Slot& slot : pairs.chunks()) state = hash::fnv1a64(slot.chunk->lines, state);
+    digest_ = hash::hex64(state);
+  });
+  return digest_;
 }
 
 std::shared_ptr<const MonitorSnapshot> build_snapshot(
@@ -65,9 +58,7 @@ std::shared_ptr<const MonitorSnapshot> build_snapshot(
   drifting_segments.erase(std::unique(drifting_segments.begin(), drifting_segments.end()),
                           drifting_segments.end());
   snapshot->drifting_segments = std::move(drifting_segments);
-  std::string lines;
-  snapshot->pairs = store.collect(&lines);
-  snapshot->seal(lines);
+  snapshot->pairs = store.collect();
   return snapshot;
 }
 

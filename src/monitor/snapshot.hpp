@@ -9,12 +9,18 @@
 // touch again; the previous snapshot dies when its last reader drops
 // it — classic RCU with shared_ptr as the grace period.
 //
+// Publishing costs O(pairs the cycle refreshed), not O(pairs): a
+// snapshot's pairs are the store's copy-on-write PairChunks (see
+// monitor/store.hpp), so it shares every chunk no probe touched with
+// the snapshot before it, and nothing is hashed at publication.
+//
 // Like env::MapResult, a snapshot has ONE definition of bit-identity:
 // the FNV-1a digest of the full-precision render(), and the replay
 // suite's "same trace + same config => identical snapshots" guarantee is
-// exactly digest equality. The digest is computed once, when the
-// snapshot is built: FNV-1a chains, so hashing the header and then the
-// store's cached pair lines gives the digest of render() without
+// exactly digest equality. The digest is computed on its first read (a
+// SNAPSHOT reply, an observer, a test), at most once per snapshot and
+// safely from any thread: FNV-1a chains, so hashing the header and then
+// each chunk's rendered lines gives the digest of render() without
 // rendering it. BatchStats-style schedule metadata is deliberately
 // absent: a snapshot records what was measured and predicted, never how
 // the probing was scheduled, so digests are invariant under probe_jobs
@@ -25,7 +31,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "monitor/store.hpp"
@@ -42,27 +47,27 @@ struct MonitorSnapshot {
   std::uint64_t probe_failures = 0;
   std::uint64_t remaps = 0;             ///< incremental re-mappings so far
   std::uint64_t remap_experiments = 0;  ///< probe experiments those re-maps cost
-  std::vector<PairReading> pairs;       ///< sorted by key
+  PairList pairs;                       ///< sorted by key
   std::vector<std::string> drifting_segments;  ///< sorted, currently in drift
 
   /// Binary search by key; nullptr when the pair is unknown.
-  [[nodiscard]] const PairReading* find(const nws::SeriesKey& key) const;
+  [[nodiscard]] const PairReading* find(const nws::SeriesKey& key) const {
+    return pairs.find(key);
+  }
 
   /// Full-precision canonical text (17 significant digits everywhere):
   /// the header, then append_pair_line() of every pair.
   [[nodiscard]] std::string render() const;
   /// FNV-1a 64 of render(), fixed-width hex — THE identity of this
-  /// snapshot (see file comment). Stored by seal(); empty before it.
-  [[nodiscard]] const std::string& digest() const { return digest_; }
-
-  /// Store the digest, given the pairs' lines as append_pair_line()
-  /// renders them, concatenated in key order.
-  void seal(std::string_view pair_lines);
+  /// snapshot (see file comment). Computed by the first call, from any
+  /// thread; later calls return the same string.
+  [[nodiscard]] const std::string& digest() const;
 
  private:
   [[nodiscard]] std::string header() const;
 
-  std::string digest_;
+  mutable std::once_flag digest_once_;
+  mutable std::string digest_;
 };
 
 /// The published-snapshot slot. The mutex guards only the pointer: a
@@ -90,8 +95,8 @@ class SnapshotBoard {
   std::shared_ptr<const MonitorSnapshot> current_;
 };
 
-/// The aggregation pass: fold the store's dirty pairs into a fresh,
-/// sealed snapshot (counters supplied by the daemon).
+/// The aggregation pass: fold the store's dirty pairs into a fresh
+/// snapshot (counters supplied by the daemon).
 [[nodiscard]] std::shared_ptr<const MonitorSnapshot> build_snapshot(
     SeriesStore& store, std::uint64_t version, std::uint64_t cycles, double time_s,
     std::uint64_t measurements, std::uint64_t probe_failures, std::uint64_t remaps,

@@ -1,13 +1,14 @@
 #include "monitor/store.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/codec.hpp"
 
 namespace envnws::monitor {
 
 void append_pair_line(std::string& out, const PairReading& reading) {
-  out += reading.key.to_string();
+  reading.key.append_to(out);
   out += " t=";
   codec::append_full(out, reading.time);
   out += " v=";
@@ -28,12 +29,33 @@ void append_pair_line(std::string& out, const PairReading& reading) {
   out += '\n';
 }
 
+const PairReading& PairList::operator[](std::size_t i) const {
+  const auto slot = std::upper_bound(slots_.begin(), slots_.end(), i,
+                                     [](std::size_t index, const Slot& s) { return index < s.end; });
+  const std::size_t first = slot == slots_.begin() ? 0 : std::prev(slot)->end;
+  return slot->chunk->readings[i - first];
+}
+
+const PairReading* PairList::find(const nws::SeriesKey& key) const {
+  // Only the first chunk whose last key is not below `key` can hold it.
+  const auto slot = std::lower_bound(
+      slots_.begin(), slots_.end(), key,
+      [](const Slot& s, const nws::SeriesKey& wanted) { return s.chunk->readings.back().key < wanted; });
+  if (slot == slots_.end()) return nullptr;
+  const std::vector<PairReading>& readings = slot->chunk->readings;
+  const auto it = std::lower_bound(
+      readings.begin(), readings.end(), key,
+      [](const PairReading& reading, const nws::SeriesKey& wanted) { return reading.key < wanted; });
+  return it->key == key ? &*it : nullptr;
+}
+
 SeriesStore::SeriesStore(std::size_t history, DriftPolicy policy)
     : policy_(policy), memory_("monitord", simnet::NodeId(0), std::max<std::size_t>(history, 1)) {}
 
 SeriesStore::Recorded SeriesStore::record(const nws::SeriesKey& key, double time, double value) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Tracked& tracked = tracked_.try_emplace(key, policy_.window).first->second;
+  const auto entry = tracked_.try_emplace(key, policy_.window).first;
+  Tracked& tracked = entry->second;
   Recorded recorded;
   if (tracked.forecaster.observations() > 0) {
     const nws::Forecast forecast = tracked.forecaster.forecast();
@@ -49,33 +71,108 @@ SeriesStore::Recorded SeriesStore::record(const nws::SeriesKey& key, double time
   }
   tracked.forecaster.observe(value);
   memory_.store(key, time, value);
-  tracked.dirty = true;
+  mark_dirty(entry);
   return recorded;
 }
 
-std::vector<PairReading> SeriesStore::collect(std::string* lines) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<PairReading> out;
-  out.reserve(tracked_.size());
-  if (lines != nullptr) lines->clear();
-  for (auto& [key, tracked] : tracked_) {
-    if (tracked.dirty) {
-      const nws::Measurement& latest = memory_.find(key)->latest();
-      PairReading& reading = tracked.reading;
-      reading.key = key;
-      reading.time = latest.time;
-      reading.value = latest.value;
-      reading.forecast = tracked.forecaster.forecast();
-      reading.drift_relative_mae = tracked.drift.relative_mae();
-      reading.drifting = tracked.drift.drifting(policy_);
-      tracked.line.clear();
-      append_pair_line(tracked.line, reading);
-      tracked.dirty = false;
+void SeriesStore::mark_dirty(TrackedMap::iterator entry) {
+  if (entry->second.dirty) return;
+  entry->second.dirty = true;
+  dirty_.push_back(entry);
+}
+
+PairReading SeriesStore::fresh_reading(const TrackedMap::value_type& entry) const {
+  const auto& [key, tracked] = entry;
+  const nws::Measurement& latest = memory_.find(key)->latest();
+  PairReading reading;
+  reading.key = key;
+  reading.time = latest.time;
+  reading.value = latest.value;
+  reading.forecast = tracked.forecaster.forecast();
+  reading.drift_relative_mae = tracked.drift.relative_mae();
+  reading.drifting = tracked.drift.drifting(policy_);
+  return reading;
+}
+
+std::size_t SeriesStore::rebuild_chunk(std::size_t at, const TrackedMap::iterator* dirty,
+                                       std::size_t count) {
+  std::vector<PairList::Slot>& slots = pairs_.slots_;
+  const PairChunk* old = at < slots.size() ? slots[at].chunk.get() : nullptr;
+  const std::size_t old_size = old == nullptr ? 0 : old->readings.size();
+
+  // Merge the old chunk with the dirty keys: a dirty key replaces the
+  // reading and line of an equal key, or slots in as a new pair.
+  auto merged = std::make_shared<PairChunk>();
+  merged->readings.reserve(old_size + count);
+  merged->line_ends.reserve(old_size + count);
+  if (old != nullptr) merged->lines.reserve(old->lines.size() + old->lines.size() / old_size * count);
+  std::size_t i = 0, j = 0;
+  while (i < old_size || j < count) {
+    if (j < count && (i == old_size || !(old->readings[i].key < dirty[j]->first))) {
+      if (i < old_size && old->readings[i].key == dirty[j]->first) ++i;
+      merged->readings.push_back(fresh_reading(*dirty[j++]));
+      append_pair_line(merged->lines, merged->readings.back());
+    } else {
+      merged->readings.push_back(old->readings[i]);
+      const std::size_t begin = i == 0 ? 0 : old->line_ends[i - 1];
+      merged->lines.append(old->lines, begin, old->line_ends[i] - begin);
+      ++i;
     }
-    out.push_back(tracked.reading);
-    if (lines != nullptr) *lines += tracked.line;
+    merged->line_ends.push_back(merged->lines.size());
   }
-  return out;
+
+  const std::size_t size = merged->readings.size();
+  if (size <= kChunkMax) {
+    if (old == nullptr) slots.emplace_back();
+    slots[at].chunk = std::move(merged);
+    return 1;
+  }
+  std::vector<PairList::Slot> pieces;
+  for (std::size_t begin = 0; begin < size;) {
+    const std::size_t end = size - begin > kChunkMax ? begin + kChunkSplit : size;
+    const std::size_t from = begin == 0 ? 0 : merged->line_ends[begin - 1];
+    auto piece = std::make_shared<PairChunk>();
+    piece->readings.assign(std::make_move_iterator(merged->readings.begin() + begin),
+                           std::make_move_iterator(merged->readings.begin() + end));
+    piece->lines.assign(merged->lines, from, merged->line_ends[end - 1] - from);
+    for (std::size_t k = begin; k < end; ++k) piece->line_ends.push_back(merged->line_ends[k] - from);
+    pieces.push_back({std::move(piece), 0});
+    begin = end;
+  }
+  if (old != nullptr) slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(at));
+  slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(at),
+               std::make_move_iterator(pieces.begin()), std::make_move_iterator(pieces.end()));
+  return pieces.size();
+}
+
+PairList SeriesStore::collect() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (dirty_.empty()) return pairs_;
+  std::sort(dirty_.begin(), dirty_.end(),
+            [](TrackedMap::iterator a, TrackedMap::iterator b) { return a->first < b->first; });
+  std::vector<PairList::Slot>& slots = pairs_.slots_;
+  std::size_t at = 0;
+  for (std::size_t first = 0; first < dirty_.size();) {
+    // A key belongs to the first chunk whose last key is not below it,
+    // or to the last chunk; that chunk takes every dirty key up to its
+    // last key (the last chunk takes the rest).
+    while (at + 1 < slots.size() && slots[at].chunk->readings.back().key < dirty_[first]->first) {
+      ++at;
+    }
+    std::size_t last = dirty_.size();
+    if (at + 1 < slots.size()) {
+      const nws::SeriesKey& bound = slots[at].chunk->readings.back().key;
+      last = first + 1;
+      while (last < dirty_.size() && !(bound < dirty_[last]->first)) ++last;
+    }
+    at += rebuild_chunk(at, dirty_.data() + first, last - first);
+    first = last;
+  }
+  for (const TrackedMap::iterator entry : dirty_) entry->second.dirty = false;
+  dirty_.clear();
+  std::size_t end = 0;
+  for (PairList::Slot& slot : slots) slot.end = end += slot.chunk->readings.size();
+  return pairs_;
 }
 
 std::vector<nws::Measurement> SeriesStore::series(const nws::SeriesKey& key,
@@ -106,7 +203,7 @@ void SeriesStore::reset_learning(const std::vector<nws::SeriesKey>& keys) {
     tracked.forecaster = nws::AdaptiveForecaster();
     tracked.drift = DriftTracker(policy_.window);
     drifting_.erase(key);  // an empty window has no verdict
-    tracked.dirty = true;
+    mark_dirty(found);
   }
 }
 

@@ -29,14 +29,19 @@ Result<ResourceKind> resource_from_string(const std::string& text) {
 }
 
 std::string SeriesKey::to_string() const {
-  std::string out = envnws::nws::to_string(resource);
+  std::string out;
+  append_to(out);
+  return out;
+}
+
+void SeriesKey::append_to(std::string& out) const {
+  out += envnws::nws::to_string(resource);
   out += ':';
   out += src;
   if (!dst.empty()) {
     out += "->";
     out += dst;
   }
-  return out;
 }
 
 void TimeSeries::add(double time, double value) {

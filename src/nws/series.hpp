@@ -38,6 +38,8 @@ struct SeriesKey {
   std::string dst;
 
   [[nodiscard]] std::string to_string() const;
+  /// Append to_string() to `out` (no temporary string).
+  void append_to(std::string& out) const;
   friend bool operator==(const SeriesKey& a, const SeriesKey& b) {
     return a.resource == b.resource && a.src == b.src && a.dst == b.dst;
   }

@@ -285,13 +285,13 @@ void Network::finish_flow(FlowId id) {
 Status Network::send_message(NodeId src, NodeId dst, std::int64_t bytes,
                              std::function<void()> on_delivered, const std::string& purpose) {
   if (const Status status = check_communicate(src, dst); !status.ok()) return status.error();
-  const auto delay = message_delay(src, dst, bytes);
-  if (!delay.ok()) return delay.error();
+  if (const Status status = routes_.path_into(src, dst, route_); !status.ok()) return status;
+  const double delay = delay_over(route_, bytes);
   ++stats_.messages_sent;
   auto& purpose_stats = stats_.by_purpose[purpose];
   ++purpose_stats.flow_count;
   purpose_stats.bytes += bytes;
-  schedule_after(delay.value(), [this, dst, cb = std::move(on_delivered)] {
+  schedule_after(delay, [this, dst, cb = std::move(on_delivered)] {
     // A message addressed to a host that died in flight is dropped; the
     // sender's own timeout logic is responsible for noticing.
     if (!topo_.node(dst).up) return;
@@ -303,8 +303,12 @@ Status Network::send_message(NodeId src, NodeId dst, std::int64_t bytes,
 Result<double> Network::message_delay(NodeId src, NodeId dst, std::int64_t bytes) const {
   const auto path = routes_.path(src, dst);
   if (!path.ok()) return path.error();
-  const double latency = path.value().total_latency(topo_);
-  const double bottleneck = path.value().bottleneck_bandwidth(topo_);
+  return delay_over(path.value(), bytes);
+}
+
+double Network::delay_over(const Path& path, std::int64_t bytes) const {
+  const double latency = path.total_latency(topo_);
+  const double bottleneck = path.bottleneck_bandwidth(topo_);
   const double transmission =
       bottleneck > 0.0 && std::isfinite(bottleneck)
           ? static_cast<double>(bytes) * 8.0 / bottleneck

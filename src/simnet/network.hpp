@@ -195,6 +195,9 @@ class Network {
   };
 
   void build_resources();
+  /// One-way delay of `bytes` over `path`: its latency plus the
+  /// transmission time at its bottleneck (message_delay's arithmetic).
+  [[nodiscard]] double delay_over(const Path& path, std::int64_t bytes) const;
   /// The sorted, duplicate-free resources `path` consumes, written over `out`.
   void resources_for_path(const Path& path, std::vector<std::uint32_t>& out) const;
   void activate_flow(FlowId id);
@@ -224,9 +227,10 @@ class Network {
   std::vector<FlowId> active_order_;  ///< active flows, insertion order
   /// Fair-share terms of active_order_[i], the solver's input as is.
   std::vector<std::vector<WeightedUse>> active_uses_;
-  // start_flow/recompute_rates scratch, reused so the per-flow path
-  // allocates nothing once it has grown: a route, its resources, the
-  // reverse path's resources and the solver's rates.
+  // start_flow/send_message/recompute_rates scratch, reused so the
+  // per-flow and per-message paths allocate nothing once they have
+  // grown: a route, its resources, the reverse path's resources and the
+  // solver's rates.
   Path route_;
   std::vector<std::uint32_t> resources_;
   std::vector<std::uint32_t> cross_resources_;

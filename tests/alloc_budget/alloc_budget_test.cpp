@@ -1,5 +1,6 @@
-// Allocation budgets of the per-flow simulation path and the NWS
-// forecaster, counted by replacing the global operator new.
+// Allocation budgets of the per-flow simulation path, the NWS
+// forecaster and a monitord cycle, counted by replacing the global
+// operator new.
 //
 // This file builds into its own test executable (see CMakeLists.txt):
 // the counting allocator would otherwise count every other test's
@@ -13,9 +14,11 @@
 #include <new>
 
 #include "api/scenario_registry.hpp"
+#include "api/session.hpp"
 #include "env/mapper.hpp"
 #include "env/scenario_zones.hpp"
 #include "env/sim_probe_engine.hpp"
+#include "monitor/daemon.hpp"
 #include "nws/forecast.hpp"
 #include "simnet/network.hpp"
 
@@ -42,7 +45,7 @@ std::uint64_t allocations_during(Body&& body) {
   return g_allocations.load() - before;
 }
 
-TEST(AllocBudget, MappingStarSwitch50CostsAtMostSixAllocationsPerFlow) {
+TEST(AllocBudget, MappingStarSwitch50CostsAtMostTwoAllocationsPerFlow) {
   const auto scenario = api::ScenarioRegistry::builtin().make("star-switch:50@100");
   ASSERT_TRUE(scenario.ok()) << scenario.error().to_string();
   const auto zones = env::zones_from_scenario(scenario.value());
@@ -61,7 +64,39 @@ TEST(AllocBudget, MappingStarSwitch50CostsAtMostSixAllocationsPerFlow) {
   ASSERT_GT(flows, 1000u);
   const double per_flow = static_cast<double>(allocations) / static_cast<double>(flows);
   RecordProperty("allocations_per_flow", std::to_string(per_flow));
-  EXPECT_LE(per_flow, 6.0) << allocations << " allocations for " << flows << " flows";
+  // 1.66 per flow: a probe flow's completion callback fits
+  // std::function's inline buffer (it was 2.66 when it did not).
+  EXPECT_LE(per_flow, 2.0) << allocations << " allocations for " << flows << " flows";
+}
+
+TEST(AllocBudget, MonitordDumbbell8x8CycleCostsAtMost21Allocations) {
+  // envnws_monitord --scenario=dumbbell:8x8 with its defaults: plan only,
+  // the simulated engine, 3 probes per cycle over 114 pairs. Warmed up
+  // until every pair has been measured, so no cycle adds a series.
+  const auto scenario = api::ScenarioRegistry::builtin().make("dumbbell:8x8");
+  ASSERT_TRUE(scenario.ok()) << scenario.error().to_string();
+  simnet::Network net(simnet::Scenario(scenario.value()).topology);
+  api::Session session(net, scenario.value());
+  ASSERT_TRUE(session.set_probe_engine_spec("sim").ok());
+  auto daemon = session.make_monitor(monitor::MonitorOptions{});
+  ASSERT_TRUE(daemon.ok()) << daemon.error().to_string();
+  ASSERT_TRUE(daemon.value()->run_cycles(2000).ok());
+  ASSERT_EQ(daemon.value()->snapshot()->pairs.size(), 114u);
+
+  constexpr std::uint64_t kCycles = 100;
+  bool ran = false;
+  const std::uint64_t allocations =
+      allocations_during([&] { ran = daemon.value()->run_cycles(kCycles).ok(); });
+  ASSERT_TRUE(ran);
+  const double per_cycle = static_cast<double>(allocations) / static_cast<double>(kCycles);
+  RecordProperty("allocations_per_cycle", std::to_string(per_cycle));
+  // 20.04 a cycle: 14 on the probe path (the scheduled probes, the
+  // experiment, request and result vectors, the batch outcomes) and 6
+  // for the publish (the snapshot, its chunk list, and the one rebuilt
+  // chunk with its readings, lines and line ends). It was 45.04 while
+  // each publish copied all 114 readings and lines and event text was
+  // formatted with no observer to read it.
+  EXPECT_LE(per_cycle, 21.0) << allocations << " allocations for " << kCycles << " cycles";
 }
 
 TEST(AllocBudget, ForecasterObservesWithoutAllocating) {

@@ -3,10 +3,14 @@
 // everything the daemon composes, tested without any daemon or socket.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include "common/hash.hpp"
 
 #include "deploy/plan.hpp"
 #include "env/probe_engine.hpp"
@@ -400,6 +404,33 @@ TEST(SnapshotBoard, BootsNonNullAndPublishSwapsAtomically) {
   // Null publications are ignored: readers never need a null check.
   board.publish(nullptr);
   EXPECT_EQ(board.current()->version, 1u);
+}
+
+TEST(SnapshotBoard, ConcurrentFirstDigestReadsAgree) {
+  // Several readers ask a fresh snapshot for its digest at once; exactly
+  // one computes it and every reader gets the same string.
+  SeriesStore store(8, DriftPolicy{});
+  for (int i = 0; i < 300; ++i) {
+    store.record(bw_key("h" + std::to_string(i), "m"), 1.0, 1.0e8 + i);
+  }
+  constexpr int kReaders = 6;
+  for (std::uint64_t version = 1; version <= 20; ++version) {
+    store.record(bw_key("h" + std::to_string(version * 7 % 300), "m"), 1.0 + version, 2.0e8);
+    const auto snapshot = build_snapshot(store, version, version, 1.0, version, 0, 0, 0, {});
+    std::atomic<int> ready{0};
+    std::vector<std::string> digests(kReaders);
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&, r] {
+        ready.fetch_add(1);
+        while (ready.load() < kReaders) std::this_thread::yield();
+        digests[r] = snapshot->digest();
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
+    const std::string expected = hash::hex64(hash::fnv1a64(snapshot->render()));
+    for (const std::string& digest : digests) EXPECT_EQ(digest, expected) << "v" << version;
+  }
 }
 
 // --- naming -----------------------------------------------------------------

@@ -2,15 +2,18 @@
 // digests, and the bounded decision log.
 //
 // SeriesStore::collect() refreshes only the pairs record() and
-// reset_learning() marked, and a snapshot's digest is computed once, from
-// the store's cached lines. OracleStore below is the fold as it was
-// before that: every pair re-forecast and re-rendered on every publish.
+// reset_learning() marked, copying only the chunks they live in, and a
+// snapshot's digest is computed on first read, from the chunks' cached
+// lines. OracleStore below is the fold as it was before that: every pair
+// re-forecast and re-rendered on every publish, into one flat vector.
 // Every snapshot must render exactly as the oracle renders it, and its
-// stored digest must be the FNV-1a of that render.
+// digest must be the FNV-1a of that render.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <cstdio>
 #include <random>
 #include <set>
 #include <sstream>
@@ -65,17 +68,21 @@ class OracleStore {
 
   [[nodiscard]] std::vector<PairReading> collect() const {
     std::vector<PairReading> out;
-    for (const auto& [key, tracked] : tracked_) {
-      PairReading reading;
-      reading.key = key;
-      reading.time = tracked.latest.time;
-      reading.value = tracked.latest.value;
-      reading.forecast = tracked.forecaster.forecast();
-      reading.drift_relative_mae = tracked.drift.relative_mae();
-      reading.drifting = tracked.drift.drifting(policy_);
-      out.push_back(std::move(reading));
-    }
+    for (const auto& entry : tracked_) out.push_back(reading(entry.first));
     return out;
+  }
+
+  /// One recorded key's reading.
+  [[nodiscard]] PairReading reading(const nws::SeriesKey& key) const {
+    const Tracked& tracked = tracked_.at(key);
+    PairReading reading;
+    reading.key = key;
+    reading.time = tracked.latest.time;
+    reading.value = tracked.latest.value;
+    reading.forecast = tracked.forecaster.forecast();
+    reading.drift_relative_mae = tracked.drift.relative_mae();
+    reading.drifting = tracked.drift.drifting(policy_);
+    return reading;
   }
 
   [[nodiscard]] std::vector<nws::SeriesKey> drifting() const {
@@ -206,6 +213,163 @@ TEST(MonitorFold, MatchesTheFromScratchOracleOverRandomOperations) {
     }
     EXPECT_GT(version, 100u);
     EXPECT_GT(drifting_seen, 0u) << "the sequence never exercised a drift verdict";
+  }
+}
+
+/// Key number `n`: zero-padded, so key order is numeric order.
+nws::SeriesKey numbered_key(long n) {
+  char name[16];
+  std::snprintf(name, sizeof name, "h%07ld", n);
+  return bw_key(name, "m");
+}
+
+/// Every field of a reading equal, doubles bit for bit (NaN-free here).
+bool same_reading(const PairReading& a, const PairReading& b) {
+  return a.key == b.key && a.time == b.time && a.value == b.value &&
+         a.forecast.value == b.forecast.value && a.forecast.mae == b.forecast.mae &&
+         a.forecast.rmse == b.forecast.rmse && a.forecast.winner == b.forecast.winner &&
+         a.forecast.samples == b.forecast.samples &&
+         a.drift_relative_mae == b.drift_relative_mae && a.drifting == b.drifting;
+}
+
+TEST(MonitorFold, ChunkedPairsMatchAFlatOracleAcrossSplits) {
+  for (const std::uint64_t seed : {11u, 12u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const DriftPolicy policy = twitchy_policy();
+    SeriesStore store(8, policy);
+    OracleStore oracle(policy);
+    std::set<long> known;  // key numbers recorded so far
+    double now = 0.0;
+    const auto record = [&](long n) {
+      now += 1.0;
+      const double level = 1.0e8 * static_cast<double>(1 + n % 7);
+      const double value = level * (rng() % 6 == 0 ? 2.5 : 1.0 + (rng() % 100) * 1e-4);
+      store.record(numbered_key(n), now, value);
+      oracle.record(numbered_key(n), now, value);
+      known.insert(n);
+    };
+    const auto any_known = [&] {
+      return *std::next(known.begin(), static_cast<std::ptrdiff_t>(rng() % known.size()));
+    };
+    // A new key before the first, after the last, or anywhere between.
+    const auto fresh = [&]() -> long {
+      if (known.empty()) return 500000;
+      const long first = *known.begin(), last = *known.rbegin();
+      switch (rng() % 4) {
+        case 0:
+          return first - 1 - static_cast<long>(rng() % 3);
+        case 1:
+          return last + 1 + static_cast<long>(rng() % 3);
+        default:
+          return first + static_cast<long>(rng() % static_cast<std::uint64_t>(last - first + 1));
+      }
+    };
+
+    struct Published {
+      std::shared_ptr<const MonitorSnapshot> snapshot;
+      std::string render;  ///< every 5th version only
+      std::string digest;
+    };
+    std::vector<Published> history;
+    // The flat oracle: every reading in one sorted vector, a touched
+    // key's reading recomputed by the oracle after each burst.
+    std::map<nws::SeriesKey, PairReading> readings;
+    std::vector<PairReading> previous;  // the flat oracle at the last publish
+    std::size_t most_chunks = 0;
+    for (std::uint64_t version = 1; version <= 100; ++version) {
+      // Mostly a few operations, sometimes a burst of new keys that
+      // splits chunks.
+      const std::uint64_t ops = rng() % 6 == 0 ? 40 + rng() % 160 : 1 + rng() % 6;
+      std::set<nws::SeriesKey> touched;
+      bool added = false;
+      for (std::uint64_t op = 0; op < ops; ++op) {
+        const std::uint64_t kind = rng() % 10;
+        if (known.empty() || (kind < 5 && known.size() < 600)) {
+          const long n = fresh();
+          added = added || known.count(n) == 0;
+          record(n);
+          touched.insert(numbered_key(n));
+        } else if (kind < 9) {
+          const long n = any_known();
+          record(n);
+          touched.insert(numbered_key(n));
+        } else {
+          std::vector<nws::SeriesKey> keys = {numbered_key(any_known()), numbered_key(-1)};
+          store.reset_learning(keys);
+          oracle.reset_learning(keys);
+          touched.insert(keys.front());
+        }
+      }
+      const auto snapshot = build_snapshot(store, version, version, now, version, 0, 0, 0, {});
+      const PairList& pairs = snapshot->pairs;
+      for (const nws::SeriesKey& key : touched) readings.insert_or_assign(key, oracle.reading(key));
+      std::vector<PairReading> flat;
+      for (const auto& entry : readings) flat.push_back(entry.second);
+
+      ASSERT_EQ(pairs.size(), flat.size());
+      ASSERT_FALSE(pairs.empty());
+      EXPECT_TRUE(same_reading(pairs.front(), flat.front()));
+      std::size_t i = 0;
+      for (const PairReading& pair : pairs) {
+        ASSERT_LT(i, flat.size());
+        EXPECT_TRUE(same_reading(pair, flat[i])) << flat[i].key.to_string();
+        EXPECT_EQ(&pairs[i], &pair);
+        EXPECT_EQ(pairs.find(flat[i].key), &pair);
+        ++i;
+      }
+      EXPECT_EQ(i, flat.size());
+      // Misses: before the first key, after the last, and in the gaps.
+      for (const long n : {*known.begin() - 1, *known.rbegin() + 1, fresh(), fresh()}) {
+        if (known.count(n) == 0) EXPECT_EQ(snapshot->find(numbered_key(n)), nullptr) << n;
+      }
+
+      for (const PairList::Slot& slot : pairs.chunks()) {
+        EXPECT_FALSE(slot.chunk->readings.empty());
+        EXPECT_LE(slot.chunk->readings.size(), SeriesStore::kChunkMax);
+      }
+      most_chunks = std::max(most_chunks, pairs.chunks().size());
+      // Without new keys no chunk grows, so a publish copies at most
+      // one chunk per touched key and shares the rest.
+      if (!added && !history.empty()) {
+        const auto& before = history.back().snapshot->pairs.chunks();
+        std::size_t copied = 0;
+        for (const PairList::Slot& slot : pairs.chunks()) {
+          const bool shared = std::any_of(before.begin(), before.end(), [&](const PairList::Slot& old) {
+            return old.chunk == slot.chunk;
+          });
+          if (!shared) ++copied;
+        }
+        EXPECT_LE(copied, touched.size());
+        EXPECT_EQ(pairs.chunks().size(), before.size());
+      }
+
+      const std::string rendered = snapshot->render();
+      const std::string digest = hash::hex64(hash::fnv1a64(rendered));
+      // Half the digests are first read now; the rest only after every
+      // later publish, from chunks later snapshots share.
+      if (version % 2 == 0) EXPECT_EQ(snapshot->digest(), digest);
+      // The previous snapshot still holds what it held when published.
+      if (!history.empty()) {
+        const PairList& before = history.back().snapshot->pairs;
+        ASSERT_EQ(before.size(), previous.size());
+        std::size_t k = 0;
+        for (const PairReading& pair : before) EXPECT_TRUE(same_reading(pair, previous[k++]));
+      }
+      history.push_back({snapshot, version % 5 == 0 ? rendered : std::string(), digest});
+      previous = std::move(flat);
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GE(known.size(), 400u);
+    EXPECT_GE(most_chunks, 4u) << "the sequence never split a chunk";
+    // Every earlier snapshot renders and digests as it did when
+    // published: shared chunks were never written.
+    for (const Published& earlier : history) {
+      EXPECT_EQ(earlier.snapshot->digest(), earlier.digest) << "v" << earlier.snapshot->version;
+      if (earlier.snapshot->version % 5 == 0) {
+        EXPECT_EQ(earlier.snapshot->render(), earlier.render) << "v" << earlier.snapshot->version;
+      }
+    }
   }
 }
 

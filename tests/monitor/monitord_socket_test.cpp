@@ -16,11 +16,13 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/envnws.hpp"
+#include "common/hash.hpp"
 #include "env/probe_agent.hpp"
 #include "monitor/daemon.hpp"
 #include "monitor/query_server.hpp"
@@ -253,6 +255,91 @@ TEST(MonitordSocket, BackgroundDaemonServesEightClientsDuringLiveMeasurement) {
 
   daemon.reset();  // stops the query server before the fleet goes away
   fleet.stop_all();
+}
+
+TEST(MonitordSocket, QueryClientsReadEachSnapshotsOwnDigestWhileCyclesPublish) {
+  // The simulated daemon publishes on one thread while clients ask
+  // SNAPSHOT then QUERY on theirs. A SNAPSHOT reply is often a fresh
+  // snapshot's first digest read, racing the next publish; every
+  // (version, digest) a client saw must be that version's digest.
+  SKIP_WITHOUT_NET();
+  const auto scenario = make_scenario("star-switch:4");
+  simnet::Network net(simnet::Scenario(scenario).topology);
+  Session session(net, scenario);
+  ASSERT_TRUE(session.set_probe_engine_spec("sim").ok());
+  auto made = session.make_monitor(monitor::MonitorOptions{});
+  ASSERT_TRUE(made.ok()) << made.error().to_string();
+  auto daemon = std::move(made.value());
+  ASSERT_TRUE(daemon->run_cycles(20).ok());
+  const nws::SeriesKey key = daemon->snapshot()->pairs.front().key;
+  std::vector<std::shared_ptr<const monitor::MonitorSnapshot>> published(1);
+  daemon->set_observer([&published](const monitor::MonitorEvent& event) {
+    if (event.kind == monitor::MonitorEvent::Kind::snapshot_published) {
+      published.push_back(event.snapshot);
+    }
+  });
+  ASSERT_TRUE(daemon->start_query_server("127.0.0.1", 0).ok());
+  const std::uint16_t port = daemon->query_port();
+
+  constexpr std::uint64_t kCycles = 1500;
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> answered{0};  // clients with a first reply
+  struct Seen {
+    std::uint64_t version = 0;
+    std::string digest;
+    double forecast = 0.0;
+  };
+  std::vector<std::vector<Seen>> seen(4);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < seen.size(); ++c) {
+    clients.emplace_back([port, &key, &done, &answered, &seen, c] {
+      auto client = monitor::QueryClient::connect("127.0.0.1", port);
+      ASSERT_TRUE(client.ok());
+      while (!done.load()) {
+        auto summary = client.value().snapshot();
+        ASSERT_TRUE(summary.ok());
+        auto answer = client.value().query(key);
+        ASSERT_TRUE(answer.ok());
+        seen[c].push_back({summary.value().version, summary.value().digest,
+                           answer.value().forecast.value});
+        if (seen[c].size() == 1) answered.fetch_add(1);
+      }
+    });
+  }
+  // Publishing starts once every client is asking.
+  while (answered.load() < seen.size()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const Status ran = daemon->run_cycles(kCycles);
+  done.store(true);
+  for (std::thread& client : clients) client.join();
+  ASSERT_TRUE(ran.ok());
+  ASSERT_EQ(published.size(), kCycles + 1);
+
+  std::set<std::uint64_t> versions;
+  for (const std::vector<Seen>& client : seen) {
+    std::uint64_t last_version = 0;
+    for (const Seen& reply : client) {
+      versions.insert(reply.version);
+      ASSERT_GE(reply.version, 20u);
+      ASSERT_LE(reply.version, 20 + kCycles);
+      EXPECT_GE(reply.version, last_version);  // a client never sees time go back
+      last_version = reply.version;
+      if (reply.version == 20) continue;  // published before the observer was set
+      const auto& snapshot = published[reply.version - 20];
+      ASSERT_EQ(snapshot->version, reply.version);
+      EXPECT_EQ(reply.digest, snapshot->digest());
+      EXPECT_EQ(reply.digest, hash::hex64(hash::fnv1a64(snapshot->render())));
+      // The QUERY came after the SNAPSHOT, so it read this snapshot or
+      // a later one, which carry the same forecast until the pair is
+      // measured again.
+      bool matched = false;
+      for (std::uint64_t v = reply.version; v <= 20 + kCycles && !matched; ++v) {
+        matched = published[v - 20]->find(key)->forecast.value == reply.forecast;
+      }
+      EXPECT_TRUE(matched) << "v" << reply.version;
+    }
+  }
+  EXPECT_GT(versions.size(), 1u) << "no reply was served while cycles published";
+  daemon.reset();
 }
 
 TEST(MonitordSocket, SeriesClientRejectsMalformedPoints) {
