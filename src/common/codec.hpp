@@ -16,6 +16,7 @@
 // once and appends every field in place.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>

@@ -3,10 +3,12 @@
 // Probing a network that contains firewalls, dead hosts, and routers that
 // drop traceroute is an exercise in expected failure; exceptions are kept
 // for programmer errors only. Result<T> carries either a value or an Error
-// with a category and a human-readable message.
+// with a category and a human-readable message. Reading the state one
+// does not hold prints what was ignored and aborts, in every build.
 #pragma once
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <utility>
@@ -63,6 +65,13 @@ struct Error {
   }
 };
 
+/// Print `misuse` (and the error nobody checked, if any) and abort.
+[[noreturn, gnu::cold]] inline void abort_misused_result(const char* misuse, const Error* ignored) {
+  const std::string text = ignored == nullptr ? "" : ": " + ignored->to_string();
+  std::fprintf(stderr, "envnws: %s%s\n", misuse, text.c_str());
+  std::abort();
+}
+
 /// Either a T or an Error. Intentionally tiny; not a std::expected clone.
 template <typename T>
 class Result {
@@ -74,18 +83,18 @@ class Result {
   explicit operator bool() const { return ok(); }
 
   [[nodiscard]] const T& value() const {
-    assert(ok());
+    if (!ok()) [[unlikely]] abort_misused_result("value() of an error Result", &*error_);
     return *value_;
   }
   [[nodiscard]] T& value() {
-    assert(ok());
+    if (!ok()) [[unlikely]] abort_misused_result("value() of an error Result", &*error_);
     return *value_;
   }
   [[nodiscard]] T value_or(T fallback) const {
     return ok() ? *value_ : std::move(fallback);
   }
   [[nodiscard]] const Error& error() const {
-    assert(!ok());
+    if (ok()) [[unlikely]] abort_misused_result("error() of a Result holding a value", nullptr);
     return *error_;
   }
 
@@ -103,7 +112,7 @@ class Status {
   [[nodiscard]] bool ok() const { return !error_.has_value(); }
   explicit operator bool() const { return ok(); }
   [[nodiscard]] const Error& error() const {
-    assert(!ok());
+    if (ok()) [[unlikely]] abort_misused_result("error() of an ok Status", nullptr);
     return *error_;
   }
 

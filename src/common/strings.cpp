@@ -49,10 +49,6 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
-}
-
 std::string to_lower(std::string_view input) {
   std::string out(input);
   std::transform(out.begin(), out.end(), out.begin(),
@@ -73,13 +69,6 @@ std::string format_double(double v, int precision) {
 std::string pad_right(std::string_view text, std::size_t width) {
   std::string out(text.substr(0, width));
   out.resize(width, ' ');
-  return out;
-}
-
-std::string pad_left(std::string_view text, std::size_t width) {
-  std::string trimmed(text.substr(0, width));
-  std::string out(width - trimmed.size(), ' ');
-  out += trimmed;
   return out;
 }
 

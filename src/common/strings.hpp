@@ -14,7 +14,6 @@ namespace envnws::strings {
 [[nodiscard]] std::string join(const std::vector<std::string>& parts, std::string_view sep);
 [[nodiscard]] std::string trim(std::string_view input);
 [[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
-[[nodiscard]] bool ends_with(std::string_view text, std::string_view suffix);
 [[nodiscard]] std::string to_lower(std::string_view input);
 /// True if `text` contains `needle`.
 [[nodiscard]] bool contains(std::string_view text, std::string_view needle);
@@ -22,6 +21,5 @@ namespace envnws::strings {
 [[nodiscard]] std::string format_double(double v, int precision);
 /// Pad/truncate to exactly `width` columns (left-aligned).
 [[nodiscard]] std::string pad_right(std::string_view text, std::size_t width);
-[[nodiscard]] std::string pad_left(std::string_view text, std::size_t width);
 
 }  // namespace envnws::strings

@@ -48,10 +48,4 @@ std::string Table::to_string() const {
   return out;
 }
 
-std::string Table::to_csv() const {
-  std::string out = strings::join(headers_, ",") + "\n";
-  for (const auto& row : rows_) out += strings::join(row, ",") + "\n";
-  return out;
-}
-
 }  // namespace envnws

@@ -20,8 +20,6 @@ class Table {
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
   /// Render with column alignment and a separator under the header.
   [[nodiscard]] std::string to_string() const;
-  /// Render as comma-separated values (for machine post-processing).
-  [[nodiscard]] std::string to_csv() const;
 
  private:
   std::vector<std::string> headers_;

@@ -16,8 +16,11 @@ namespace {
 struct ResolvedClique {
   std::string name;
   double period_s = 10.0;
+  /// Repeats kept: a node listed twice (a planner inter clique repeats a
+  /// representative, two names resolve to one node) keeps both places in
+  /// nws::pair_at's walk, minus its pairs with itself.
   std::vector<simnet::NodeId> members;
-  std::vector<std::pair<simnet::NodeId, simnet::NodeId>> pairs;
+  std::size_t pairs = 0;  ///< walked pairs whose ends differ
 };
 
 /// One experiment of the collision check, its path resolved once.
@@ -39,7 +42,7 @@ struct Experiment {
 void check_collisions(const std::vector<ResolvedClique>& cliques, bool use_host_locks,
                       const simnet::Network& net, double tolerance, ValidationReport& report) {
   const std::size_t active = static_cast<std::size_t>(std::count_if(
-      cliques.begin(), cliques.end(), [](const ResolvedClique& c) { return !c.pairs.empty(); }));
+      cliques.begin(), cliques.end(), [](const ResolvedClique& c) { return c.pairs > 0; }));
   if (active < 2) return;  // no cross-clique experiment pair exists
 
   const simnet::Topology& topo = net.topology();
@@ -47,10 +50,12 @@ void check_collisions(const std::vector<ResolvedClique>& cliques, bool use_host_
   std::vector<std::size_t> first{0};
   std::vector<Experiment> experiments;
   for (const auto& clique : cliques) {
-    for (const auto& pair : clique.pairs) {
+    for (std::uint64_t k = 0; k < nws::pair_count(clique.members); ++k) {
+      const auto [src, dst] = nws::pair_at(clique.members, k);
+      if (src == dst) continue;
       Experiment experiment;
-      experiment.pair = pair;
-      if (auto resources = net.path_resources(pair.first, pair.second); resources.ok()) {
+      experiment.pair = {src, dst};
+      if (auto resources = net.path_resources(src, dst); resources.ok()) {
         experiment.resources = std::move(resources.value());
       }
       experiments.push_back(std::move(experiment));
@@ -133,7 +138,7 @@ ValidationReport validate_plan(const DeploymentPlan& plan, simnet::Network& net,
   const simnet::Topology& topo = net.topology();
   const auto resolve = topology_resolver(topo);
 
-  // Resolve cliques to node ids and ordered experiment pairs.
+  // Resolve cliques to node ids.
   std::vector<ResolvedClique> cliques;
   for (const auto& planned : plan.cliques) {
     ResolvedClique clique;
@@ -144,10 +149,13 @@ ValidationReport validate_plan(const DeploymentPlan& plan, simnet::Network& net,
         clique.members.push_back(id.value());
       }
     }
-    clique.pairs = nws::ordered_experiment_pairs(clique.members);
+    for (std::uint64_t k = 0; k < nws::pair_count(clique.members); ++k) {
+      const auto [src, dst] = nws::pair_at(clique.members, k);
+      clique.pairs += src != dst ? 1 : 0;
+    }
     report.max_clique_size = std::max(report.max_clique_size, clique.members.size());
-    report.worst_cycle_time_s = std::max(
-        report.worst_cycle_time_s, clique.period_s * static_cast<double>(clique.pairs.size()));
+    report.worst_cycle_time_s = std::max(report.worst_cycle_time_s,
+                                         clique.period_s * static_cast<double>(clique.pairs));
     cliques.push_back(std::move(clique));
   }
 

@@ -60,14 +60,32 @@ MonitorDaemon::MonitorDaemon(deploy::DeploymentPlan plan, std::unique_ptr<env::P
       clock_(options.period_s > 0 ? options.period_s : 1.0),
       scheduler_(plan_),
       store_(kSeriesHistory, options.drift) {
-  for (const deploy::PlannedClique& clique : plan_.cliques) {
+  for (std::size_t c = 0; c < plan_.cliques.size(); ++c) {
+    const deploy::PlannedClique& clique = plan_.cliques[c];
     if (clique.members.size() < 2) continue;
-    const std::string& segment = clique.segment();
-    for (const std::string& member : clique.members) segment_hosts_[segment].insert(member);
-    for (const auto& [from, to] : nws::ordered_experiment_pairs(clique.members)) {
-      pair_segment_.emplace(nws::SeriesKey{nws::ResourceKind::bandwidth, from, to}, segment);
+    for (const std::string& member : clique.members) {
+      segment_hosts_[clique.segment()].insert(member);
+      host_cliques_[member].push_back(c);
     }
   }
+}
+
+const deploy::PlannedClique* MonitorDaemon::first_clique(const std::string& from,
+                                                         const std::string& to) const {
+  const auto a = host_cliques_.find(from);
+  const auto b = host_cliques_.find(to);
+  if (from == to || a == host_cliques_.end() || b == host_cliques_.end()) return nullptr;
+  // a's list ascends: its first clique that b's list holds too is the
+  // first in plan order listing both hosts.
+  const auto both = std::find_first_of(a->second.begin(), a->second.end(), b->second.begin(),
+                                       b->second.end());
+  return both == a->second.end() ? nullptr : &plan_.cliques[*both];
+}
+
+const std::string* MonitorDaemon::segment_of(const nws::SeriesKey& key) const {
+  if (key.resource != nws::ResourceKind::bandwidth) return nullptr;
+  const deploy::PlannedClique* clique = first_clique(key.src, key.dst);
+  return clique == nullptr ? nullptr : &clique->segment();
 }
 
 MonitorDaemon::~MonitorDaemon() {
@@ -235,8 +253,7 @@ std::vector<std::string> MonitorDaemon::drift_pass() {
   // deterministic order regardless of which pair flagged what first.
   std::map<std::string, std::size_t> per_segment;
   for (const nws::SeriesKey& key : store_.drifting()) {
-    const auto segment = pair_segment_.find(key);
-    if (segment != pair_segment_.end()) ++per_segment[segment->second];
+    if (const std::string* segment = segment_of(key)) ++per_segment[*segment];
   }
 
   const std::uint64_t cycle = clock_.cycles();
@@ -300,16 +317,26 @@ Status MonitorDaemon::remap_segment(const std::string& segment, std::size_t pair
   }
 
   // The refreshed platform seeds fresh verdicts: forget the learned
-  // state (forecasters + drift windows) of every pair in the segment.
-  std::vector<nws::SeriesKey> keys;
-  for (const auto& [key, owner] : pair_segment_) {
-    if (owner == segment) keys.push_back(key);
-  }
-  store_.reset_learning(keys);
+  // state (forecasters + drift windows) of every stored pair in the
+  // segment.
+  store_.reset_learning([&](const nws::SeriesKey& key) {
+    const std::string* owner = segment_of(key);
+    return owner != nullptr && *owner == segment;
+  });
 
   remaps_.fetch_add(1);
+  // pairs-reset counts the segment's planned pairs, measured or not.
+  std::uint64_t planned = 0;
+  for (const deploy::PlannedClique& clique : plan_.cliques) {
+    if (clique.segment() != segment) continue;
+    const std::vector<std::string> members = nws::distinct_members(clique.members);
+    for (std::uint64_t k = 0; k < nws::pair_count(members); ++k) {
+      const auto [from, to] = nws::pair_at(members, k);
+      if (first_clique(from, to) == &clique) ++planned;
+    }
+  }
   emit(MonitorEvent::Kind::remap_finished, segment,
-       "experiments=" + std::to_string(cost) + " pairs-reset=" + std::to_string(keys.size()));
+       "experiments=" + std::to_string(cost) + " pairs-reset=" + std::to_string(planned));
   if (remap_sink_) remap_sink_(segment, remapped.value());
   return {};
 }

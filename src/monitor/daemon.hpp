@@ -166,11 +166,18 @@ class MonitorDaemon {
   /// full re-map" number the acceptance test asserts on).
   [[nodiscard]] std::uint64_t remap_experiments() const { return remap_experiments_.load(); }
 
+  /// A bandwidth series' drift/re-map segment: that of the first clique
+  /// in plan order scheduling the pair (nullptr when none does).
+  [[nodiscard]] const std::string* segment_of(const nws::SeriesKey& key) const;
+
   [[nodiscard]] const deploy::DeploymentPlan& plan() const { return plan_; }
   [[nodiscard]] const CycleScheduler& scheduler() const { return scheduler_; }
   [[nodiscard]] env::ProbeEngine& engine() { return *engine_; }
 
  private:
+  /// The first clique in plan order listing both hosts (from != to).
+  [[nodiscard]] const deploy::PlannedClique* first_clique(const std::string& from,
+                                                          const std::string& to) const;
   void run_one_cycle();
   /// Detect drift, decide per segment (sorted order), maybe re-map;
   /// returns the segments still drifting afterwards (for the snapshot).
@@ -195,8 +202,8 @@ class MonitorDaemon {
 
   /// segment -> hosts it spans (for the re-map ZoneSpec).
   std::map<std::string, std::set<std::string>> segment_hosts_;
-  /// series key -> segment (drift grouping).
-  std::map<nws::SeriesKey, std::string> pair_segment_;
+  /// host -> the plan_.cliques (2+ members) listing it, by index, ascending.
+  std::map<std::string, std::vector<std::size_t>> host_cliques_;
   /// segment -> first cycle it may trigger drift again.
   std::map<std::string, std::uint64_t> segment_cooldown_until_;
 

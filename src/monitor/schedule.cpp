@@ -9,11 +9,12 @@ namespace envnws::monitor {
 CycleScheduler::CycleScheduler(const deploy::DeploymentPlan& plan) {
   for (const deploy::PlannedClique& clique : plan.cliques) {
     CliqueSchedule schedule;
-    schedule.name = clique.name;
     schedule.segment = clique.segment();
-    schedule.pairs = nws::ordered_experiment_pairs(clique.members);
-    if (schedule.pairs.empty()) continue;  // single-member clique: nothing to measure
-    schedule.tokens = std::clamp<std::size_t>(clique.parallel_tokens, 1, schedule.pairs.size());
+    schedule.members = nws::distinct_members(clique.members);
+    const std::uint64_t pairs = nws::pair_count(schedule.members);
+    if (pairs == 0) continue;  // single-member clique: nothing to measure
+    schedule.tokens =
+        static_cast<std::size_t>(std::clamp<std::uint64_t>(clique.parallel_tokens, 1, pairs));
     cliques_.push_back(std::move(schedule));
   }
 }
@@ -23,18 +24,16 @@ std::vector<ScheduledProbe> CycleScheduler::cycle(std::uint64_t k) const {
   probes.reserve(probes_per_cycle());
   for (const CliqueSchedule& clique : cliques_) {
     // Token t of cycle k probes pair (k*tokens + t) mod pairs: the
-    // multi-token walk covers the whole pair list exactly like the
+    // multi-token walk covers every pair exactly like the
     // single-token one, just `tokens` pairs per cycle. Tokens of one
     // cycle never collide (tokens <= pairs), though their pairs may
     // share endpoints — run_batch serializes exactly those.
-    const std::uint64_t pairs = clique.pairs.size();
+    const std::uint64_t pairs = nws::pair_count(clique.members);
     for (std::size_t t = 0; t < clique.tokens; ++t) {
-      const auto& pair = clique.pairs[static_cast<std::size_t>(
-          (k * clique.tokens + t) % pairs)];
+      const auto [from, to] = nws::pair_at(clique.members, (k * clique.tokens + t) % pairs);
       ScheduledProbe probe;
-      probe.clique = clique.name;
       probe.segment = clique.segment;
-      probe.transfer = env::BandwidthRequest{pair.first, pair.second, {}};
+      probe.transfer = env::BandwidthRequest{from, to, {}};
       probes.push_back(std::move(probe));
     }
   }
@@ -49,16 +48,15 @@ std::size_t CycleScheduler::probes_per_cycle() const {
 
 std::uint64_t CycleScheduler::pairs_total() const {
   std::uint64_t total = 0;
-  for (const CliqueSchedule& clique : cliques_) total += clique.pairs.size();
+  for (const CliqueSchedule& clique : cliques_) total += nws::pair_count(clique.members);
   return total;
 }
 
 std::uint64_t CycleScheduler::full_sweep_cycles() const {
   std::uint64_t sweep = 0;
   for (const CliqueSchedule& clique : cliques_) {
-    const std::uint64_t pairs = clique.pairs.size();
-    const std::uint64_t tokens = clique.tokens;
-    sweep = std::max(sweep, (pairs + tokens - 1) / tokens);
+    const std::uint64_t pairs = nws::pair_count(clique.members);
+    sweep = std::max<std::uint64_t>(sweep, (pairs + clique.tokens - 1) / clique.tokens);
   }
   return sweep;
 }

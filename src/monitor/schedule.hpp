@@ -9,11 +9,11 @@
 //
 // The CycleScheduler turns a validated deploy::DeploymentPlan into the
 // per-cycle experiment list: each clique contributes `parallel_tokens`
-// experiments per cycle, rotating round-robin through its ordered pair
-// list (nws::ordered_experiment_pairs — the same schedule the simulated
-// token ring walks). The resulting list is in plan order, which makes it
-// the canonical batch order for ProbeEngine::run_batch: what runs
-// concurrently may vary with probe_jobs, what is measured never does.
+// experiments per cycle, rotating round-robin through nws::pair_at over
+// its distinct members (the token ring's schedule; never stored). The
+// resulting list is in plan order, which makes it the canonical batch
+// order for ProbeEngine::run_batch: what runs concurrently may vary with
+// probe_jobs, what is measured never does.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,6 @@ class MonitorClock {
 
 /// One experiment of a monitoring cycle.
 struct ScheduledProbe {
-  std::string clique;   ///< PlannedClique::name
   std::string segment;  ///< PlannedClique::segment() (drift/re-map unit)
   env::BandwidthRequest transfer;
 };
@@ -71,10 +70,9 @@ class CycleScheduler {
 
  private:
   struct CliqueSchedule {
-    std::string name;
     std::string segment;
-    std::vector<std::pair<std::string, std::string>> pairs;
-    std::size_t tokens = 1;  ///< experiments per cycle (clamped to pairs)
+    std::vector<std::string> members;  ///< nws::distinct_members
+    std::size_t tokens = 1;            ///< experiments per cycle (clamped to pairs)
   };
 
   std::vector<CliqueSchedule> cliques_;

@@ -194,16 +194,15 @@ std::vector<nws::SeriesKey> SeriesStore::drifting() const {
   return {drifting_.begin(), drifting_.end()};
 }
 
-void SeriesStore::reset_learning(const std::vector<nws::SeriesKey>& keys) {
+void SeriesStore::reset_learning(const std::function<bool(const nws::SeriesKey&)>& selected) {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const nws::SeriesKey& key : keys) {
-    const auto found = tracked_.find(key);
-    if (found == tracked_.end()) continue;
-    Tracked& tracked = found->second;
+  for (auto entry = tracked_.begin(); entry != tracked_.end(); ++entry) {
+    if (!selected(entry->first)) continue;
+    Tracked& tracked = entry->second;
     tracked.forecaster = nws::AdaptiveForecaster();
     tracked.drift = DriftTracker(policy_.window);
-    drifting_.erase(key);  // an empty window has no verdict
-    mark_dirty(found);
+    drifting_.erase(entry->first);  // an empty window has no verdict
+    mark_dirty(entry);
   }
 }
 

@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -157,9 +158,9 @@ class SeriesStore {
   [[nodiscard]] std::vector<nws::SeriesKey> drifting() const;
 
   /// Forget the learned state (forecaster + drift window, NOT the
-  /// measurement history) of the given keys — after an incremental
-  /// re-map refreshed their segment.
-  void reset_learning(const std::vector<nws::SeriesKey>& keys);
+  /// measurement history) of every stored key `selected` accepts — after
+  /// an incremental re-map refreshed their segment.
+  void reset_learning(const std::function<bool(const nws::SeriesKey&)>& selected);
 
   [[nodiscard]] std::uint64_t stored() const;
 

@@ -18,11 +18,7 @@ constexpr double kRegenerationPeriods = 6.0;
 Clique::Clique(simnet::Network& net, CliqueSpec spec, MemoryServer& memory,
                HostLockService* locks)
     : net_(net), spec_(std::move(spec)), memory_(memory), locks_(locks) {
-  if (!spec_.pairs.empty()) {
-    pairs_ = spec_.pairs;
-  } else {
-    pairs_ = ordered_experiment_pairs(spec_.members);
-  }
+  spec_.members = distinct_members(spec_.members);
   if (spec_.parallel_tokens < 1) spec_.parallel_tokens = 1;
   // Parallel tokens without host locks would let experiments of this
   // clique collide with each other; refuse silently down to 1.
@@ -30,22 +26,23 @@ Clique::Clique(simnet::Network& net, CliqueSpec spec, MemoryServer& memory,
 }
 
 double Clique::expected_cycle_time() const {
-  return spec_.period_s * static_cast<double>(pairs_.size());
+  return spec_.period_s * static_cast<double>(pair_count());
 }
 
 void Clique::start() {
-  if (pairs_.empty()) return;
+  const std::size_t pairs = pair_count();
+  if (pairs == 0) return;
   running_ = true;
   last_token_activity_ = net_.now();
   ++generation_;
   // Inject the tokens, spread across the schedule. The classic protocol
   // uses exactly one; the host-lock extension may circulate several on a
   // switched segment (disjoint-host experiments are independent there).
-  const std::size_t tokens = std::min(spec_.parallel_tokens, pairs_.size());
+  const std::size_t tokens = std::min(spec_.parallel_tokens, pairs);
   for (std::size_t t = 0; t < tokens; ++t) {
-    const std::size_t index = t * pairs_.size() / tokens;
+    const std::size_t index = t * pairs / tokens;
     Token token{index, generation_};
-    deliver_token(token, pairs_[index].first);
+    deliver_token(token, pair_at(index).first);
   }
   arm_watchdog();
 }
@@ -95,7 +92,7 @@ void Clique::finish_experiment(Token token, NodeId holder, bool release_locks, N
 }
 
 void Clique::run_experiment(Token token, NodeId holder) {
-  const auto [src, dst] = pairs_[token.schedule_index % pairs_.size()];
+  const auto [src, dst] = pair_at(token.schedule_index % pair_count());
   if (!net_.host_up(src) || !net_.host_up(dst)) {
     pass_token(token, holder);  // skip the unmeasurable pair
     return;
@@ -154,20 +151,21 @@ void Clique::pass_token(Token token, NodeId from) {
   // pairs so the schedule resumes when the peer recovers.
   Token next{token.schedule_index, token.generation};
   NodeId next_holder = NodeId::invalid();
-  for (std::size_t i = 1; i <= pairs_.size(); ++i) {
-    const std::size_t idx = (token.schedule_index + i) % pairs_.size();
-    if (net_.host_up(pairs_[idx].first) && net_.host_up(pairs_[idx].second)) {
+  const std::size_t pairs = pair_count();
+  for (std::size_t i = 1; i <= pairs; ++i) {
+    const std::size_t idx = (token.schedule_index + i) % pairs;
+    if (net_.host_up(pair_at(idx).first) && net_.host_up(pair_at(idx).second)) {
       next.schedule_index = idx;
-      next_holder = pairs_[idx].first;
+      next_holder = pair_at(idx).first;
       break;
     }
   }
   if (!next_holder.valid()) {
-    for (std::size_t i = 1; i <= pairs_.size(); ++i) {
-      const std::size_t idx = (token.schedule_index + i) % pairs_.size();
-      if (net_.host_up(pairs_[idx].first)) {
+    for (std::size_t i = 1; i <= pairs; ++i) {
+      const std::size_t idx = (token.schedule_index + i) % pairs;
+      if (net_.host_up(pair_at(idx).first)) {
         next.schedule_index = idx;
-        next_holder = pairs_[idx].first;
+        next_holder = pair_at(idx).first;
         break;
       }
     }
@@ -211,14 +209,15 @@ void Clique::arm_watchdog() {
         // Resume the schedule at the first pair whose source is alive,
         // starting from where the ring stopped.
         Token token{last_known_index_, generation_};
-        for (std::size_t i = 0; i < pairs_.size(); ++i) {
-          const std::size_t idx = (last_known_index_ + i) % pairs_.size();
-          if (net_.host_up(pairs_[idx].first)) {
+        const std::size_t pairs = pair_count();
+        for (std::size_t i = 0; i < pairs; ++i) {
+          const std::size_t idx = (last_known_index_ + i) % pairs;
+          if (net_.host_up(pair_at(idx).first)) {
             token.schedule_index = idx;
             break;
           }
         }
-        deliver_token(token, pairs_[token.schedule_index].first);
+        deliver_token(token, pair_at(token.schedule_index).first);
       }
     }
     arm_watchdog();

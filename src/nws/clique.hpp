@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,31 +25,47 @@
 
 namespace envnws::nws {
 
-/// "Given n computers, there is n x (n-1) links to test": every ordered
-/// member pair, in member order. The canonical clique schedule — shared
-/// by the simulated token ring (Clique) and the monitor daemon's cycle
-/// scheduler, which rotates through the same list over real engines.
+/// "Given n computers, there is n x (n-1) links to test": pair k of a
+/// clique's schedule is member k/(n-1), then the (k mod (n-1))-th other
+/// member. The token ring (Clique), validate_plan and the monitor's
+/// cycle scheduler all walk this index arithmetic; none stores the
+/// pairs. "Other" means another position: see distinct_members.
 template <class Node>
-[[nodiscard]] std::vector<std::pair<Node, Node>> ordered_experiment_pairs(
-    const std::vector<Node>& members) {
-  std::vector<std::pair<Node, Node>> pairs;
-  for (const Node& a : members) {
-    for (const Node& b : members) {
-      if (!(a == b)) pairs.emplace_back(a, b);
-    }
+[[nodiscard]] std::uint64_t pair_count(const std::vector<Node>& members) {
+  const std::uint64_t n = members.size();
+  return n < 2 ? 0 : n * (n - 1);
+}
+
+/// Pair k < pair_count(members) of the clique schedule.
+template <class Node>
+[[nodiscard]] std::pair<const Node&, const Node&> pair_at(const std::vector<Node>& members,
+                                                          std::uint64_t k) {
+  const std::uint64_t others = members.size() - 1;
+  const auto from = static_cast<std::size_t>(k / others);
+  auto to = static_cast<std::size_t>(k % others);
+  if (to >= from) ++to;
+  return {members[from], members[to]};
+}
+
+/// `members` with every repeat dropped, first occurrence kept: the
+/// members a rotating schedule walks, so a host named twice (a planner
+/// inter clique can repeat a representative) is probed once per pair.
+template <class Node>
+[[nodiscard]] std::vector<Node> distinct_members(const std::vector<Node>& members) {
+  std::set<Node> seen;
+  std::vector<Node> distinct;
+  for (const Node& member : members) {
+    if (seen.insert(member).second) distinct.push_back(member);
   }
-  return pairs;
+  return distinct;
 }
 
 struct CliqueSpec {
   std::string name;
-  std::vector<simnet::NodeId> members;
+  std::vector<simnet::NodeId> members;  ///< a repeat is dropped (distinct_members)
   /// Idle time between two consecutive experiments of this clique.
   double period_s = 10.0;
   std::int64_t bandwidth_probe_bytes = units::kib(64);
-  /// Experiments to cycle through; empty means every ordered member pair
-  /// ("given n computers, there is n x (n-1) links to test").
-  std::vector<std::pair<simnet::NodeId, simnet::NodeId>> pairs;
   /// Extension (paper conclusion): number of tokens circulating
   /// concurrently. More than 1 is only safe on switched segments AND
   /// with a HostLockService guarding the endpoints.
@@ -72,9 +89,11 @@ class Clique {
   [[nodiscard]] std::uint64_t token_passes() const { return token_passes_; }
   [[nodiscard]] std::uint64_t regenerations() const { return regenerations_; }
   [[nodiscard]] std::uint64_t lock_waits() const { return lock_waits_; }
-  /// Ordered experiment pairs (resolved from the spec).
-  [[nodiscard]] const std::vector<std::pair<simnet::NodeId, simnet::NodeId>>& pairs() const {
-    return pairs_;
+  /// The schedule's ordered experiment pairs (pair_at over the spec's
+  /// distinct members).
+  [[nodiscard]] std::uint64_t pair_count() const { return nws::pair_count(spec_.members); }
+  [[nodiscard]] std::pair<simnet::NodeId, simnet::NodeId> pair_at(std::uint64_t k) const {
+    return nws::pair_at(spec_.members, k);
   }
   /// Expected wall-clock for one full cycle over all pairs.
   [[nodiscard]] double expected_cycle_time() const;
@@ -98,7 +117,6 @@ class Clique {
   CliqueSpec spec_;
   MemoryServer& memory_;
   HostLockService* locks_ = nullptr;
-  std::vector<std::pair<simnet::NodeId, simnet::NodeId>> pairs_;
   /// Endpoint pairs currently held via the lock service (released on
   /// completion; force-released when the watchdog regenerates).
   std::vector<std::pair<simnet::NodeId, simnet::NodeId>> held_locks_;

@@ -1,6 +1,7 @@
 #include "nws/forecast.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <span>
 

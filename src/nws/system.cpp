@@ -54,7 +54,8 @@ Clique& NwsSystem::add_clique(const CliqueSpec& spec) {
   Clique& clique = *cliques_.back();
   // Register the clique's series with the name server (simulated
   // registration traffic: one control message per series).
-  for (const auto& [src, dst] : clique.pairs()) {
+  for (std::uint64_t k = 0; k < clique.pair_count(); ++k) {
+    const auto [src, dst] = clique.pair_at(k);
     const std::string src_name = net_.topology().node(src).name;
     const std::string dst_name = net_.topology().node(dst).name;
     for (const ResourceKind kind :

@@ -106,13 +106,6 @@ Status RouteTable::path_into(NodeId src, NodeId dst, Path& out) const {
   out.dst = dst;
   out.hops.clear();
   if (src == dst) return {};
-  if (!overrides_.empty()) {
-    const auto it = overrides_.find({src, dst});
-    if (it != overrides_.end()) {
-      out.hops = it->second.hops;
-      return {};
-    }
-  }
 
   const Hop& lead = lead_[src.index()];
   const NodeId root = lead.link.valid() ? lead.to : src;
@@ -137,26 +130,6 @@ Result<Path> RouteTable::path(NodeId src, NodeId dst) const {
   Path path;
   if (const Status status = path_into(src, dst, path); !status.ok()) return status.error();
   return path;
-}
-
-Status RouteTable::set_override(NodeId src, NodeId dst, const std::vector<LinkId>& links) {
-  Path path{src, dst, {}};
-  NodeId cursor = src;
-  for (LinkId lid : links) {
-    const Link& link = topo_.link(lid);
-    if (link.a != cursor && link.b != cursor) {
-      return make_error(ErrorCode::invalid_argument,
-                        "override link sequence is not a connected walk");
-    }
-    const NodeId next = topo_.peer(lid, cursor);
-    path.hops.push_back(Hop{lid, cursor, next});
-    cursor = next;
-  }
-  if (cursor != dst) {
-    return make_error(ErrorCode::invalid_argument, "override does not end at destination");
-  }
-  overrides_[{src, dst}] = std::move(path);
-  return {};
 }
 
 }  // namespace envnws::simnet

@@ -22,8 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "common/result.hpp"
@@ -76,10 +74,6 @@ class RouteTable {
   /// path_into() as a value.
   [[nodiscard]] Result<Path> path(NodeId src, NodeId dst) const;
 
-  /// Force the route for (src, dst) to the given link sequence (validated
-  /// to be a connected walk from src to dst).
-  Status set_override(NodeId src, NodeId dst, const std::vector<LinkId>& links);
-
   /// Trees currently cached: at most `max(1, kMaxCachedHops / V)`.
   [[nodiscard]] std::size_t cached_trees() const { return built_count_; }
   /// Trees built since construction, rebuilds after eviction included.
@@ -101,7 +95,6 @@ class RouteTable {
   mutable std::uint64_t use_clock_ = 0;
   mutable std::size_t built_count_ = 0;
   mutable std::uint64_t trees_built_ = 0;
-  std::map<std::pair<NodeId, NodeId>, Path> overrides_;
 };
 
 }  // namespace envnws::simnet

@@ -177,17 +177,6 @@ std::vector<std::string> Topology::zones() const {
   return {unique.begin(), unique.end()};
 }
 
-std::vector<NodeId> Topology::gateways_between(const std::string& za,
-                                               const std::string& zb) const {
-  std::vector<NodeId> out;
-  for (const auto& node : nodes_) {
-    if (node.is_host() && node.zones.count(za) > 0 && node.zones.count(zb) > 0) {
-      out.push_back(node.id);
-    }
-  }
-  return out;
-}
-
 double Topology::capacity(LinkId id, NodeId from) const {
   const Link& l = link(id);
   return from == l.a ? l.bw_ab_bps : l.bw_ba_bps;

@@ -168,9 +168,6 @@ class Topology {
   [[nodiscard]] std::vector<NodeId> hosts_in_zone(const std::string& zone) const;
   /// All firewall zones mentioned by any host.
   [[nodiscard]] std::vector<std::string> zones() const;
-  /// Hosts whose zone set intersects both `za` and `zb` (firewall gateways).
-  [[nodiscard]] std::vector<NodeId> gateways_between(const std::string& za,
-                                                     const std::string& zb) const;
   /// The capacity of the given link in the `from` -> `to` direction.
   [[nodiscard]] double capacity(LinkId id, NodeId from) const;
   [[nodiscard]] double routing_weight(LinkId id, NodeId from) const;

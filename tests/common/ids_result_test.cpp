@@ -57,6 +57,21 @@ TEST(Result, StatusDefaultsOk) {
   EXPECT_EQ(failed.error().code, ErrorCode::timeout);
 }
 
+TEST(ResultDeathTest, MisuseAbortsWithTheIgnoredErrorInEveryBuild) {
+  // Not an assert: the default RelWithDebInfo build defines NDEBUG, and
+  // this must still stop the program there.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Result<int> failed = make_error(ErrorCode::timeout, "probe h0->h1 timed out");
+  EXPECT_DEATH((void)failed.value(),
+               "value\\(\\) of an error Result: timeout: probe h0->h1 timed out");
+  Result<int> mutable_failed = make_error(ErrorCode::not_found, "missing");
+  EXPECT_DEATH((void)mutable_failed.value(), "value\\(\\) of an error Result: not_found: missing");
+  const Result<int> held(7);
+  EXPECT_DEATH((void)held.error(), "error\\(\\) of a Result holding a value");
+  const Status fine;
+  EXPECT_DEATH((void)fine.error(), "error\\(\\) of an ok Status");
+}
+
 TEST(Result, ErrorCodeNames) {
   EXPECT_STREQ(to_string(ErrorCode::blocked_by_firewall), "blocked_by_firewall");
   EXPECT_STREQ(to_string(ErrorCode::unreachable), "unreachable");

@@ -19,7 +19,6 @@
 #include "monitor/schedule.hpp"
 #include "monitor/snapshot.hpp"
 #include "monitor/store.hpp"
-#include "nws/clique.hpp"
 #include "nws/series.hpp"
 
 namespace envnws::monitor {
@@ -79,7 +78,6 @@ TEST(CycleScheduler, RotatesRoundRobinThroughOrderedPairs) {
   for (std::uint64_t k = 0; k < scheduler.full_sweep_cycles(); ++k) {
     const auto probes = scheduler.cycle(k);
     ASSERT_EQ(probes.size(), 2u);
-    EXPECT_EQ(probes[0].clique, "clique-1-lan");
     EXPECT_EQ(probes[0].segment, "lan");
     EXPECT_EQ(probes[1].segment, "wan");
     lan_pairs.insert(probes[0].transfer.from + ">" + probes[0].transfer.to);
@@ -161,13 +159,6 @@ TEST(CycleScheduler, UnlabeledCliquesReportTheirNameAsSegment) {
   ASSERT_TRUE(daemon.run_cycles(2).ok());
   ASSERT_EQ(failures.size(), 2u);
   for (const MonitorEvent& event : failures) EXPECT_EQ(event.segment, "clique-1-switched");
-}
-
-TEST(OrderedExperimentPairs, MatchCliqueSemantics) {
-  const std::vector<std::string> members = {"a", "b", "c"};
-  const auto pairs = nws::ordered_experiment_pairs(members);
-  ASSERT_EQ(pairs.size(), 6u);
-  for (const auto& [from, to] : pairs) EXPECT_NE(from, to);
 }
 
 // --- drift ------------------------------------------------------------------
@@ -276,7 +267,7 @@ TEST(SeriesStore, DriftingKeysAndResetLearning) {
   ASSERT_EQ(drifting.size(), 1u);
   EXPECT_TRUE(drifting[0] == shifty);
 
-  store.reset_learning({shifty});
+  store.reset_learning([&shifty](const nws::SeriesKey& key) { return key == shifty; });
   EXPECT_TRUE(store.drifting().empty());
   // History survives a learning reset; only the verdict state forgets.
   EXPECT_EQ(store.series(shifty, 0).size(), 6u);

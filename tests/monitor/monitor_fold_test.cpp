@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <cstdio>
+#include <functional>
 #include <random>
 #include <set>
 #include <sstream>
@@ -35,6 +36,13 @@ namespace envnws::monitor {
 namespace {
 
 using codec::format_full;
+
+/// SeriesStore::reset_learning's selector for a list of keys.
+std::function<bool(const nws::SeriesKey&)> listed(const std::vector<nws::SeriesKey>& keys) {
+  return [&keys](const nws::SeriesKey& key) {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  };
+}
 
 /// The from-scratch fold: the store's record/reset semantics without a
 /// cache, and the snapshot text rendered the way it always was.
@@ -186,7 +194,7 @@ TEST(MonitorFold, MatchesTheFromScratchOracleOverRandomOperations) {
         std::vector<nws::SeriesKey> keys;
         for (std::uint64_t n = 1 + rng() % 3; n > 0; --n) keys.push_back(pick_key());
         keys.push_back(bw_key("never", "recorded"));
-        store.reset_learning(keys);
+        store.reset_learning(listed(keys));
         oracle.reset_learning(keys);
       } else if (op < 80) {
         // A dump of a few points, some on known keys, some on new ones.
@@ -296,7 +304,7 @@ TEST(MonitorFold, ChunkedPairsMatchAFlatOracleAcrossSplits) {
           touched.insert(numbered_key(n));
         } else {
           std::vector<nws::SeriesKey> keys = {numbered_key(any_known()), numbered_key(-1)};
-          store.reset_learning(keys);
+          store.reset_learning(listed(keys));
           oracle.reset_learning(keys);
           touched.insert(keys.front());
         }
@@ -407,7 +415,8 @@ TEST(MonitorFold, MatchesTheOracleThroughMonitordRunsThatDrift) {
     std::map<std::string, std::vector<nws::SeriesKey>> segment_keys;
     for (const deploy::PlannedClique& clique : daemon->plan().cliques) {
       if (clique.members.size() < 2) continue;
-      for (const auto& [from, to] : nws::ordered_experiment_pairs(clique.members)) {
+      for (std::uint64_t k = 0; k < nws::pair_count(clique.members); ++k) {
+        const auto [from, to] = nws::pair_at(clique.members, k);
         segment_keys[clique.segment()].push_back(bw_key(from, to));
       }
     }

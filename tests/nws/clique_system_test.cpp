@@ -172,7 +172,9 @@ TEST(Clique, RecoversWhenHostComesBack) {
   system->stop();
 }
 
-TEST(Clique, ExplicitPairListRestrictsExperiments) {
+TEST(Clique, RepeatedMemberIsScheduledOnce) {
+  // The schedule walks pair indices over the distinct members: a member
+  // named twice never pairs with itself or doubles its pairs.
   auto scenario = simnet::star_switch(4, mbps(100));
   simnet::Network net(std::move(scenario.topology));
   SystemConfig config;
@@ -183,13 +185,17 @@ TEST(Clique, ExplicitPairListRestrictsExperiments) {
   spec.period_s = 2.0;
   const NodeId h0 = net.topology().find_by_name("h0").value();
   const NodeId h1 = net.topology().find_by_name("h1").value();
-  spec.members = {h0, h1};
-  spec.pairs = {{h0, h1}};  // one direction only
-  system.add_clique(spec);
+  spec.members = {h0, h1, h0};
+  Clique& clique = system.add_clique(spec);
+  ASSERT_EQ(clique.pair_count(), 2u);
+  EXPECT_EQ(clique.pair_at(0), std::make_pair(h0, h1));
+  EXPECT_EQ(clique.pair_at(1), std::make_pair(h1, h0));
+  EXPECT_DOUBLE_EQ(clique.expected_cycle_time(), 4.0);
   system.start();
   net.run_until(100.0);
   EXPECT_NE(system.find_series({ResourceKind::bandwidth, "h0", "h1"}), nullptr);
-  EXPECT_EQ(system.find_series({ResourceKind::bandwidth, "h1", "h0"}), nullptr);
+  EXPECT_NE(system.find_series({ResourceKind::bandwidth, "h1", "h0"}), nullptr);
+  EXPECT_EQ(system.find_series({ResourceKind::bandwidth, "h0", "h0"}), nullptr);
   system.stop();
 }
 

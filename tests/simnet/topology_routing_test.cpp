@@ -71,9 +71,6 @@ TEST(Topology, ZoneQueries) {
   EXPECT_EQ(topo.hosts_in_zone("right").size(), 2u);
   const auto zones = topo.zones();
   EXPECT_EQ(zones.size(), 2u);
-  const auto gateways = topo.gateways_between("left", "right");
-  ASSERT_EQ(gateways.size(), 1u);
-  EXPECT_EQ(gateways[0], gw);
 }
 
 TEST(Topology, ValidateCatchesProblems) {
@@ -181,36 +178,6 @@ TEST(Routing, DirectionalWeightsYieldAsymmetricRoutes) {
   EXPECT_EQ(backward.value().hops.size(), 2u);  // via the fast detour
   EXPECT_DOUBLE_EQ(forward.value().bottleneck_bandwidth(topo), mbps(10));
   EXPECT_DOUBLE_EQ(backward.value().bottleneck_bandwidth(topo), mbps(1000));
-}
-
-TEST(Routing, OverrideForcesRoute) {
-  Topology topo;
-  const NodeId a = topo.add_host("a", "a.lan", Ipv4(10, 0, 0, 1));
-  const NodeId b = topo.add_host("b", "b.lan", Ipv4(10, 0, 0, 2));
-  const NodeId via = topo.add_router("via", "via.lan", Ipv4(10, 0, 0, 250));
-  topo.connect(a, b, mbps(10), 1e-6);  // would be the shortest path
-  const LinkId leg1 = topo.connect(a, via, mbps(100), 1e-6);
-  const LinkId leg2 = topo.connect(via, b, mbps(100), 1e-6);
-
-  RouteTable routes(topo);
-  ASSERT_TRUE(routes.set_override(a, b, {leg1, leg2}).ok());
-  const auto path = routes.path(a, b);
-  ASSERT_TRUE(path.ok());
-  EXPECT_EQ(path.value().hops.size(), 2u);
-  // Reverse direction unaffected by the override.
-  EXPECT_EQ(routes.path(b, a).value().hops.size(), 1u);
-}
-
-TEST(Routing, OverrideValidatesWalk) {
-  Topology topo;
-  const NodeId a = topo.add_host("a", "a.lan", Ipv4(10, 0, 0, 1));
-  const NodeId b = topo.add_host("b", "b.lan", Ipv4(10, 0, 0, 2));
-  const NodeId c = topo.add_host("c", "c.lan", Ipv4(10, 0, 0, 3));
-  topo.connect(a, b, mbps(10), 1e-6);
-  const LinkId bc = topo.connect(b, c, mbps(10), 1e-6);
-  RouteTable routes(topo);
-  EXPECT_FALSE(routes.set_override(a, c, {bc}).ok());       // not connected to a
-  EXPECT_FALSE(routes.set_override(a, b, {LinkId(0), bc}).ok());  // ends at c, not b
 }
 
 TEST(Routing, UnreachableReportsError) {
