@@ -34,16 +34,17 @@ std::string format_full(double value) {
 }
 
 void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    const auto byte = static_cast<unsigned char>(c);
-    if (needs_escape(byte)) {
-      out += '%';
-      out += kHex[byte >> 4];
-      out += kHex[byte & 0x0f];
-    } else {
-      out += c;
-    }
+  // Plain bytes go out in runs: one append per run, not per byte.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto byte = static_cast<unsigned char>(text[i]);
+    if (!needs_escape(byte)) continue;
+    out.append(text.substr(run, i - run));
+    const char escaped[3] = {'%', kHex[byte >> 4], kHex[byte & 0x0f]};
+    out.append(escaped, sizeof(escaped));
+    run = i + 1;
   }
+  out.append(text.substr(run));
 }
 
 std::string escape(std::string_view text) {
@@ -54,25 +55,27 @@ std::string escape(std::string_view text) {
 }
 
 Result<std::string> unescape(std::string_view text) {
+  std::size_t percent = text.find('%');
+  if (percent == std::string_view::npos) return std::string(text);
   std::string out;
   out.reserve(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] != '%') {
-      out += text[i];
-      continue;
-    }
-    if (i + 2 >= text.size()) {
+  std::size_t run = 0;  // start of the plain run before `percent`
+  while (percent != std::string_view::npos) {
+    if (percent + 2 >= text.size()) {
       return make_error(ErrorCode::protocol,
                         "truncated %-escape in '" + std::string(text) + "'");
     }
-    const int hi = hex_digit(text[i + 1]);
-    const int lo = hex_digit(text[i + 2]);
+    const int hi = hex_digit(text[percent + 1]);
+    const int lo = hex_digit(text[percent + 2]);
     if (hi < 0 || lo < 0) {
       return make_error(ErrorCode::protocol, "bad %-escape in '" + std::string(text) + "'");
     }
+    out.append(text.substr(run, percent - run));
     out += static_cast<char>(hi * 16 + lo);
-    i += 2;
+    run = percent + 3;
+    percent = text.find('%', run);
   }
+  out.append(text.substr(run));
   return out;
 }
 

@@ -52,8 +52,8 @@ std::string encode_properties(const std::map<std::string, std::string>& properti
 
 ProbeAgent::ProbeAgent(ProbeAgentConfig config)
     : config_(std::move(config)),
-      server_([this](const wire::WireMessage& message, wire::TcpSocket& socket,
-                     wire::FrameBuffer& buffer) { return handle(message, socket, buffer); },
+      server_([this](const wire::WireMessage& message,
+                     wire::FrameServer::Peer& peer) { return handle(message, peer); },
               config_.io_timeout_s) {}
 
 ProbeStats ProbeAgent::stats() const {
@@ -61,8 +61,7 @@ ProbeStats ProbeAgent::stats() const {
   return stats_;
 }
 
-std::string ProbeAgent::handle(const wire::WireMessage& message, wire::TcpSocket& socket,
-                               wire::FrameBuffer& buffer) {
+std::string ProbeAgent::handle(const wire::WireMessage& message, wire::FrameServer::Peer& peer) {
   if (message.type == "HELLO") {
     wire::WireMessage reply("HELLO-OK");
     reply.add("name", config_.name);
@@ -86,7 +85,7 @@ std::string ProbeAgent::handle(const wire::WireMessage& message, wire::TcpSocket
     return reply.serialize();
   }
   if (message.type == "BWXFER") return handle_bwxfer(message);
-  if (message.type == "BULK") return handle_bulk(message, socket, buffer);
+  if (message.type == "BULK") return handle_bulk(message, peer);
   return wire::error_payload(
       make_error(ErrorCode::protocol, "unknown frame type '" + message.type + "'"));
 }
@@ -166,8 +165,8 @@ std::string ProbeAgent::handle_bwxfer(const wire::WireMessage& message) {
   return reply.serialize();
 }
 
-std::string ProbeAgent::handle_bulk(const wire::WireMessage& message, wire::TcpSocket& socket,
-                                    wire::FrameBuffer& buffer) {
+std::string ProbeAgent::handle_bulk(const wire::WireMessage& message,
+                                    wire::FrameServer::Peer& peer) {
   auto bytes = message.u64("bytes");
   auto streams = message.has("streams") ? message.u64("streams") : Result<std::uint64_t>(1);
   if (!bytes.ok()) return wire::error_payload(bytes.error());
@@ -182,12 +181,12 @@ std::string ProbeAgent::handle_bulk(const wire::WireMessage& message, wire::TcpS
   // The payload follows the frame as raw bytes: drain whatever the
   // frame decoder already buffered, then sink the rest off the socket.
   std::uint64_t left = bytes.value();
-  left -= buffer.take_raw(static_cast<std::size_t>(left)).size();
+  left -= peer.buffer().take_raw(static_cast<std::size_t>(left)).size();
   std::array<char, 64 * 1024> sink;
   while (left > 0) {
     const std::size_t want =
         static_cast<std::size_t>(std::min<std::uint64_t>(left, sink.size()));
-    auto got = socket.recv_some(sink.data(), want, config_.io_timeout_s);
+    auto got = peer.socket().recv_some(sink.data(), want, config_.io_timeout_s);
     if (!got.ok()) return wire::error_payload(got.error());
     left -= got.value();
   }

@@ -87,11 +87,9 @@ class ProbeAgent {
 
  private:
   /// Handle one control message; returns the reply payload.
-  std::string handle(const wire::WireMessage& message, wire::TcpSocket& socket,
-                     wire::FrameBuffer& buffer);
+  std::string handle(const wire::WireMessage& message, wire::FrameServer::Peer& peer);
   std::string handle_bwxfer(const wire::WireMessage& message);
-  std::string handle_bulk(const wire::WireMessage& message, wire::TcpSocket& socket,
-                          wire::FrameBuffer& buffer);
+  std::string handle_bulk(const wire::WireMessage& message, wire::FrameServer::Peer& peer);
 
   ProbeAgentConfig config_;
   mutable std::mutex mutex_;  ///< guards stats_

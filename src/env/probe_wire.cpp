@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -37,6 +38,9 @@ double remaining_s(Clock::time_point deadline) {
   const auto left = std::chrono::duration<double>(deadline - Clock::now()).count();
   return left > 0.0 ? left : 0.0;
 }
+
+/// Bytes asked of one recv() by the frame readers.
+constexpr std::size_t kRecvChunk = 16384;
 
 Clock::time_point deadline_after(double timeout_s) {
   return Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -83,43 +87,53 @@ Result<struct sockaddr_in> make_address(const std::string& ipv4, std::uint16_t p
 
 // --- frames -----------------------------------------------------------------
 
+void append_frame(std::string& out, std::string_view payload) {
+  char length[24];
+  const auto [end, ec] = std::to_chars(std::begin(length), std::end(length), payload.size());
+  (void)ec;  // a size_t always fits 24 digits
+  out += kMagic;
+  out.append(length, end);
+  out += '\n';
+  out += payload;
+}
+
 std::string encode_frame(const std::string& payload) {
   std::string frame;
   frame.reserve(kMagic.size() + 12 + payload.size());
-  frame += kMagic;
-  frame += std::to_string(payload.size());
-  frame += '\n';
-  frame += payload;
+  append_frame(frame, payload);
   return frame;
 }
 
 void FrameBuffer::feed(const char* data, std::size_t size) {
+  buffer_.erase(0, head_);
+  head_ = 0;
   buffer_.append(data, size);
 }
 
-Result<std::optional<std::string>> FrameBuffer::next() {
+Result<std::optional<std::string_view>> FrameBuffer::next_view() {
   if (poisoned_.has_value()) return *poisoned_;
-  const auto poison = [this](Error error) -> Result<std::optional<std::string>> {
+  const auto poison = [this](Error error) -> Result<std::optional<std::string_view>> {
     poisoned_ = std::move(error);
     return *poisoned_;
   };
+  const std::string_view pending = std::string_view(buffer_).substr(head_);
   // Magic check on whatever prefix has arrived: diverging early beats
   // buffering a hostile stream while waiting for a newline.
-  const std::size_t check = std::min(buffer_.size(), kMagic.size());
-  if (std::string_view(buffer_).substr(0, check) != kMagic.substr(0, check)) {
+  const std::size_t check = std::min(pending.size(), kMagic.size());
+  if (pending.substr(0, check) != kMagic.substr(0, check)) {
     return poison(protocol_error("bad frame magic (expected 'ENVP ')"));
   }
-  const auto newline = buffer_.find('\n');
-  if (newline == std::string::npos) {
-    if (buffer_.size() >= kMaxFrameHeader) {
+  const auto newline = pending.find('\n');
+  if (newline == std::string_view::npos) {
+    if (pending.size() >= kMaxFrameHeader) {
       return poison(protocol_error("unterminated frame header"));
     }
-    return std::optional<std::string>();  // need more bytes
+    return std::optional<std::string_view>();  // need more bytes
   }
   if (newline >= kMaxFrameHeader) {
     return poison(protocol_error("oversized frame header"));
   }
-  const std::string length_token = buffer_.substr(kMagic.size(), newline - kMagic.size());
+  const std::string length_token(pending.substr(kMagic.size(), newline - kMagic.size()));
   const auto length = parse::to_u64(length_token);
   if (!length.has_value()) {
     return poison(protocol_error("bad frame length '" + length_token + "'"));
@@ -129,16 +143,23 @@ Result<std::optional<std::string>> FrameBuffer::next() {
                                  std::to_string(kMaxFramePayload) + ")"));
   }
   const std::size_t total = newline + 1 + static_cast<std::size_t>(*length);
-  if (buffer_.size() < total) return std::optional<std::string>();  // need more bytes
-  std::string payload = buffer_.substr(newline + 1, static_cast<std::size_t>(*length));
-  buffer_.erase(0, total);
-  return std::optional<std::string>(std::move(payload));
+  if (pending.size() < total) return std::optional<std::string_view>();  // need more bytes
+  head_ += total;
+  return std::optional<std::string_view>(
+      pending.substr(newline + 1, static_cast<std::size_t>(*length)));
+}
+
+Result<std::optional<std::string>> FrameBuffer::next() {
+  auto view = next_view();
+  if (!view.ok()) return view.error();
+  if (!view.value().has_value()) return std::optional<std::string>();
+  return std::optional<std::string>(std::string(*view.value()));
 }
 
 std::string FrameBuffer::take_raw(std::size_t max) {
-  const std::size_t take = std::min(max, buffer_.size());
-  std::string out = buffer_.substr(0, take);
-  buffer_.erase(0, take);
+  const std::size_t take = std::min(max, buffered());
+  std::string out = buffer_.substr(head_, take);
+  head_ += take;
   return out;
 }
 
@@ -192,25 +213,31 @@ std::string WireMessage::serialize() const {
   return out;
 }
 
-Result<WireMessage> WireMessage::parse(const std::string& payload) {
+Result<WireMessage> WireMessage::parse(std::string_view payload) {
   if (payload.empty()) return protocol_error("empty frame payload");
-  const auto tokens = strings::split(payload, ' ');
-  WireMessage message;
-  message.type = tokens.front();
-  if (message.type.empty()) return protocol_error("frame payload starts with a separator");
-  for (const char c : message.type) {
+  // Tokens are the runs between single spaces; `end` is the space after
+  // the current one, or npos for the last.
+  std::size_t end = payload.find(' ');
+  const std::string_view type = payload.substr(0, end);
+  if (type.empty()) return protocol_error("frame payload starts with a separator");
+  for (const char c : type) {
     const bool ok = (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '-';
-    if (!ok) return protocol_error("bad frame type '" + message.type + "'");
+    if (!ok) return protocol_error("bad frame type '" + std::string(type) + "'");
   }
-  for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
+  WireMessage message{std::string(type)};
+  while (end != std::string_view::npos) {
+    const std::size_t begin = end + 1;
+    end = payload.find(' ', begin);
+    const std::string_view token =
+        payload.substr(begin, end == std::string_view::npos ? end : end - begin);
     const auto eq = token.find('=');
-    if (token.empty() || eq == std::string::npos || eq == 0) {
-      return protocol_error("bad field token '" + token + "' in " + message.type + " frame");
+    if (eq == std::string_view::npos || eq == 0) {  // an empty token has no '=' either
+      return protocol_error("bad field token '" + std::string(token) + "' in " + message.type +
+                            " frame");
     }
-    auto value = codec::unescape(std::string_view(token).substr(eq + 1));
+    auto value = codec::unescape(token.substr(eq + 1));
     if (!value.ok()) return value.error();
-    message.fields.emplace_back(token.substr(0, eq), std::move(value.value()));
+    message.fields.emplace_back(std::string(token.substr(0, eq)), std::move(value.value()));
   }
   return message;
 }
@@ -530,23 +557,17 @@ Status send_frame(TcpSocket& socket, const std::string& payload, double timeout_
   return socket.send_all(encode_frame(payload), timeout_s);
 }
 
-Result<std::string> recv_frame(TcpSocket& socket, FrameBuffer& buffer, double timeout_s) {
+Result<WireMessage> recv_message(TcpSocket& socket, FrameBuffer& buffer, double timeout_s) {
   const auto deadline = deadline_after(timeout_s);
   while (true) {
-    auto decoded = buffer.next();
+    auto decoded = buffer.next_view();
     if (!decoded.ok()) return decoded.error();
-    if (decoded.value().has_value()) return *decoded.value();
-    char chunk[4096];
+    if (decoded.value().has_value()) return WireMessage::parse(*decoded.value());
+    char chunk[kRecvChunk];
     auto got = socket.recv_some(chunk, sizeof(chunk), remaining_s(deadline));
     if (!got.ok()) return got.error();
     buffer.feed(chunk, got.value());
   }
-}
-
-Result<WireMessage> recv_message(TcpSocket& socket, FrameBuffer& buffer, double timeout_s) {
-  auto payload = recv_frame(socket, buffer, timeout_s);
-  if (!payload.ok()) return payload.error();
-  return WireMessage::parse(payload.value());
 }
 
 // --- server -----------------------------------------------------------------
@@ -646,30 +667,60 @@ void FrameServer::accept_loop() {
   }
 }
 
+TcpSocket& FrameServer::Peer::socket() {
+  (void)flush();
+  return socket_;
+}
+
+Status FrameServer::Peer::queue(std::string_view payload) {
+  if (failed_.has_value()) return *failed_;
+  append_frame(queued_, payload);
+  return queued_.size() >= kMaxQueuedReplyBytes ? flush() : Status{};
+}
+
+Status FrameServer::Peer::flush() {
+  if (failed_.has_value()) return *failed_;
+  if (queued_.empty()) return {};
+  Status sent = socket_.send_all(queued_, timeout_s_);
+  queued_.clear();
+  if (!sent.ok()) failed_ = sent.error();
+  return sent;
+}
+
 void FrameServer::serve(Connection& conn) {
-  FrameBuffer buffer;
+  Peer peer(conn.socket, io_timeout_s_);
+  FrameBuffer& buffer = peer.buffer_;
   while (true) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) break;
     }
-    auto payload = recv_frame(conn.socket, buffer, io_timeout_s_);
+    auto payload = buffer.next_view();
     if (!payload.ok()) {
-      // A malformed stream earns one diagnostic ERR before the
-      // connection dies (the frame boundary is lost, so nothing more
-      // can be parsed); closed/timed-out peers just end the session.
-      if (payload.error().code == ErrorCode::protocol) {
-        (void)send_frame(conn.socket, error_payload(payload.error()), 1.0);
-      }
+      // A malformed stream earns one diagnostic ERR, after the replies
+      // queued before it, and then the connection dies: the frame
+      // boundary is lost, so nothing more can be parsed.
+      (void)peer.queue(error_payload(payload.error()));
       break;
     }
-    auto message = WireMessage::parse(payload.value());
+    if (!payload.value().has_value()) {
+      // Every buffered request is answered: write the replies, then wait.
+      // Closed or timed-out peers just end the session.
+      if (!peer.flush().ok()) break;
+      char chunk[kRecvChunk];
+      auto got = conn.socket.recv_some(chunk, sizeof(chunk), io_timeout_s_);
+      if (!got.ok()) break;
+      buffer.feed(chunk, got.value());
+      continue;
+    }
+    auto message = WireMessage::parse(*payload.value());
     // Frame boundaries survive a bad payload: report and keep serving.
-    const std::string reply = message.ok() ? handler_(message.value(), conn.socket, buffer)
-                                           : error_payload(message.error());
+    const std::string reply =
+        message.ok() ? handler_(message.value(), peer) : error_payload(message.error());
     requests_.fetch_add(1);
-    if (!send_frame(conn.socket, reply, io_timeout_s_).ok()) break;
+    if (!peer.queue(reply).ok()) break;
   }
+  (void)peer.flush();
   // Close under the mutex: stop() shutdown()s these sockets from
   // another thread, and fd_ must not change under it.
   std::lock_guard<std::mutex> lock(mutex_);

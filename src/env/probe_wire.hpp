@@ -55,6 +55,8 @@ inline constexpr std::int64_t kMaxBulkBytes = std::int64_t(1) << 30;
 
 /// Serialize one frame: header + payload.
 [[nodiscard]] std::string encode_frame(const std::string& payload);
+/// Append one frame (header + payload) to `out`.
+void append_frame(std::string& out, std::string_view payload);
 
 /// Incremental frame decoder over a received byte stream. Feed bytes as
 /// they arrive; `next()` yields complete payloads. Pure memory — the
@@ -70,8 +72,11 @@ class FrameBuffer {
   /// stream is unrecoverable: the buffer stays poisoned and every later
   /// call returns the same error.
   Result<std::optional<std::string>> next();
+  /// `next()` without the copy: the payload is a view into the buffer,
+  /// valid until the next call on this buffer.
+  Result<std::optional<std::string_view>> next_view();
 
-  [[nodiscard]] std::size_t buffered() const { return buffer_.size(); }
+  [[nodiscard]] std::size_t buffered() const { return buffer_.size() - head_; }
 
   /// Extract up to `max` already-buffered bytes as raw data. Frames may
   /// be followed by unframed payload (BULK transfers); when the sender
@@ -80,7 +85,11 @@ class FrameBuffer {
   [[nodiscard]] std::string take_raw(std::size_t max);
 
  private:
+  /// Received bytes; those before `head_` are consumed. `feed` drops
+  /// the consumed prefix, so a frame's bytes move at most once after
+  /// they arrive, however many frames one read brought in.
   std::string buffer_;
+  std::size_t head_ = 0;
   std::optional<Error> poisoned_;
 };
 
@@ -105,7 +114,7 @@ struct WireMessage {
 
   /// `parse(serialize())` round-trips.
   [[nodiscard]] std::string serialize() const;
-  static Result<WireMessage> parse(const std::string& payload);
+  static Result<WireMessage> parse(std::string_view payload);
 };
 
 /// Build an `ERR` reply frame payload.
@@ -236,29 +245,68 @@ class TcpListener {
 
 /// Send one framed payload.
 Status send_frame(TcpSocket& socket, const std::string& payload, double timeout_s);
-/// Receive one framed payload through `buffer` (which carries any bytes
-/// read beyond the frame into the next call).
-Result<std::string> recv_frame(TcpSocket& socket, FrameBuffer& buffer, double timeout_s);
-/// Receive one frame and parse it as a control message.
+/// Receive one frame through `buffer` (which carries any bytes read
+/// beyond the frame into the next call) and parse it as a control
+/// message.
 Result<WireMessage> recv_message(TcpSocket& socket, FrameBuffer& buffer, double timeout_s);
 
 // --- server -----------------------------------------------------------------
 
 /// The one TCP server of the framed protocol, behind both the probe
 /// agent and monitord's query front-end. An acceptor thread polls the
-/// listener every 0.25 s; each connection gets its own thread running
-/// recv -> parse -> handle -> send until the peer leaves. A stream that
-/// cannot be framed earns one ERR and is closed (the frame boundary is
-/// lost); a framed but unparseable message earns an ERR and the
-/// connection keeps serving. On every acceptor wake-up (an accept or a
-/// poll timeout) finished connections are joined and dropped, so a
+/// listener every 0.25 s; each connection gets its own thread, which
+/// answers every request already in its buffer, queueing one reply per
+/// request in request order, and writes the queue in one send before it
+/// waits for more bytes. A client that sends one request at a time thus
+/// gets each reply as soon as it is made; one that pipelines gets a
+/// batch's replies in one write. The queue is also written once it
+/// holds kMaxQueuedReplyBytes, before a handler touches the socket, and
+/// before the connection closes. A stream that cannot be framed earns
+/// one ERR, after the replies queued before it, and is closed (the frame
+/// boundary is lost); a framed but unparseable message earns an ERR and
+/// the connection keeps serving. On every acceptor wake-up (an accept or
+/// a poll timeout) finished connections are joined and dropped, so a
 /// server that runs forever holds only its live connections.
 class FrameServer {
  public:
-  /// One request -> one reply payload. The connection's socket and
-  /// frame buffer are passed for handlers that read unframed bytes after
-  /// the frame (BULK).
-  using Handler = std::function<std::string(const WireMessage&, TcpSocket&, FrameBuffer&)>;
+  /// Queued replies are written once they reach this many bytes, so one
+  /// connection holds at most this much plus one reply.
+  static constexpr std::size_t kMaxQueuedReplyBytes = 64 * 1024;
+
+  /// One connection as its handler sees it. Handlers that read unframed
+  /// bytes after the frame (BULK) drain `buffer()` first, then read the
+  /// rest off `socket()`.
+  class Peer {
+   public:
+    /// Bytes received past the frame being handled.
+    [[nodiscard]] FrameBuffer& buffer() { return buffer_; }
+    /// The connection's socket, once every queued reply is written: the
+    /// client has the answers to its earlier requests before the handler
+    /// waits on it. A failed write ends the connection after the handler
+    /// returns.
+    [[nodiscard]] TcpSocket& socket();
+
+   private:
+    friend class FrameServer;
+    Peer(TcpSocket& socket, double timeout_s) : socket_(socket), timeout_s_(timeout_s) {}
+
+    /// Frame `payload` onto the queue; writes the queue once it reaches
+    /// kMaxQueuedReplyBytes.
+    Status queue(std::string_view payload);
+    /// Write every queued reply in one send. The queue is empty
+    /// afterwards either way; once a write has failed, so does every
+    /// later one.
+    Status flush();
+
+    TcpSocket& socket_;
+    double timeout_s_;
+    FrameBuffer buffer_;
+    std::string queued_;
+    std::optional<Error> failed_;
+  };
+
+  /// One request -> one reply payload.
+  using Handler = std::function<std::string(const WireMessage&, Peer&)>;
 
   /// `io_timeout_s` bounds every receive and send; an idle connection
   /// is closed after that long.
@@ -276,7 +324,9 @@ class FrameServer {
   [[nodiscard]] bool running() const;
   /// The bound port (the ephemeral one when start() was given 0).
   [[nodiscard]] std::uint16_t port() const { return port_; }
-  /// Requests answered, unparseable ones included.
+  /// Requests answered, unparseable ones included. A request counts as
+  /// soon as its reply is queued, before the reply is written, so a
+  /// client holding a reply always sees it counted.
   [[nodiscard]] std::uint64_t requests_served() const { return requests_.load(); }
   /// Connections not yet reaped (live ones plus those finished since the
   /// acceptor last woke).

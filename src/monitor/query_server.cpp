@@ -33,8 +33,8 @@ QueryServer::QueryServer(const SnapshotBoard& board, const SeriesStore& store,
     : board_(board),
       store_(store),
       max_series_points_(std::max<std::size_t>(max_series_points, 1)),
-      server_([this](const wire::WireMessage& request, wire::TcpSocket&,
-                     wire::FrameBuffer&) { return handle(request); },
+      server_([this](const wire::WireMessage& request,
+                     wire::FrameServer::Peer&) { return handle(request); },
               kIoTimeoutS) {}
 
 std::string QueryServer::handle(const wire::WireMessage& request) const {

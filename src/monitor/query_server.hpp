@@ -2,14 +2,17 @@
 // probe_wire framed protocol (frame grammar in env/probe_wire.hpp,
 // lifecycle in docs/MONITORD.md).
 //
-// The server itself is env::wire::FrameServer (one thread per
-// connection, finished connections reaped by the acceptor); this class
-// is its request handler. The handlers are where the RCU model pays
-// off: SNAPSHOT and QUERY answer entirely from the currently published
-// MonitorSnapshot — one shared_ptr copy under the board's pointer lock,
-// then no lock at all, however many clients hammer the daemon while the
-// measurement loop runs; SNAPSHOT sends the snapshot's digest, which
-// the first request to ask for it computes (once per snapshot).
+// The server itself is env::wire::FrameServer: one thread per
+// connection, finished connections reaped by the acceptor, and requests
+// a client pipelines answered in request order with one write per
+// buffered batch (a client that waits for each reply gets it at once).
+// This class is its request handler. The handlers are where the RCU
+// model pays off: SNAPSHOT and QUERY answer entirely from the currently
+// published MonitorSnapshot — one shared_ptr copy under the board's
+// pointer lock, then no lock at all, however many clients hammer the
+// daemon while the measurement loop runs; SNAPSHOT sends the snapshot's
+// digest, which the first request to ask for it computes (once per
+// snapshot).
 // Only SERIES (raw history, not part of the snapshot) reads the series
 // store, under its mutex.
 #pragma once

@@ -152,12 +152,24 @@ PairList SeriesStore::collect() {
             [](TrackedMap::iterator a, TrackedMap::iterator b) { return a->first < b->first; });
   std::vector<PairList::Slot>& slots = pairs_.slots_;
   std::size_t at = 0;
+  // Slots before `fixed` carry their new `end`; a slot no dirty key
+  // touches only moves by `added`, the pairs the rebuilt chunks before
+  // it gained. So no untouched chunk is read.
+  std::size_t fixed = 0;
+  std::size_t added = 0;
   for (std::size_t first = 0; first < dirty_.size();) {
     // A key belongs to the first chunk whose last key is not below it,
     // or to the last chunk; that chunk takes every dirty key up to its
-    // last key (the last chunk takes the rest).
-    while (at + 1 < slots.size() && slots[at].chunk->readings.back().key < dirty_[first]->first) {
-      ++at;
+    // last key (the last chunk takes the rest). The chunks are sorted,
+    // so a binary search finds it.
+    if (at + 1 < slots.size()) {
+      const nws::SeriesKey& key = dirty_[first]->first;
+      at = static_cast<std::size_t>(
+          std::partition_point(slots.begin() + static_cast<std::ptrdiff_t>(at), slots.end() - 1,
+                               [&](const PairList::Slot& slot) {
+                                 return slot.chunk->readings.back().key < key;
+                               }) -
+          slots.begin());
     }
     std::size_t last = dirty_.size();
     if (at + 1 < slots.size()) {
@@ -165,13 +177,20 @@ PairList SeriesStore::collect() {
       last = first + 1;
       while (last < dirty_.size() && !(bound < dirty_[last]->first)) ++last;
     }
-    at += rebuild_chunk(at, dirty_.data() + first, last - first);
+    for (; fixed < at; ++fixed) slots[fixed].end += added;
+    const std::size_t old_end = at < slots.size() ? slots[at].end : 0;
+    const std::size_t pieces = rebuild_chunk(at, dirty_.data() + first, last - first);
+    std::size_t end = at == 0 ? 0 : slots[at - 1].end;
+    for (; fixed < at + pieces; ++fixed) {
+      slots[fixed].end = end += slots[fixed].chunk->readings.size();
+    }
+    added = end - old_end;
+    at = fixed;
     first = last;
   }
+  for (; fixed < slots.size(); ++fixed) slots[fixed].end += added;
   for (const TrackedMap::iterator entry : dirty_) entry->second.dirty = false;
   dirty_.clear();
-  std::size_t end = 0;
-  for (PairList::Slot& slot : slots) slot.end = end += slot.chunk->readings.size();
   return pairs_;
 }
 

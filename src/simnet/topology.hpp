@@ -10,6 +10,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.hpp"
@@ -183,13 +184,16 @@ class Topology {
 
   std::vector<Node> nodes_;
   std::vector<Link> links_;
-  std::map<std::string, NodeId> by_name_;
+  /// Node lookup by name; first registration wins (emplace). Hashed:
+  /// nothing iterates it, and every probe of a mapping pass resolves its
+  /// hosts through it.
+  std::unordered_map<std::string, NodeId> by_name_;
   /// Host lookup by primary or alias fqdn. Maintained by add_host /
   /// add_alias; first registration wins, matching the old linear scan's
   /// node-order tie-break. Without it every zone-local name resolution
   /// (the names ARE fqdns) walked all nodes — O(n²) string compares for
   /// one 10k-host mapping pass.
-  std::map<std::string, NodeId> host_by_fqdn_;
+  std::unordered_map<std::string, NodeId> host_by_fqdn_;
   NodeId edge_router_ = NodeId::invalid();
   LinkModelSpec link_model_;
   BackgroundSpec background_;

@@ -334,7 +334,7 @@ class ScriptedServer {
  public:
   explicit ScriptedServer(std::vector<std::string> reply_payloads)
       : replies_(std::move(reply_payloads)),
-        server_([this](const WireMessage&, wire::TcpSocket&, FrameBuffer&) {
+        server_([this](const WireMessage&, wire::FrameServer::Peer&) {
           const std::size_t index = next_.fetch_add(1);
           return index < replies_.size()
                      ? replies_[index]
@@ -392,10 +392,11 @@ TEST(SocketEngineProtocol, JunkAgentRepliesBecomeProtocolErrors) {
 
 // --- frame server -----------------------------------------------------------
 
-/// Echo server: replies `ECHO-OK` carrying the request's type.
+/// Echo server: replies `ECHO-OK` carrying the request's type and seq.
 wire::FrameServer::Handler echo_handler() {
-  return [](const WireMessage& request, wire::TcpSocket&, FrameBuffer&) {
-    return WireMessage("ECHO-OK").add("type", request.type).serialize();
+  return [](const WireMessage& request, wire::FrameServer::Peer&) {
+    return WireMessage("ECHO-OK").add("type", request.type).add("seq", request.get("seq"))
+        .serialize();
   };
 }
 
@@ -499,6 +500,149 @@ TEST(FrameServer, CountsEveryRequest) {
   }
   EXPECT_EQ(server.requests_served(), sent);
   server.stop();
+}
+
+// --- pipelining -------------------------------------------------------------
+//
+// The server answers every request already in its buffer before it
+// writes, so these clients send many frames at once (or one byte at a
+// time) and check that each request still gets exactly one reply, in
+// request order.
+
+/// Expect an ECHO-OK for request `seq` of type `type`.
+void expect_echo(const Result<WireMessage>& reply, const std::string& type, int seq) {
+  ASSERT_TRUE(reply.ok()) << "seq " << seq << ": " << reply.error().to_string();
+  EXPECT_EQ(reply.value().type, "ECHO-OK") << "seq " << seq;
+  EXPECT_EQ(reply.value().get("type"), type) << "seq " << seq;
+  EXPECT_EQ(reply.value().get("seq"), std::to_string(seq));
+}
+
+TEST(FrameServer, AnswersSixtyFourPipelinedFramesInOrder) {
+  SKIP_WITHOUT_NET();
+  wire::FrameServer server(echo_handler(), 5.0);
+  ASSERT_TRUE(server.start("127.0.0.1", 0).ok());
+  auto socket = wire::TcpSocket::dial("127.0.0.1", server.port(), 2.0);
+  ASSERT_TRUE(socket.ok());
+  const char* types[] = {"PING", "HELLO", "STATS", "QUERY"};
+  constexpr int kFrames = 64;
+  constexpr int kUnparseable = 37;
+  std::string frames;
+  for (int i = 0; i < kFrames; ++i) {
+    frames += wire::encode_frame(i == kUnparseable ? std::string("lower-case seq=37")
+                                                   : std::string(types[i % 4]) +
+                                                         " seq=" + std::to_string(i));
+  }
+  ASSERT_TRUE(socket.value().send_all(frames, 2.0).ok());
+  FrameBuffer buffer;
+  for (int i = 0; i < kFrames; ++i) {
+    auto reply = wire::recv_message(socket.value(), buffer, 2.0);
+    if (i == kUnparseable) {
+      ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+      Error error;
+      EXPECT_TRUE(wire::is_error(reply.value(), error));
+      EXPECT_EQ(error.code, ErrorCode::protocol);
+    } else {
+      expect_echo(reply, types[i % 4], i);
+    }
+  }
+  EXPECT_EQ(buffer.buffered(), 0u);  // exactly one reply per request
+  EXPECT_EQ(server.requests_served(), static_cast<std::uint64_t>(kFrames));
+  server.stop();
+}
+
+TEST(FrameServer, AByteAtATimeClientGetsEachReplyWithoutSendingMore) {
+  SKIP_WITHOUT_NET();
+  wire::FrameServer server(echo_handler(), 5.0);
+  ASSERT_TRUE(server.start("127.0.0.1", 0).ok());
+  auto socket = wire::TcpSocket::dial("127.0.0.1", server.port(), 2.0);
+  ASSERT_TRUE(socket.ok());
+  FrameBuffer buffer;
+  for (int seq = 0; seq < 3; ++seq) {
+    const std::string frame = wire::encode_frame("PING seq=" + std::to_string(seq));
+    for (const char byte : frame) {
+      ASSERT_TRUE(socket.value().send_all(std::string_view(&byte, 1), 2.0).ok());
+    }
+    // The reply comes on its own: nothing more is sent before reading it.
+    expect_echo(wire::recv_message(socket.value(), buffer, 2.0), "PING", seq);
+  }
+  EXPECT_EQ(server.requests_served(), 3u);
+  server.stop();
+}
+
+TEST(FrameServer, RepliesQueuedBeforeAMalformedHeaderPrecedeItsErr) {
+  SKIP_WITHOUT_NET();
+  wire::FrameServer server(echo_handler(), 5.0);
+  ASSERT_TRUE(server.start("127.0.0.1", 0).ok());
+  auto socket = wire::TcpSocket::dial("127.0.0.1", server.port(), 2.0);
+  ASSERT_TRUE(socket.ok());
+  std::string stream;
+  for (int seq = 0; seq < 3; ++seq) stream += wire::encode_frame("PING seq=" + std::to_string(seq));
+  stream += "ENVP 12x\nsome-payload";
+  ASSERT_TRUE(socket.value().send_all(stream, 2.0).ok());
+  FrameBuffer buffer;
+  for (int seq = 0; seq < 3; ++seq) {
+    expect_echo(wire::recv_message(socket.value(), buffer, 2.0), "PING", seq);
+  }
+  auto err = wire::recv_message(socket.value(), buffer, 2.0);
+  ASSERT_TRUE(err.ok()) << err.error().to_string();
+  Error error;
+  ASSERT_TRUE(wire::is_error(err.value(), error));
+  EXPECT_EQ(error.code, ErrorCode::protocol);
+  auto eof = wire::recv_message(socket.value(), buffer, 2.0);
+  ASSERT_FALSE(eof.ok());
+  EXPECT_EQ(eof.error().code, ErrorCode::unreachable);  // closed, not timed out
+  EXPECT_EQ(server.requests_served(), 3u);
+  server.stop();
+}
+
+TEST(ProbeAgentProtocol, PingAndBulkInOneWriteGetPongThenBulkOk) {
+  SKIP_WITHOUT_NET();
+  ProbeAgentConfig config;
+  config.name = "h0";
+  config.io_timeout_s = 5.0;
+  ProbeAgent agent(config);
+  ASSERT_TRUE(agent.start().ok());
+  const auto expect_bulk_ok = [](const Result<WireMessage>& reply, std::uint64_t bytes) {
+    ASSERT_TRUE(reply.ok()) << reply.error().to_string();
+    ASSERT_EQ(reply.value().type, "BULK-OK");
+    ASSERT_TRUE(reply.value().u64("bytes").ok());
+    EXPECT_EQ(reply.value().u64("bytes").value(), bytes);
+    ASSERT_TRUE(reply.value().f64("seconds").ok());
+    EXPECT_GT(reply.value().f64("seconds").value(), 0.0);
+  };
+  // Header and payload in one write: a small payload lands in the frame
+  // buffer with the header, a large one mostly stays on the socket.
+  for (const std::uint64_t bytes : {std::uint64_t(1000), std::uint64_t(1) << 20}) {
+    auto socket = wire::TcpSocket::dial("127.0.0.1", agent.port(), 2.0);
+    ASSERT_TRUE(socket.ok());
+    std::string stream = wire::encode_frame("PING seq=5") +
+                         wire::encode_frame("BULK bytes=" + std::to_string(bytes));
+    stream.append(static_cast<std::size_t>(bytes), 'x');
+    ASSERT_TRUE(socket.value().send_all(stream, 5.0).ok());
+    FrameBuffer buffer;
+    auto pong = wire::recv_message(socket.value(), buffer, 5.0);
+    ASSERT_TRUE(pong.ok()) << pong.error().to_string();
+    EXPECT_EQ(pong.value().type, "PONG");
+    EXPECT_EQ(pong.value().get("seq"), "5");
+    expect_bulk_ok(wire::recv_message(socket.value(), buffer, 5.0), bytes);
+  }
+  // The PONG is written before the agent waits for the rest of the
+  // payload: this client sends the second half only once it has it.
+  {
+    auto socket = wire::TcpSocket::dial("127.0.0.1", agent.port(), 2.0);
+    ASSERT_TRUE(socket.ok());
+    std::string first_half = wire::encode_frame("PING seq=6") +
+                             wire::encode_frame("BULK bytes=2000");
+    first_half.append(1000, 'x');
+    ASSERT_TRUE(socket.value().send_all(first_half, 2.0).ok());
+    FrameBuffer buffer;
+    auto pong = wire::recv_message(socket.value(), buffer, 2.0);
+    ASSERT_TRUE(pong.ok()) << pong.error().to_string();
+    EXPECT_EQ(pong.value().type, "PONG");
+    ASSERT_TRUE(socket.value().send_all(std::string(1000, 'x'), 2.0).ok());
+    expect_bulk_ok(wire::recv_message(socket.value(), buffer, 2.0), 2000);
+  }
+  agent.stop();
 }
 
 }  // namespace

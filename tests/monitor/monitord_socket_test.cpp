@@ -354,7 +354,7 @@ TEST(MonitordSocket, SeriesClientRejectsMalformedPoints) {
   };
   std::atomic<std::size_t> next{0};
   env::wire::FrameServer server(
-      [&](const env::wire::WireMessage&, env::wire::TcpSocket&, env::wire::FrameBuffer&) {
+      [&](const env::wire::WireMessage&, env::wire::FrameServer::Peer&) {
         return replies.at(next.fetch_add(1) % replies.size());
       },
       5.0);
