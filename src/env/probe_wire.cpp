@@ -83,10 +83,7 @@ Result<struct sockaddr_in> make_address(const std::string& ipv4, std::uint16_t p
   return addr;
 }
 
-}  // namespace
-
-// --- frames -----------------------------------------------------------------
-
+/// Append one frame (header + payload) to `out`.
 void append_frame(std::string& out, std::string_view payload) {
   char length[24];
   const auto [end, ec] = std::to_chars(std::begin(length), std::end(length), payload.size());
@@ -96,6 +93,10 @@ void append_frame(std::string& out, std::string_view payload) {
   out += '\n';
   out += payload;
 }
+
+}  // namespace
+
+// --- frames -----------------------------------------------------------------
 
 std::string encode_frame(const std::string& payload) {
   std::string frame;
@@ -689,7 +690,7 @@ Status FrameServer::Peer::flush() {
 
 void FrameServer::serve(Connection& conn) {
   Peer peer(conn.socket, io_timeout_s_);
-  FrameBuffer& buffer = peer.buffer_;
+  FrameBuffer& buffer = peer.buffer();
   while (true) {
     {
       std::lock_guard<std::mutex> lock(mutex_);

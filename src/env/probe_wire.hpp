@@ -55,8 +55,6 @@ inline constexpr std::int64_t kMaxBulkBytes = std::int64_t(1) << 30;
 
 /// Serialize one frame: header + payload.
 [[nodiscard]] std::string encode_frame(const std::string& payload);
-/// Append one frame (header + payload) to `out`.
-void append_frame(std::string& out, std::string_view payload);
 
 /// Incremental frame decoder over a received byte stream. Feed bytes as
 /// they arrive; `next()` yields complete payloads. Pure memory — the
