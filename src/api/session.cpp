@@ -407,13 +407,13 @@ Result<env::MapResult> Session::probe_map() {
 
 Status Session::map() {
   if (!scenario_.has_value()) {
-    // Before invalidate(): a map seeded via load_map*() must survive
-    // this argument error.
+    // Before invalidate(): a map seeded via load_map_from_gridml() must
+    // survive this argument error.
     emit(Event::Kind::stage_started, Stage::map);
     return fail(Stage::map,
                 make_error(ErrorCode::invalid_argument,
-                           "session has no scenario; seed the map stage with load_map() "
-                           "or load_map_from_gridml()"));
+                           "session has no scenario; seed the map stage with "
+                           "load_map_from_gridml()"));
   }
   invalidate(Stage::map);
   emit(Event::Kind::stage_started, Stage::map);
@@ -602,14 +602,6 @@ Status Session::run_all(bool with_validation) {
   return {};
 }
 
-void Session::load_map(env::MapResult map) {
-  invalidate(Stage::map);
-  map_ = std::move(map);
-  published_view_ = false;
-  emit(Event::Kind::note, Stage::map,
-       "map stage seeded from a cached view (master " + map_->master_fqdn + ")");
-}
-
 Status Session::load_map_from_gridml(const std::string& gridml_text, const std::string& master) {
   invalidate(Stage::map);
   auto grid = gridml::GridDoc::parse(gridml_text);
@@ -645,16 +637,6 @@ void Session::invalidate(Stage stage) {
     case Stage::validate:
       validation_.reset();
   }
-}
-
-bool Session::has(Stage stage) const {
-  switch (stage) {
-    case Stage::map: return map_.has_value();
-    case Stage::plan: return plan_.has_value();
-    case Stage::apply: return system_ != nullptr;
-    case Stage::validate: return validation_.has_value();
-  }
-  return false;
 }
 
 const env::MapResult& Session::map_result() const {

@@ -13,8 +13,8 @@
 //
 // Calling a stage whose prerequisites have not run yet runs them first;
 // calling a stage again re-runs it from the cached output of the stage
-// before it and drops everything downstream. `load_map()` /
-// `load_map_from_gridml()` seed the map stage without probing — the
+// before it and drops everything downstream. `load_map_from_gridml()`
+// seeds the map stage without probing — the
 // §4.3 "publish the mapping" workflow — so a platform mapped once can
 // be re-planned forever; `set_map_cache()` makes that durable across
 // processes (a second map() of the same spec performs zero probes).
@@ -74,7 +74,7 @@ class Session {
   /// stage are derived from it.
   Session(simnet::Network& net, simnet::Scenario scenario, SessionOptions options = {});
   /// A session without a scenario: the map stage must be seeded through
-  /// `load_map()` or `load_map_from_gridml()`.
+  /// `load_map_from_gridml()`.
   Session(simnet::Network& net, SessionOptions options = {});
 
   Session(const Session&) = delete;
@@ -150,8 +150,6 @@ class Session {
   Status run_all(bool with_validation = true);
 
   // --- stage reuse --------------------------------------------------------
-  /// Seed the map stage with a previously computed view (no probing).
-  void load_map(env::MapResult map);
   /// Seed the map stage from published GridML text (§4.3 "Bandwidth
   /// waste": deploy from the published mapping without redoing it).
   /// Memory servers are later placed on the master and on every gateway
@@ -159,7 +157,6 @@ class Session {
   Status load_map_from_gridml(const std::string& gridml_text, const std::string& master);
   /// Drop `stage`'s output and everything downstream of it.
   void invalidate(Stage stage);
-  [[nodiscard]] bool has(Stage stage) const;
 
   /// Mutable: tweak between stage runs (e.g. re-plan with host locks).
   SessionOptions& options() { return options_; }

@@ -70,6 +70,4 @@ double Rng::normal() {
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
-Rng Rng::fork() { return Rng(next_u64()); }
-
 }  // namespace envnws

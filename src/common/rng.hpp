@@ -26,8 +26,6 @@ class Rng {
   double normal();
   /// Normal with the given mean / standard deviation.
   double normal(double mean, double stddev);
-  /// Derive an independent child generator (for per-host noise streams).
-  Rng fork();
 
  private:
   std::uint64_t state_[4];

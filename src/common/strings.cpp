@@ -56,10 +56,6 @@ std::string to_lower(std::string_view input) {
   return out;
 }
 
-bool contains(std::string_view text, std::string_view needle) {
-  return text.find(needle) != std::string_view::npos;
-}
-
 std::string format_double(double v, int precision) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", precision, v);

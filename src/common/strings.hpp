@@ -15,8 +15,6 @@ namespace envnws::strings {
 [[nodiscard]] std::string trim(std::string_view input);
 [[nodiscard]] bool starts_with(std::string_view text, std::string_view prefix);
 [[nodiscard]] std::string to_lower(std::string_view input);
-/// True if `text` contains `needle`.
-[[nodiscard]] bool contains(std::string_view text, std::string_view needle);
 /// printf-style double formatting with a fixed precision.
 [[nodiscard]] std::string format_double(double v, int precision);
 /// Pad/truncate to exactly `width` columns (left-aligned).

@@ -15,15 +15,6 @@ void Table::add_row(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void Table::add_numeric_row(const std::string& label, const std::vector<double>& values,
-                            int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(values.size() + 1);
-  cells.push_back(label);
-  for (double v : values) cells.push_back(strings::format_double(v, precision));
-  add_row(std::move(cells));
-}
-
 std::string Table::to_string() const {
   std::vector<std::size_t> widths(headers_.size(), 0);
   for (std::size_t c = 0; c < headers_.size(); ++c) widths[c] = headers_[c].size();

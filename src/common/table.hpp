@@ -13,9 +13,6 @@ class Table {
 
   /// Append a row; must have the same arity as the header.
   void add_row(std::vector<std::string> cells);
-  /// Convenience: formats doubles with the given precision.
-  void add_numeric_row(const std::string& label, const std::vector<double>& values,
-                       int precision = 2);
 
   [[nodiscard]] std::size_t rows() const { return rows_.size(); }
   /// Render with column alignment and a separator under the header.

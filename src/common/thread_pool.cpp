@@ -7,20 +7,9 @@
 
 namespace envnws {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  size_ = threads;
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
 ThreadPool::ThreadPool(std::size_t threads, testing::VirtualScheduler* scheduler)
     : scheduler_(scheduler) {
   if (scheduler_ == nullptr) {
-    // Null scheduler degrades to the real pool, so call sites can pass
-    // an optional seam pointer straight through.
     if (threads == 0) threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
     size_ = threads;
     workers_.reserve(threads);

@@ -35,13 +35,14 @@ namespace envnws {
 class ThreadPool {
  public:
   /// `threads == 0` means hardware_concurrency (at least 1).
-  explicit ThreadPool(std::size_t threads = 0);
-
-  /// Virtual mode: no OS threads; tasks run at drain() points on the
-  /// calling thread, in scheduler-picked order ("pool" decision point).
-  /// `threads` is reported by size() but has no other effect — a
-  /// cooperative pool has no genuine concurrency to bound.
-  ThreadPool(std::size_t threads, testing::VirtualScheduler* scheduler);
+  ///
+  /// With a `scheduler`, virtual mode: no OS threads; tasks run at
+  /// drain() points on the calling thread, in scheduler-picked order
+  /// ("pool" decision point). `threads` is reported by size() but has
+  /// no other effect — a cooperative pool has no genuine concurrency to
+  /// bound. A null scheduler is the real pool, so call sites can pass an
+  /// optional seam pointer straight through.
+  explicit ThreadPool(std::size_t threads = 0, testing::VirtualScheduler* scheduler = nullptr);
 
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "common/parse.hpp"
 #include "common/strings.hpp"
 #include "deploy/query.hpp"
 
@@ -16,23 +15,7 @@ std::string join_list(const std::vector<std::string>& values) {
   return strings::join(values, ", ");
 }
 
-std::vector<std::string> parse_list(const std::string& text) {
-  std::vector<std::string> out;
-  for (const auto& piece : strings::split(text, ',')) {
-    const std::string trimmed = strings::trim(piece);
-    if (!trimmed.empty()) out.push_back(trimmed);
-  }
-  return out;
-}
-
 bool valid_period(double period_s) { return std::isfinite(period_s) && period_s > 0.0; }
-
-Result<CliqueRole> role_from_string(const std::string& text) {
-  if (text == "shared-pair") return CliqueRole::shared_pair;
-  if (text == "switched-all") return CliqueRole::switched_all;
-  if (text == "inter") return CliqueRole::inter;
-  return make_error(ErrorCode::protocol, "unknown clique role '" + text + "'");
-}
 
 }  // namespace
 
@@ -63,111 +46,6 @@ std::string generate_config(const DeploymentPlan& plan) {
     out << "covers = " << join_list(substitution.covered) << "\n";
   }
   return out.str();
-}
-
-Result<DeploymentPlan> parse_config(const std::string& text) {
-  DeploymentPlan plan;
-  std::string section;
-  std::string section_arg;
-  PlannedClique* clique = nullptr;
-  Substitution* substitution = nullptr;
-
-  for (const auto& raw_line : strings::split(text, '\n')) {
-    const std::string line = strings::trim(raw_line);
-    if (line.empty() || line.front() == '#') continue;
-    if (line.front() == '[') {
-      if (line.back() != ']') {
-        return make_error(ErrorCode::protocol, "malformed section header: " + line);
-      }
-      const std::string header = strings::trim(line.substr(1, line.size() - 2));
-      const auto space = header.find(' ');
-      section = space == std::string::npos ? header : header.substr(0, space);
-      section_arg = space == std::string::npos ? "" : strings::trim(header.substr(space + 1));
-      clique = nullptr;
-      substitution = nullptr;
-      if (section == "clique") {
-        plan.cliques.emplace_back();
-        clique = &plan.cliques.back();
-        clique->name = section_arg;
-      } else if (section == "substitution") {
-        plan.substitutions.emplace_back();
-        substitution = &plan.substitutions.back();
-        substitution->network_label = section_arg;
-      } else if (section != "global") {
-        return make_error(ErrorCode::protocol, "unknown section '" + section + "'");
-      }
-      continue;
-    }
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      return make_error(ErrorCode::protocol, "expected key = value: " + line);
-    }
-    const std::string key = strings::trim(line.substr(0, eq));
-    const std::string value = strings::trim(line.substr(eq + 1));
-
-    if (section == "global") {
-      if (key == "master") plan.master = value;
-      else if (key == "nameserver") plan.nameserver_host = value;
-      else if (key == "forecaster") plan.forecaster_host = value;
-      else if (key == "memory") plan.memory_hosts = parse_list(value);
-      else if (key == "hosts") plan.hosts = parse_list(value);
-      else if (key == "hostlocks") plan.use_host_locks = (value == "true" || value == "1");
-      else return make_error(ErrorCode::protocol, "unknown global key '" + key + "'");
-    } else if (section == "clique" && clique != nullptr) {
-      if (key == "role") {
-        auto role = role_from_string(value);
-        if (!role.ok()) return role.error();
-        clique->role = role.value();
-      } else if (key == "network") {
-        clique->network_label = value;
-      } else if (key == "period") {
-        // Guarded numeric parsing (common/parse.hpp): a hand-edited
-        // config with "period = fast" must be a protocol error, not a
-        // std::stod exception out of parse_config. A zero, negative or
-        // non-finite period would hang the token ring: malformed too.
-        const auto period = parse::to_double(value);
-        if (!period.has_value() || !valid_period(*period)) {
-          return make_error(ErrorCode::protocol, "bad clique period '" + value + "'");
-        }
-        clique->period_s = *period;
-      } else if (key == "probe") {
-        const auto probe = parse::to_i64(value);
-        if (!probe.has_value() || *probe <= 0) {
-          return make_error(ErrorCode::protocol, "bad clique probe size '" + value + "'");
-        }
-        clique->probe_bytes = *probe;
-      } else if (key == "tokens") {
-        const auto tokens = parse::to_u64(value);
-        if (!tokens.has_value()) {
-          return make_error(ErrorCode::protocol, "bad clique token count '" + value + "'");
-        }
-        clique->parallel_tokens = static_cast<std::size_t>(*tokens);
-      } else if (key == "members") {
-        clique->members = parse_list(value);
-      } else {
-        return make_error(ErrorCode::protocol, "unknown clique key '" + key + "'");
-      }
-    } else if (section == "substitution" && substitution != nullptr) {
-      if (key == "representative") {
-        const auto reps = parse_list(value);
-        if (reps.size() != 2) {
-          return make_error(ErrorCode::protocol, "representative needs two names");
-        }
-        substitution->rep_a = reps[0];
-        substitution->rep_b = reps[1];
-      } else if (key == "covers") {
-        substitution->covered = parse_list(value);
-      } else {
-        return make_error(ErrorCode::protocol, "unknown substitution key '" + key + "'");
-      }
-    } else {
-      return make_error(ErrorCode::protocol, "key outside any section: " + line);
-    }
-  }
-  if (plan.master.empty()) {
-    return make_error(ErrorCode::protocol, "configuration lacks a master");
-  }
-  return plan;
 }
 
 HostAssignment local_assignment(const DeploymentPlan& plan, const std::string& host) {

@@ -3,10 +3,9 @@
 // "We realized a NWS manager program using a configuration file shared
 // across all involved hosts and applying the local parts on each host."
 // This module is that manager: it serializes a DeploymentPlan into a
-// single shared configuration file, parses it back, extracts the
-// per-host process list (what one host's manager instance would launch),
-// and applies the plan onto a simulated platform by instantiating the
-// NWS processes.
+// single shared configuration file, extracts the per-host process list
+// (what one host's manager instance would launch), and applies the plan
+// onto a simulated platform by instantiating the NWS processes.
 #pragma once
 
 #include <memory>
@@ -21,10 +20,6 @@ namespace envnws::deploy {
 
 /// Serialize the plan into the shared configuration file format.
 [[nodiscard]] std::string generate_config(const DeploymentPlan& plan);
-
-/// Parse a shared configuration file back into a plan (the manager's
-/// startup path on each host).
-Result<DeploymentPlan> parse_config(const std::string& text);
 
 /// What a single host's manager instance must start locally.
 struct HostAssignment {

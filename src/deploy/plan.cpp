@@ -24,13 +24,6 @@ std::uint64_t DeploymentPlan::experiments_per_cycle() const {
   return total;
 }
 
-const PlannedClique* DeploymentPlan::find_clique(const std::string& name) const {
-  for (const auto& clique : cliques) {
-    if (clique.name == name) return &clique;
-  }
-  return nullptr;
-}
-
 std::string DeploymentPlan::render() const {
   std::ostringstream out;
   out << "NWS deployment plan (master: " << master << ")\n";

@@ -79,7 +79,6 @@ struct DeploymentPlan {
   /// Total experiments in one full measurement cycle (every clique
   /// visiting each of its ordered pairs once) — the intrusiveness proxy.
   [[nodiscard]] std::uint64_t experiments_per_cycle() const;
-  [[nodiscard]] const PlannedClique* find_clique(const std::string& name) const;
   [[nodiscard]] std::string render() const;
 };
 

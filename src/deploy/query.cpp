@@ -131,12 +131,6 @@ std::vector<std::pair<std::string, std::string>> CoverageGraph::route(
   return chain;
 }
 
-bool CoverageGraph::coverable(const std::string& src, const std::string& dst) const {
-  if (src == dst) return true;
-  const auto a = component(src);
-  return a.has_value() && a == component(dst);
-}
-
 std::optional<std::size_t> CoverageGraph::component(const std::string& node) const {
   const auto it = component_.find(node);
   if (it == component_.end()) return std::nullopt;

@@ -44,11 +44,9 @@ class CoverageGraph {
   /// The measured-pair chain answering for (src, dst); empty if none.
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> route(
       const std::string& src, const std::string& dst) const;
-  /// True when `route(src, dst)` is non-empty or src == dst: the links
-  /// are symmetric, so that is "same connected component".
-  [[nodiscard]] bool coverable(const std::string& src, const std::string& dst) const;
   /// Connected-component id of `node`; nullopt for a node no measured or
-  /// substituted pair touches. Two nodes are coverable from each other
+  /// substituted pair touches. The links are symmetric, so two distinct
+  /// nodes are coverable from each other (`route()` finds a chain)
   /// exactly when their ids are equal.
   [[nodiscard]] std::optional<std::size_t> component(const std::string& node) const;
 

@@ -41,16 +41,6 @@ EnvNetwork* EnvNetwork::find_containing(const std::string& machine) {
   return const_cast<EnvNetwork*>(std::as_const(*this).find_containing(machine));
 }
 
-std::vector<const EnvNetwork*> EnvNetwork::lan_segments() const {
-  std::vector<const EnvNetwork*> out;
-  if (kind != NetKind::structural) out.push_back(this);
-  for (const auto& child : children) {
-    const auto nested = child.lan_segments();
-    out.insert(out.end(), nested.begin(), nested.end());
-  }
-  return out;
-}
-
 std::vector<std::string> EnvNetwork::gateways() const {
   std::vector<std::string> out;
   if (!gateway.empty()) out.push_back(gateway);

@@ -49,9 +49,6 @@ struct EnvNetwork {
   /// Deepest network whose direct member list contains `machine`.
   [[nodiscard]] const EnvNetwork* find_containing(const std::string& machine) const;
   [[nodiscard]] EnvNetwork* find_containing(const std::string& machine);
-  /// All networks (this + descendants) that are LAN segments
-  /// (kind is shared / switched / inconclusive).
-  [[nodiscard]] std::vector<const EnvNetwork*> lan_segments() const;
   /// Every distinct gateway machine named anywhere in the tree (the
   /// dual-homed hosts stitching levels/zones together).
   [[nodiscard]] std::vector<std::string> gateways() const;

@@ -141,13 +141,6 @@ Result<FaultSpec> FaultSpec::parse(const std::string& text) {
   return spec;
 }
 
-std::string FaultSpec::to_string() const {
-  std::vector<std::string> pieces;
-  pieces.reserve(rules.size());
-  for (const auto& rule : rules) pieces.push_back(rule.to_string());
-  return strings::join(pieces, ",");
-}
-
 FaultInjectingProbeEngine::FaultInjectingProbeEngine(std::unique_ptr<ProbeEngine> inner,
                                                      FaultSpec spec)
     : inner_(std::move(inner)), spec_(std::move(spec)) {}

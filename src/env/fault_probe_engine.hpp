@@ -62,7 +62,6 @@ struct FaultSpec {
   /// scale actions on non-bandwidth kinds). The empty string is the
   /// empty spec.
   static Result<FaultSpec> parse(const std::string& text);
-  [[nodiscard]] std::string to_string() const;
   [[nodiscard]] bool empty() const { return rules.empty(); }
 };
 

@@ -150,13 +150,6 @@ Result<std::optional<std::string_view>> FrameBuffer::next_view() {
       pending.substr(newline + 1, static_cast<std::size_t>(*length)));
 }
 
-Result<std::optional<std::string>> FrameBuffer::next() {
-  auto view = next_view();
-  if (!view.ok()) return view.error();
-  if (!view.value().has_value()) return std::optional<std::string>();
-  return std::optional<std::string>(std::string(*view.value()));
-}
-
 std::string FrameBuffer::take_raw(std::size_t max) {
   const std::size_t take = std::min(max, buffered());
   std::string out = buffer_.substr(head_, take);

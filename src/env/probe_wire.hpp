@@ -57,7 +57,7 @@ inline constexpr std::int64_t kMaxBulkBytes = std::int64_t(1) << 30;
 [[nodiscard]] std::string encode_frame(const std::string& payload);
 
 /// Incremental frame decoder over a received byte stream. Feed bytes as
-/// they arrive; `next()` yields complete payloads. Pure memory — the
+/// they arrive; `next_view()` yields complete payloads. Pure memory — the
 /// fuzz tests drive it without any socket.
 class FrameBuffer {
  public:
@@ -68,9 +68,7 @@ class FrameBuffer {
   /// `protocol` error when the stream cannot be a frame (bad magic,
   /// junk or oversized length, unterminated header). After an error the
   /// stream is unrecoverable: the buffer stays poisoned and every later
-  /// call returns the same error.
-  Result<std::optional<std::string>> next();
-  /// `next()` without the copy: the payload is a view into the buffer,
+  /// call returns the same error. The payload is a view into the buffer,
   /// valid until the next call on this buffer.
   Result<std::optional<std::string_view>> next_view();
 

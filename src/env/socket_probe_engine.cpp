@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/codec.hpp"
-#include "common/stats.hpp"
 #include "common/strings.hpp"
 #include "env/batch_schedule.hpp"
 #include "testing/virtual_scheduler.hpp"
@@ -397,43 +396,6 @@ std::vector<ProbeExperimentOutcome> SocketProbeEngine::run_batch(
 ProbeStats SocketProbeEngine::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-Result<double> SocketProbeEngine::ping_rtt(const std::string& host, int train) {
-  std::vector<double> rtts;
-  for (int seq = 0; seq < std::max(train, 1); ++seq) {
-    const auto begin = Clock::now();
-    auto reply = wire::expect_reply(
-        round_trip(host, wire::WireMessage("PING").add_u64("seq", static_cast<std::uint64_t>(seq)),
-                   socket_options_.frame_timeout_s),
-        "PONG", "PING");
-    if (!reply.ok()) return reply.error();
-    auto echoed = reply.value().u64("seq");
-    if (!echoed.ok()) return echoed.error();
-    if (echoed.value() != static_cast<std::uint64_t>(seq)) {
-      return make_error(ErrorCode::protocol, "PONG echoed the wrong sequence number");
-    }
-    rtts.push_back(std::chrono::duration<double>(Clock::now() - begin).count());
-  }
-  return stats::median(rtts);
-}
-
-Result<ProbeStats> SocketProbeEngine::agent_stats(const std::string& host) {
-  auto reply = wire::expect_reply(
-      round_trip(host, wire::WireMessage("STATS"), socket_options_.frame_timeout_s), "STATS-OK",
-      "STATS");
-  if (!reply.ok()) return reply.error();
-  auto experiments = reply.value().u64("experiments");
-  auto bytes = reply.value().u64("bytes");
-  auto busy = reply.value().f64("busy");
-  if (!experiments.ok()) return experiments.error();
-  if (!bytes.ok()) return bytes.error();
-  if (!busy.ok()) return busy.error();
-  ProbeStats stats;
-  stats.experiments = experiments.value();
-  stats.bytes_sent = static_cast<std::int64_t>(bytes.value());
-  stats.busy_time_s = busy.value();
-  return stats;
 }
 
 }  // namespace envnws::env

@@ -16,8 +16,6 @@
 //   concurrent  -> the same transfers started together on parallel
 //                  control connections, with the engine-declared
 //                  `streams` count modeling source-NIC fair share
-//   ping_rtt    -> PING/PONG train, RTT timed engine-side (extra
-//                  latency experiment, not part of the mapper's stream)
 //
 // This is also the first engine whose `run_batch` is genuinely
 // concurrent: endpoint-disjoint experiments of one batch are dispatched
@@ -81,11 +79,6 @@ class SocketProbeEngine final : public ProbeEngine {
   std::vector<ProbeExperimentOutcome> run_batch(const std::vector<ProbeExperiment>& experiments,
                                                 std::size_t workers) override;
   [[nodiscard]] ProbeStats stats() const override;
-
-  /// Median RTT (seconds) of a PING train against the host's agent.
-  Result<double> ping_rtt(const std::string& host, int train = 8);
-  /// The agent's own cumulative counters (STATS frame).
-  Result<ProbeStats> agent_stats(const std::string& host);
 
   /// Schedule-exploration seam: when set, each free batch worker asks
   /// the scheduler which startable experiment to take ("socket"

@@ -348,19 +348,6 @@ std::string ProbeTrace::to_string() const {
   return out.str();
 }
 
-Status ProbeTrace::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return make_error(ErrorCode::internal, "cannot write probe trace '" + path + "'");
-  }
-  out << to_string();
-  out.close();
-  if (!out) {
-    return make_error(ErrorCode::internal, "short write on probe trace '" + path + "'");
-  }
-  return {};
-}
-
 // --- ProbeDecorator ---------------------------------------------------------
 
 namespace {

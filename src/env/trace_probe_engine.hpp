@@ -80,7 +80,6 @@ struct ProbeTrace {
 
   /// Serialized ENVTRACE document; `parse(t.to_string())` round-trips.
   [[nodiscard]] std::string to_string() const;
-  Status save(const std::string& path) const;
 };
 
 /// Per-zone trace file of a concurrent (map_threads > 1) recording:

@@ -9,13 +9,6 @@ bool Machine::answers_to(const std::string& any_name) const {
   return std::find(aliases.begin(), aliases.end(), any_name) != aliases.end();
 }
 
-std::optional<std::string> Machine::property(const std::string& key) const {
-  for (const auto& prop : properties) {
-    if (prop.name == key) return prop.value;
-  }
-  return std::nullopt;
-}
-
 const Machine* GridDoc::find_machine(const std::string& any_name) const {
   for (const auto& site : sites) {
     for (const auto& machine : site.machines) {
@@ -40,12 +33,6 @@ const Machine* NameIndex::find(const std::string& any_name) const {
 }
 
 NameIndex GridDoc::name_index() const { return NameIndex(*this); }
-
-std::size_t GridDoc::machine_count() const {
-  std::size_t count = 0;
-  for (const auto& site : sites) count += site.machines.size();
-  return count;
-}
 
 XmlElement property_to_xml(const Property& prop) {
   XmlElement element("PROPERTY");

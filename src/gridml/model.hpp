@@ -10,7 +10,6 @@
 // vocabulary, belong to env::EnvNetwork (env/env_tree.hpp).
 #pragma once
 
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,7 +32,6 @@ struct Machine {
   std::vector<Property> properties;
 
   [[nodiscard]] bool answers_to(const std::string& any_name) const;
-  [[nodiscard]] std::optional<std::string> property(const std::string& key) const;
 };
 
 struct Site {
@@ -76,7 +74,6 @@ struct GridDoc {
   [[nodiscard]] const Machine* find_machine(const std::string& any_name) const;
   /// find_machine for many names: index once, then look up in O(1).
   [[nodiscard]] NameIndex name_index() const;
-  [[nodiscard]] std::size_t machine_count() const;
 
   [[nodiscard]] XmlElement to_xml() const;
   [[nodiscard]] std::string to_string() const;

@@ -15,13 +15,6 @@ void XmlElement::set_attribute(const std::string& key, const std::string& value)
   attributes_.emplace_back(key, value);
 }
 
-bool XmlElement::has_attribute(const std::string& key) const {
-  for (const auto& [existing_key, value] : attributes_) {
-    if (existing_key == key) return true;
-  }
-  return false;
-}
-
 std::string XmlElement::attribute(const std::string& key, const std::string& fallback) const {
   for (const auto& [existing_key, value] : attributes_) {
     if (existing_key == key) return value;

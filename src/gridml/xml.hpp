@@ -25,7 +25,6 @@ class XmlElement {
 
   // Attributes keep insertion order (GridML output is diffed in tests).
   void set_attribute(const std::string& key, const std::string& value);
-  [[nodiscard]] bool has_attribute(const std::string& key) const;
   [[nodiscard]] std::string attribute(const std::string& key,
                                       const std::string& fallback = "") const;
   [[nodiscard]] const std::vector<std::pair<std::string, std::string>>& attributes() const {

@@ -52,13 +52,4 @@ std::uint64_t CycleScheduler::pairs_total() const {
   return total;
 }
 
-std::uint64_t CycleScheduler::full_sweep_cycles() const {
-  std::uint64_t sweep = 0;
-  for (const CliqueSchedule& clique : cliques_) {
-    const std::uint64_t pairs = nws::pair_count(clique.members);
-    sweep = std::max<std::uint64_t>(sweep, (pairs + clique.tokens - 1) / clique.tokens);
-  }
-  return sweep;
-}
-
 }  // namespace envnws::monitor

@@ -64,9 +64,6 @@ class CycleScheduler {
   [[nodiscard]] std::size_t probes_per_cycle() const;
   /// Distinct ordered pairs across all cliques (with multiplicity).
   [[nodiscard]] std::uint64_t pairs_total() const;
-  /// Cycles after which every pair of every clique has been visited at
-  /// least once (a "full sweep").
-  [[nodiscard]] std::uint64_t full_sweep_cycles() const;
 
  private:
   struct CliqueSchedule {

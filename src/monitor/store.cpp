@@ -225,11 +225,6 @@ void SeriesStore::reset_learning(const std::function<bool(const nws::SeriesKey&)
   }
 }
 
-std::uint64_t SeriesStore::stored() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return memory_.stored_count();
-}
-
 std::string SeriesStore::dump() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return memory_.dump();

@@ -162,8 +162,6 @@ class SeriesStore {
   /// an incremental re-map refreshed their segment.
   void reset_learning(const std::function<bool(const nws::SeriesKey&)>& selected);
 
-  [[nodiscard]] std::uint64_t stored() const;
-
   /// The nws::MemoryServer dump, series in key order. restore() routes
   /// every point through record(), so forecasters and drift windows warm
   /// up exactly as if the history had been measured live.

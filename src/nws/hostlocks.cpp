@@ -28,8 +28,4 @@ void HostLockService::release(simnet::NodeId a, simnet::NodeId b) {
   locked_[b.index()] = false;
 }
 
-bool HostLockService::is_locked(simnet::NodeId host) const {
-  return host.index() < locked_.size() && locked_[host.index()];
-}
-
 }  // namespace envnws::nws

@@ -26,7 +26,6 @@ class HostLockService {
   /// is already held.
   bool try_acquire(simnet::NodeId a, simnet::NodeId b);
   void release(simnet::NodeId a, simnet::NodeId b);
-  [[nodiscard]] bool is_locked(simnet::NodeId host) const;
 
   [[nodiscard]] std::uint64_t acquisitions() const { return acquisitions_; }
   /// Denied attempts: how often an experiment had to wait for a host.

@@ -12,7 +12,6 @@ namespace envnws::nws {
 void MemoryServer::store(const SeriesKey& key, double time, double value) {
   auto [it, inserted] = series_.try_emplace(key, series_capacity_);
   it->second.add(time, value);
-  ++stored_count_;
 }
 
 const TimeSeries* MemoryServer::find(const SeriesKey& key) const {

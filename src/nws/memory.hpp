@@ -34,7 +34,6 @@ class MemoryServer {
   void store(const SeriesKey& key, double time, double value);
   [[nodiscard]] const TimeSeries* find(const SeriesKey& key) const;
   [[nodiscard]] const std::map<SeriesKey, TimeSeries>& series() const { return series_; }
-  [[nodiscard]] std::uint64_t stored_count() const { return stored_count_; }
 
   /// Serialize every series to the line-oriented on-disk format:
   ///   series <resource> <src> <dst>\n followed by "<time> <value>" lines,
@@ -50,7 +49,6 @@ class MemoryServer {
   simnet::NodeId host_;
   std::size_t series_capacity_;
   std::map<SeriesKey, TimeSeries> series_;
-  std::uint64_t stored_count_ = 0;
 };
 
 }  // namespace envnws::nws

@@ -2,16 +2,6 @@
 
 namespace envnws::nws {
 
-const char* to_string(ProcessKind kind) {
-  switch (kind) {
-    case ProcessKind::nameserver: return "nameserver";
-    case ProcessKind::memory: return "memory";
-    case ProcessKind::sensor: return "sensor";
-    case ProcessKind::forecaster: return "forecaster";
-  }
-  return "?";
-}
-
 void NameServer::register_process(const ProcessInfo& info) {
   processes_.push_back(info);
   ++registrations_;
@@ -28,13 +18,6 @@ Result<std::string> NameServer::locate_memory(const SeriesKey& key) const {
     return make_error(ErrorCode::not_found, "no memory registered for " + key.to_string());
   }
   return it->second;
-}
-
-std::vector<SeriesKey> NameServer::known_series() const {
-  std::vector<SeriesKey> keys;
-  keys.reserve(series_to_memory_.size());
-  for (const auto& [key, memory] : series_to_memory_) keys.push_back(key);
-  return keys;
 }
 
 }  // namespace envnws::nws

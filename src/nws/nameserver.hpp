@@ -15,8 +15,6 @@ namespace envnws::nws {
 
 enum class ProcessKind { nameserver, memory, sensor, forecaster };
 
-[[nodiscard]] const char* to_string(ProcessKind kind);
-
 struct ProcessInfo {
   ProcessKind kind = ProcessKind::sensor;
   std::string name;
@@ -34,7 +32,6 @@ class NameServer {
   void register_series(const SeriesKey& key, const std::string& memory_name);
   [[nodiscard]] Result<std::string> locate_memory(const SeriesKey& key) const;
   [[nodiscard]] const std::vector<ProcessInfo>& processes() const { return processes_; }
-  [[nodiscard]] std::vector<SeriesKey> known_series() const;
   [[nodiscard]] std::uint64_t registration_count() const { return registrations_; }
 
  private:

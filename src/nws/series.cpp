@@ -14,11 +14,6 @@ const char* to_string(ResourceKind kind) {
   return "?";
 }
 
-bool is_network_resource(ResourceKind kind) {
-  return kind == ResourceKind::bandwidth || kind == ResourceKind::latency ||
-         kind == ResourceKind::connect_time;
-}
-
 Result<ResourceKind> resource_from_string(const std::string& text) {
   for (const ResourceKind kind :
        {ResourceKind::bandwidth, ResourceKind::latency, ResourceKind::connect_time,

@@ -26,7 +26,6 @@ enum class ResourceKind {
 };
 
 [[nodiscard]] const char* to_string(ResourceKind kind);
-[[nodiscard]] bool is_network_resource(ResourceKind kind);
 /// Inverse of to_string(); `protocol` error on unknown resource names
 /// (shared by the memory-dump parser and the monitor wire protocol).
 [[nodiscard]] Result<ResourceKind> resource_from_string(const std::string& text);

@@ -127,20 +127,6 @@ const TimeSeries* NwsSystem::find_series(const SeriesKey& key) const {
   return nullptr;
 }
 
-std::vector<SeriesKey> NwsSystem::all_series_keys() const {
-  std::vector<SeriesKey> keys;
-  for (const auto& memory : memories_) {
-    for (const auto& [key, series] : memory->series()) keys.push_back(key);
-  }
-  return keys;
-}
-
-std::uint64_t NwsSystem::total_measurements() const {
-  std::uint64_t total = 0;
-  for (const auto& memory : memories_) total += memory->stored_count();
-  return total;
-}
-
 AdaptiveForecaster& NwsSystem::forecaster_state(const SeriesKey& key,
                                                 const TimeSeries& series) {
   auto [it, inserted] = forecaster_cache_.try_emplace(key);

@@ -73,8 +73,6 @@ class NwsSystem {
   [[nodiscard]] const HostLockService* host_locks() const { return locks_.get(); }
   [[nodiscard]] const std::vector<std::unique_ptr<Clique>>& cliques() const { return cliques_; }
   [[nodiscard]] const TimeSeries* find_series(const SeriesKey& key) const;
-  [[nodiscard]] std::vector<SeriesKey> all_series_keys() const;
-  [[nodiscard]] std::uint64_t total_measurements() const;
   [[nodiscard]] simnet::Network& network() { return net_; }
 
  private:

@@ -51,15 +51,6 @@ char Ipv4::address_class() const {
   return 'E';
 }
 
-bool Ipv4::is_private() const {
-  const std::uint32_t a = value_ >> 24;
-  const std::uint32_t b = (value_ >> 16) & 0xff;
-  if (a == 10) return true;
-  if (a == 172 && b >= 16 && b <= 31) return true;
-  if (a == 192 && b == 168) return true;
-  return false;
-}
-
 Ipv4 Ipv4::classful_network() const {
   switch (address_class()) {
     case 'A': return Ipv4(value_ & 0xff000000u);

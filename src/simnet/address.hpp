@@ -30,9 +30,6 @@ class Ipv4 {
 
   /// Classful network class per RFC 791 / RFC 1166: 'A', 'B', 'C', 'D', 'E'.
   [[nodiscard]] char address_class() const;
-  /// RFC 1918 private (10/8, 172.16/12, 192.168/16), i.e. non-routable
-  /// from the public internet.
-  [[nodiscard]] bool is_private() const;
   /// The classful network prefix (what ENV groups unnamed machines by):
   /// class A -> /8, class B -> /16, class C -> /24.
   [[nodiscard]] Ipv4 classful_network() const;

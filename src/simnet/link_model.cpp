@@ -4,11 +4,6 @@
 
 namespace envnws::simnet {
 
-double LinkModelSpec::retransmission_factor(double loss_pct, double cksum_pct) {
-  const double delivered = (1.0 - loss_pct / 100.0) * (1.0 - cksum_pct / 100.0);
-  return delivered > 0.0 ? 1.0 / delivered : 0.0;
-}
-
 double LinkModelSpec::effective_capacity(double nominal_bps) const {
   // The ideal fast path returns the input untouched so capacities stay
   // bit-identical to the historical pipeline (not merely numerically

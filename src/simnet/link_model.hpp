@@ -59,11 +59,6 @@ struct LinkModelSpec {
   /// Cross-traffic back-flows active (turns rate computation weighted).
   [[nodiscard]] bool weighted() const { return tcp && cross_traffic_share > 0.0; }
 
-  /// Expected (re)transmissions per delivered segment when a fraction
-  /// `loss_pct`% of segments is dropped and `cksum_pct`% of the rest is
-  /// corrupted: 1 / ((1 - loss)(1 - cksum)).
-  [[nodiscard]] static double retransmission_factor(double loss_pct, double cksum_pct);
-
   /// Bandwidth a payload can extract from a `nominal_bps` medium under
   /// this model. Identity (same bits) for the ideal model.
   [[nodiscard]] double effective_capacity(double nominal_bps) const;

@@ -16,12 +16,6 @@ namespace {
 constexpr std::uint32_t kNoResource = std::numeric_limits<std::uint32_t>::max();
 }
 
-std::int64_t NetStats::total_bytes() const {
-  std::int64_t total = 0;
-  for (const auto& [purpose, stats] : by_purpose) total += stats.bytes;
-  return total;
-}
-
 Network::Network(Topology topology, NetworkOptions options)
     : topo_(std::move(topology)),
       options_(options),
@@ -298,12 +292,6 @@ Status Network::send_message(NodeId src, NodeId dst, std::int64_t bytes,
     if (cb) cb();
   });
   return {};
-}
-
-Result<double> Network::message_delay(NodeId src, NodeId dst, std::int64_t bytes) const {
-  const auto path = routes_.path(src, dst);
-  if (!path.ok()) return path.error();
-  return delay_over(path.value(), bytes);
 }
 
 double Network::delay_over(const Path& path, std::int64_t bytes) const {

@@ -78,8 +78,6 @@ struct NetStats {
   std::uint64_t flows_started = 0;
   std::uint64_t flows_completed = 0;
   std::uint64_t messages_sent = 0;
-
-  [[nodiscard]] std::int64_t total_bytes() const;
 };
 
 class Network {
@@ -122,9 +120,6 @@ class Network {
   // --- small control messages (latency-bound, no contention) ---
   Status send_message(NodeId src, NodeId dst, std::int64_t bytes,
                       std::function<void()> on_delivered, const std::string& purpose = "control");
-  /// One-way delivery delay a message would experience right now.
-  [[nodiscard]] Result<double> message_delay(NodeId src, NodeId dst,
-                                             std::int64_t bytes) const;
 
   // --- reachability / diagnostics ---
   [[nodiscard]] bool can_communicate(NodeId a, NodeId b) const;
@@ -196,7 +191,7 @@ class Network {
 
   void build_resources();
   /// One-way delay of `bytes` over `path`: its latency plus the
-  /// transmission time at its bottleneck (message_delay's arithmetic).
+  /// transmission time at its bottleneck.
   [[nodiscard]] double delay_over(const Path& path, std::int64_t bytes) const;
   /// The sorted, duplicate-free resources `path` consumes, written over `out`.
   void resources_for_path(const Path& path, std::vector<std::uint32_t>& out) const;

@@ -6,13 +6,6 @@
 
 namespace envnws::simnet {
 
-std::vector<NodeId> Path::nodes() const {
-  std::vector<NodeId> out;
-  out.push_back(src);
-  for (const Hop& hop : hops) out.push_back(hop.to);
-  return out;
-}
-
 double Path::total_latency(const Topology& topo) const {
   double total = 0.0;
   for (const Hop& hop : hops) total += topo.link(hop.link).latency_s;

@@ -43,8 +43,6 @@ struct Path {
   std::vector<Hop> hops;
 
   [[nodiscard]] bool empty() const { return hops.empty(); }
-  /// All nodes visited, starting with src and ending with dst.
-  [[nodiscard]] std::vector<NodeId> nodes() const;
   [[nodiscard]] double total_latency(const Topology& topo) const;
   /// Capacity of the narrowest traversed element, including hub media.
   [[nodiscard]] double bottleneck_bandwidth(const Topology& topo) const;

@@ -46,7 +46,6 @@ TEST(Session, RePlanningReusesTheCachedMapWithoutReProbing) {
   simnet::Network net(simnet::Scenario(test_scenario()).topology);
   Session session(net, test_scenario());
   ASSERT_TRUE(session.plan().ok());  // auto-runs the map stage first
-  EXPECT_TRUE(session.has(Stage::map));
   const std::uint64_t probes_after_map = probe_flows(net);
   ASSERT_GT(probes_after_map, 0u);
   const std::string first_config = session.config_text();
@@ -62,24 +61,6 @@ TEST(Session, RePlanningReusesTheCachedMapWithoutReProbing) {
   ASSERT_TRUE(session.plan().ok());
   EXPECT_EQ(probe_flows(net), probes_after_map);
   EXPECT_EQ(session.config_text(), first_config);
-}
-
-TEST(Session, LoadedMapIsPlannedWithoutProbing) {
-  // First session maps and publishes; second one re-plans from the cache.
-  simnet::Network net1(simnet::Scenario(test_scenario()).topology);
-  Session first(net1, test_scenario());
-  ASSERT_TRUE(first.map().ok());
-  ASSERT_TRUE(first.plan().ok());
-  const std::string expected_config = first.config_text();
-  env::MapResult cached = std::move(first.map_result());
-
-  simnet::Network net2(simnet::Scenario(test_scenario()).topology);
-  Session second(net2);  // no scenario: map stage must come from the cache
-  second.load_map(std::move(cached));
-  ASSERT_TRUE(second.run_all().ok());
-  EXPECT_EQ(probe_flows(net2), 0u);
-  EXPECT_EQ(second.config_text(), expected_config);
-  second.system().stop();
 }
 
 TEST(Session, MapFailsWithoutScenarioOrCache) {
@@ -99,16 +80,17 @@ TEST(Session, FailedMapCallDoesNotDiscardASeededMap) {
   simnet::Network net1(simnet::Scenario(test_scenario()).topology);
   Session first(net1, test_scenario());
   ASSERT_TRUE(first.map().ok());
-  env::MapResult cached = std::move(first.map_result());
+  const std::string published = first.map_result().grid.to_string();
 
   simnet::Network net2(simnet::Scenario(test_scenario()).topology);
   Session session(net2);
-  session.load_map(std::move(cached));
+  ASSERT_TRUE(session.load_map_from_gridml(published, "l0.lan").ok());
   // Probing is impossible without a scenario — but the error must not
-  // wipe the cache it tells the caller to provide.
+  // wipe the seeded map it tells the caller to provide: plan() runs on
+  // it instead of failing in a re-run of map().
   EXPECT_FALSE(session.map().ok());
-  EXPECT_TRUE(session.has(Stage::map));
   EXPECT_TRUE(session.plan().ok());
+  EXPECT_EQ(probe_flows(net2), 0u);
 }
 
 TEST(Session, ObserverSeesStagesInPipelineOrder) {
@@ -252,14 +234,15 @@ TEST(Session, InvalidateDropsDownstreamStages) {
   simnet::Network net(simnet::Scenario(test_scenario()).topology);
   Session session(net, test_scenario());
   ASSERT_TRUE(session.run_all().ok());
-  EXPECT_TRUE(session.has(Stage::map));
-  EXPECT_TRUE(session.has(Stage::validate));
+  EXPECT_NE(session.render().find("=== validation ==="), std::string::npos);
 
+  // Dropping the plan drops apply and validate too; the map survives.
   session.invalidate(Stage::plan);
-  EXPECT_TRUE(session.has(Stage::map));
-  EXPECT_FALSE(session.has(Stage::plan));
-  EXPECT_FALSE(session.has(Stage::apply));
-  EXPECT_FALSE(session.has(Stage::validate));
+  const std::string report = session.render();
+  EXPECT_NE(report.find("=== ENV effective view"), std::string::npos);
+  EXPECT_EQ(report.find("=== deployment plan ==="), std::string::npos);
+  EXPECT_EQ(report.find("=== validation ==="), std::string::npos);
+  EXPECT_TRUE(session.config_text().empty());
 
   // The pipeline resumes from the surviving map stage.
   const std::uint64_t probes = probe_flows(net);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 namespace envnws::stats {
@@ -13,18 +12,6 @@ TEST(Stats, MeanOfEmptyIsZero) { EXPECT_DOUBLE_EQ(mean({}), 0.0); }
 TEST(Stats, MeanBasic) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(xs), 2.5);
-  EXPECT_DOUBLE_EQ(sum(xs), 10.0);
-}
-
-TEST(Stats, VarianceUsesSampleConvention) {
-  const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  EXPECT_NEAR(variance(xs), 4.571428571, 1e-9);
-  EXPECT_NEAR(stddev(xs), 2.138089935, 1e-9);
-}
-
-TEST(Stats, VarianceOfSingletonIsZero) {
-  const std::vector<double> xs{42.0};
-  EXPECT_DOUBLE_EQ(variance(xs), 0.0);
 }
 
 TEST(Stats, MedianOddAndEven) {
@@ -34,17 +21,10 @@ TEST(Stats, MedianOddAndEven) {
   EXPECT_DOUBLE_EQ(median(even), 2.5);
 }
 
-TEST(Stats, MinMax) {
+TEST(Stats, Min) {
   const std::vector<double> xs{3.0, -1.0, 7.0};
   EXPECT_DOUBLE_EQ(min(xs), -1.0);
-  EXPECT_DOUBLE_EQ(max(xs), 7.0);
-}
-
-TEST(Stats, PercentileInterpolates) {
-  const std::vector<double> xs{10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 25.0);
+  EXPECT_DOUBLE_EQ(min({}), 0.0);
 }
 
 TEST(Stats, TrimmedMeanDropsOutliers) {
@@ -55,31 +35,6 @@ TEST(Stats, TrimmedMeanDropsOutliers) {
 TEST(Stats, TrimmedMeanFallsBackToMedianWhenOvertrimmed) {
   const std::vector<double> xs{1.0, 2.0};
   EXPECT_DOUBLE_EQ(trimmed_mean(xs, 0.49), median(xs));
-}
-
-TEST(Stats, ErrorsBetweenSeries) {
-  const std::vector<double> predicted{1.0, 2.0, 3.0};
-  const std::vector<double> actual{1.0, 4.0, 3.0};
-  EXPECT_NEAR(mean_absolute_error(predicted, actual), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(rmse(predicted, actual), std::sqrt(4.0 / 3.0), 1e-12);
-}
-
-TEST(Stats, AccumulatorMatchesBatch) {
-  const std::vector<double> xs{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  Accumulator acc;
-  for (double x : xs) acc.add(x);
-  EXPECT_EQ(acc.count(), xs.size());
-  EXPECT_NEAR(acc.mean(), mean(xs), 1e-12);
-  EXPECT_NEAR(acc.variance(), variance(xs), 1e-12);
-  EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-}
-
-TEST(Stats, AccumulatorEmpty) {
-  Accumulator acc;
-  EXPECT_EQ(acc.count(), 0u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
 }
 
 }  // namespace

@@ -37,10 +37,8 @@ TEST(Strings, PrefixSuffix) {
   EXPECT_FALSE(starts_with("a", "ab"));
 }
 
-TEST(Strings, ToLowerAndContains) {
+TEST(Strings, ToLower) {
   EXPECT_EQ(to_lower("ENS-Lyon.FR"), "ens-lyon.fr");
-  EXPECT_TRUE(contains("the-doors.ens-lyon.fr", "doors"));
-  EXPECT_FALSE(contains("abc", "xyz"));
 }
 
 TEST(Strings, FormatDouble) {

@@ -4,6 +4,7 @@
 
 #include "common/units.hpp"
 #include "env/mapper.hpp"
+#include "lan_segments.hpp"
 #include "env/sim_probe_engine.hpp"
 #include "simnet/scenario.hpp"
 
@@ -124,7 +125,7 @@ TEST(Bidirectional, SymmetricPlatformStaysUnflagged) {
   spec.traceroute_target = "h0.lan";
   auto result = mapper.map_zone(spec);
   ASSERT_TRUE(result.ok());
-  for (const auto* segment : result.value().root.lan_segments()) {
+  for (const auto* segment : lan_segments(result.value().root)) {
     EXPECT_FALSE(segment->route_asymmetric);
   }
 }

@@ -134,7 +134,11 @@ TEST_F(EnsLyonMap, MergedGridCarriesBothSitesAndGatewayAliases) {
   // Host inventory propagated.
   const gridml::Machine* moby = grid.find_machine("moby.cri2000.ens-lyon.fr");
   ASSERT_NE(moby, nullptr);
-  EXPECT_EQ(moby->property("CPU_model").value_or(""), "Pentium Pro");
+  const auto model =
+      std::find_if(moby->properties.begin(), moby->properties.end(),
+                   [](const gridml::Property& property) { return property.name == "CPU_model"; });
+  ASSERT_NE(model, moby->properties.end());
+  EXPECT_EQ(model->value, "Pentium Pro");
 }
 
 TEST_F(EnsLyonMap, GridmlSerializationRoundTrips) {

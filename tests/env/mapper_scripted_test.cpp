@@ -9,6 +9,7 @@
 
 #include "common/units.hpp"
 #include "env/mapper.hpp"
+#include "lan_segments.hpp"
 
 namespace envnws::env {
 namespace {
@@ -116,7 +117,7 @@ NetKind classify_with_jam_factor(double jam_factor, MapperOptions options = {}) 
   Mapper mapper(engine, options);
   auto result = mapper.map_zone(flat_spec(3));
   EXPECT_TRUE(result.ok());
-  const auto segments = result.value().root.lan_segments();
+  const auto segments = lan_segments(result.value().root);
   EXPECT_EQ(segments.size(), 1u);
   return segments.empty() ? NetKind::structural : segments[0]->kind;
 }
@@ -146,7 +147,7 @@ TEST(ScriptedThresholds, BandwidthSplitAtExactlyThree) {
     Mapper mapper(engine, MapperOptions{});
     auto result = mapper.map_zone(flat_spec(3));
     ASSERT_TRUE(result.ok());
-    const auto segments = result.value().root.lan_segments();
+    const auto segments = lan_segments(result.value().root);
     if (slow_bw >= mbps(100) / 3.0) {
       // ratio == 3.0: kept together (the rule is "exceeds").
       ASSERT_EQ(segments.size(), 1u);
@@ -168,7 +169,7 @@ TEST(ScriptedThresholds, PairwiseIndependenceSplits) {
   auto result = mapper.map_zone(flat_spec(3));
   ASSERT_TRUE(result.ok());
   // Three singletons (plus the master riding along with one of them).
-  for (const auto* segment : result.value().root.lan_segments()) {
+  for (const auto* segment : lan_segments(result.value().root)) {
     EXPECT_LE(segment->machines.size(), 2u);
   }
 }
@@ -181,7 +182,7 @@ TEST(ScriptedThresholds, PairwiseDependenceAtExactThreshold) {
   Mapper mapper(engine, MapperOptions{});
   auto result = mapper.map_zone(flat_spec(3));
   ASSERT_TRUE(result.ok());
-  const auto segments = result.value().root.lan_segments();
+  const auto segments = lan_segments(result.value().root);
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0]->machines.size(), 4u);
   EXPECT_EQ(segments[0]->kind, NetKind::shared);

@@ -3,6 +3,7 @@
 
 #include "common/units.hpp"
 #include "env/mapper.hpp"
+#include "lan_segments.hpp"
 #include "env/scenario_zones.hpp"
 #include "env/sim_probe_engine.hpp"
 #include "simnet/scenario.hpp"
@@ -29,7 +30,7 @@ TEST(MapperSim, StarHubClassifiedShared) {
   auto scenario = simnet::star_hub(5, mbps(100));
   simnet::Network net(scenario.topology);
   const auto result = map_single_zone(net, scenario);
-  const auto segments = result.root.lan_segments();
+  const auto segments = lan_segments(result.root);
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0]->kind, NetKind::shared);
   EXPECT_EQ(segments[0]->machines.size(), 5u);  // master included
@@ -41,7 +42,7 @@ TEST(MapperSim, StarSwitchClassifiedSwitched) {
   auto scenario = simnet::star_switch(5, mbps(100));
   simnet::Network net(scenario.topology);
   const auto result = map_single_zone(net, scenario);
-  const auto segments = result.root.lan_segments();
+  const auto segments = lan_segments(result.root);
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0]->kind, NetKind::switched);
   EXPECT_NEAR(segments[0]->base_local_bw_bps, mbps(100), mbps(3));
@@ -52,7 +53,7 @@ TEST(MapperSim, TwoHostHubPairStillDetectedShared) {
   auto scenario = simnet::star_hub(2, mbps(10));
   simnet::Network net(scenario.topology);
   const auto result = map_single_zone(net, scenario);
-  const auto segments = result.root.lan_segments();
+  const auto segments = lan_segments(result.root);
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0]->kind, NetKind::shared);
 }
@@ -61,7 +62,7 @@ TEST(MapperSim, TwoHostSwitchPairDetectedSwitched) {
   auto scenario = simnet::star_switch(2, mbps(100));
   simnet::Network net(scenario.topology);
   const auto result = map_single_zone(net, scenario);
-  const auto segments = result.root.lan_segments();
+  const auto segments = lan_segments(result.root);
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0]->kind, NetKind::switched);
 }
@@ -73,7 +74,7 @@ TEST(MapperSim, DumbbellSplitsByBandwidthRatio) {
   auto scenario = simnet::dumbbell(3, 3, mbps(100), mbps(10));
   simnet::Network net(scenario.topology);
   const auto result = map_single_zone(net, scenario);
-  const auto segments = result.root.lan_segments();
+  const auto segments = lan_segments(result.root);
   ASSERT_GE(segments.size(), 2u);
   // Find the remote cluster: base bw ~10, local ~100.
   bool found_remote = false;
@@ -158,7 +159,7 @@ TEST(MapperSim, VlanLabSeesLogicalNotPhysicalTopology) {
   auto scenario = simnet::vlan_lab(3, 2, mbps(100));
   simnet::Network net(scenario.topology);
   const auto result = map_single_zone(net, scenario);
-  const auto segments = result.root.lan_segments();
+  const auto segments = lan_segments(result.root);
   ASSERT_EQ(segments.size(), 2u);
   for (const auto* segment : segments) {
     EXPECT_EQ(segment->kind, NetKind::switched);
@@ -174,7 +175,7 @@ TEST(MapperSim, ThresholdInjectionChangesVerdict) {
   options.jam_shared_max = 0.0;
   options.jam_switched_min = 0.0;  // everything >= 0 becomes switched
   const auto result = map_single_zone(net, scenario, options);
-  const auto segments = result.root.lan_segments();
+  const auto segments = lan_segments(result.root);
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0]->kind, NetKind::switched);
 }
@@ -188,7 +189,7 @@ TEST(MapperSim, InconclusiveBandIsRespected) {
   options.jam_shared_max = 0.2;
   options.jam_switched_min = 0.9;
   const auto result = map_single_zone(net, scenario, options);
-  const auto segments = result.root.lan_segments();
+  const auto segments = lan_segments(result.root);
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0]->kind, NetKind::inconclusive);
 }

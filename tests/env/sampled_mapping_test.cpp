@@ -14,6 +14,7 @@
 #include "common/hash.hpp"
 #include "common/units.hpp"
 #include "env/mapper.hpp"
+#include "lan_segments.hpp"
 #include "env/scenario_zones.hpp"
 #include "env/sim_probe_engine.hpp"
 #include "simnet/network.hpp"
@@ -84,7 +85,7 @@ TEST(SampledMapping, BudgetBoundsExperimentsAndAccountsEveryMember) {
 
   // The sampled tree still finds the same structure: one switched
   // segment holding all 16 machines.
-  const auto segments = sampled.root.lan_segments();
+  const auto segments = lan_segments(sampled.root);
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments.front()->kind, NetKind::switched);
   EXPECT_EQ(segments.front()->machines.size(), 16u);

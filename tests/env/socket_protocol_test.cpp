@@ -44,12 +44,12 @@ TEST(FrameCodec, RoundTripsPayloads) {
        {std::string(""), std::string("HELLO name=h0"), std::string(1024, 'x')}) {
     FrameBuffer buffer;
     buffer.feed(wire::encode_frame(payload));
-    auto decoded = buffer.next();
+    auto decoded = buffer.next_view();
     ASSERT_TRUE(decoded.ok());
     ASSERT_TRUE(decoded.value().has_value());
     EXPECT_EQ(*decoded.value(), payload);
     // Nothing left over.
-    auto empty = buffer.next();
+    auto empty = buffer.next_view();
     ASSERT_TRUE(empty.ok());
     EXPECT_FALSE(empty.value().has_value());
   }
@@ -59,12 +59,12 @@ TEST(FrameCodec, ReassemblesFramesSplitAcrossFeeds) {
   const std::string frame = wire::encode_frame("PING seq=7");
   FrameBuffer buffer;
   for (std::size_t i = 0; i < frame.size(); ++i) {
-    auto partial = buffer.next();
+    auto partial = buffer.next_view();
     ASSERT_TRUE(partial.ok());
     EXPECT_FALSE(partial.value().has_value()) << "frame completed early at byte " << i;
     buffer.feed(frame.substr(i, 1));
   }
-  auto decoded = buffer.next();
+  auto decoded = buffer.next_view();
   ASSERT_TRUE(decoded.ok());
   ASSERT_TRUE(decoded.value().has_value());
   EXPECT_EQ(*decoded.value(), "PING seq=7");
@@ -73,11 +73,11 @@ TEST(FrameCodec, ReassemblesFramesSplitAcrossFeeds) {
 TEST(FrameCodec, DecodesBackToBackFrames) {
   FrameBuffer buffer;
   buffer.feed(wire::encode_frame("A t=1") + wire::encode_frame("B t=2"));
-  auto first = buffer.next();
+  auto first = buffer.next_view();
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(first.value().has_value());
   EXPECT_EQ(*first.value(), "A t=1");
-  auto second = buffer.next();
+  auto second = buffer.next_view();
   ASSERT_TRUE(second.ok());
   ASSERT_TRUE(second.value().has_value());
   EXPECT_EQ(*second.value(), "B t=2");
@@ -97,12 +97,12 @@ TEST(FrameCodec, RejectsMalformedHeaders) {
   for (const char* input : malformed) {
     FrameBuffer buffer;
     buffer.feed(std::string(input));
-    auto decoded = buffer.next();
+    auto decoded = buffer.next_view();
     ASSERT_FALSE(decoded.ok()) << input;
     EXPECT_EQ(decoded.error().code, ErrorCode::protocol) << input;
     // The stream stays poisoned: feeding more never "recovers" it.
     buffer.feed(wire::encode_frame("HELLO name=h0"));
-    auto still = buffer.next();
+    auto still = buffer.next_view();
     ASSERT_FALSE(still.ok()) << input;
   }
 }
@@ -110,7 +110,7 @@ TEST(FrameCodec, RejectsMalformedHeaders) {
 TEST(FrameCodec, RejectsUnterminatedHeader) {
   FrameBuffer buffer;
   buffer.feed(std::string("ENVP 11111111111111111111111111"));  // no newline, too long
-  auto decoded = buffer.next();
+  auto decoded = buffer.next_view();
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().code, ErrorCode::protocol);
 }
@@ -118,11 +118,11 @@ TEST(FrameCodec, RejectsUnterminatedHeader) {
 TEST(FrameCodec, TruncatedPayloadJustWaits) {
   FrameBuffer buffer;
   buffer.feed(std::string("ENVP 10\nabc"));  // 3 of 10 payload bytes
-  auto decoded = buffer.next();
+  auto decoded = buffer.next_view();
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(decoded.value().has_value());  // need more, not an error
   buffer.feed(std::string("defghij"));
-  auto complete = buffer.next();
+  auto complete = buffer.next_view();
   ASSERT_TRUE(complete.ok());
   ASSERT_TRUE(complete.value().has_value());
   EXPECT_EQ(*complete.value(), "abcdefghij");
@@ -230,7 +230,7 @@ TEST(WireFuzz, DecoderAndParserSurviveSeededGarbage) {
       const std::size_t piece = 1 + rng() % 16;
       buffer.feed(input.substr(fed, piece));
       fed += std::min(piece, input.size() - fed);
-      auto decoded = buffer.next();
+      auto decoded = buffer.next_view();
       if (!decoded.ok()) break;  // poisoned: classified as garbage, done
       if (decoded.value().has_value()) {
         // Whatever decoded must also parse or error cleanly.

@@ -292,9 +292,13 @@ TEST(FaultSpecTest, ParsesAndRoundTripsRules) {
   EXPECT_EQ(spec.value().rules[0].to_string(), "bw#3=fail:timeout");
   EXPECT_EQ(spec.value().rules[1].to_string(), "cbw*=scale:0.5");
   EXPECT_EQ(spec.value().rules[2].to_string(), "any%7=fail:timeout");
-  auto round = FaultSpec::parse(spec.value().to_string());
-  ASSERT_TRUE(round.ok());
-  EXPECT_EQ(round.value().to_string(), spec.value().to_string());
+  // The canonical text of each rule parses back to itself.
+  for (const auto& rule : spec.value().rules) {
+    auto round = FaultSpec::parse(rule.to_string());
+    ASSERT_TRUE(round.ok()) << rule.to_string();
+    ASSERT_EQ(round.value().rules.size(), 1u);
+    EXPECT_EQ(round.value().rules[0].to_string(), rule.to_string());
+  }
   EXPECT_TRUE(FaultSpec::parse("").value().empty());
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/units.hpp"
 #include "env/mapper.hpp"
+#include "lan_segments.hpp"
 #include "env/sim_probe_engine.hpp"
 #include "simnet/topology.hpp"
 
@@ -54,7 +55,7 @@ TEST(UnnamedHosts, IpClassFallbackGroupsSites) {
   EXPECT_NE(result.value().grid.find_machine("192.168.7.3"), nullptr);
 
   // And the mapping itself still works: one shared segment of 3.
-  const auto segments = result.value().root.lan_segments();
+  const auto segments = lan_segments(result.value().root);
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0]->kind, NetKind::shared);
   EXPECT_EQ(segments[0]->machines.size(), 3u);

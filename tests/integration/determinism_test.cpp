@@ -18,7 +18,7 @@ struct RunDigest {
   std::uint64_t map_experiments;
   std::int64_t map_bytes;
   double map_duration;
-  std::uint64_t measurements;
+  std::uint64_t messages_sent;  ///< NWS control traffic: stores, queries, registrations
   std::vector<double> series_values;
 };
 
@@ -39,7 +39,7 @@ RunDigest run_once(bool with_jitter) {
   digest.map_experiments = session.map_result().stats.experiments;
   digest.map_bytes = session.map_result().stats.bytes_sent;
   digest.map_duration = session.map_result().stats.duration_s;
-  digest.measurements = session.system().total_measurements();
+  digest.messages_sent = net.stats().messages_sent;
   const auto* series = session.system().find_series(
       {nws::ResourceKind::bandwidth, "canaria", "moby"});
   if (series != nullptr) digest.series_values = series->values();
@@ -55,7 +55,7 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults) {
   EXPECT_EQ(a.map_experiments, b.map_experiments);
   EXPECT_EQ(a.map_bytes, b.map_bytes);
   EXPECT_DOUBLE_EQ(a.map_duration, b.map_duration);
-  EXPECT_EQ(a.measurements, b.measurements);
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
   ASSERT_EQ(a.series_values.size(), b.series_values.size());
   for (std::size_t i = 0; i < a.series_values.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.series_values[i], b.series_values[i]);

@@ -91,6 +91,20 @@ class AgentFleet {
   }
 
   [[nodiscard]] const std::string& roster_path() const { return roster_path_; }
+  /// One request to `host`'s agent on a fresh connection, and its reply.
+  Result<env::wire::WireMessage> ask(const std::string& host, const std::string& request) const {
+    for (const auto& agent : agents_) {
+      if (agent->config().name != host) continue;
+      auto socket = env::wire::TcpSocket::dial("127.0.0.1", agent->port(), 2.0);
+      if (!socket.ok()) return socket.error();
+      if (auto sent = env::wire::send_frame(socket.value(), request, 2.0); !sent.ok()) {
+        return sent.error();
+      }
+      env::wire::FrameBuffer buffer;
+      return env::wire::recv_message(socket.value(), buffer, 2.0);
+    }
+    return make_error(ErrorCode::not_found, "no agent named " + host);
+  }
   [[nodiscard]] env::wire::AgentRoster roster() const {
     auto loaded = env::wire::AgentRoster::load(roster_path_);
     EXPECT_TRUE(loaded.ok());
@@ -474,21 +488,25 @@ TEST(SocketEngine, PingTrainsAndAgentStatsWork) {
   options.stabilization_gap_s = 0.0;
   env::SocketProbeEngine engine(fleet.roster(), options);
 
-  auto rtt = engine.ping_rtt("h0.lan", 8);
-  ASSERT_TRUE(rtt.ok()) << rtt.error().to_string();
-  EXPECT_GT(rtt.value(), 0.0);
-  EXPECT_LT(rtt.value(), 1.0);  // loopback
+  // A PING train: every PONG echoes its sequence number.
+  for (std::uint64_t seq = 0; seq < 8; ++seq) {
+    auto pong = fleet.ask("h0.lan", "PING seq=" + std::to_string(seq));
+    ASSERT_TRUE(pong.ok()) << pong.error().to_string();
+    EXPECT_EQ(pong.value().type, "PONG");
+    EXPECT_EQ(pong.value().u64("seq").value(), seq);
+  }
 
   ASSERT_TRUE(engine.bandwidth("h0.lan", "h1.lan").ok());
-  auto source_stats = engine.agent_stats("h0.lan");
+  auto source_stats = fleet.ask("h0.lan", "STATS");
   ASSERT_TRUE(source_stats.ok()) << source_stats.error().to_string();
-  EXPECT_EQ(source_stats.value().experiments, 1u);
-  EXPECT_EQ(source_stats.value().bytes_sent, 64 * 1024);
-  EXPECT_GT(source_stats.value().busy_time_s, 0.0);
+  EXPECT_EQ(source_stats.value().type, "STATS-OK");
+  EXPECT_EQ(source_stats.value().u64("experiments").value(), 1u);
+  EXPECT_EQ(source_stats.value().u64("bytes").value(), 64u * 1024u);
+  EXPECT_GT(source_stats.value().f64("busy").value(), 0.0);
   // The sink agent sourced nothing.
-  auto sink_stats = engine.agent_stats("h1.lan");
+  auto sink_stats = fleet.ask("h1.lan", "STATS");
   ASSERT_TRUE(sink_stats.ok());
-  EXPECT_EQ(sink_stats.value().experiments, 0u);
+  EXPECT_EQ(sink_stats.value().u64("experiments").value(), 0u);
   fleet.stop_all();
 }
 

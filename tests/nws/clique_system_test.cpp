@@ -63,12 +63,16 @@ TEST(Clique, TokenSerializesExperiments) {
   auto system = make_switch_system(net, 4, 2.0);
   system->start();
   net.run_until(600.0);
-  for (const auto& key : system->all_series_keys()) {
-    if (key.resource != ResourceKind::bandwidth) continue;
-    const TimeSeries* series = system->find_series(key);
-    ASSERT_NE(series, nullptr);
-    for (const double v : series->values()) {
-      EXPECT_GT(v, mbps(9)) << key.to_string() << " saw a collided measurement";
+  for (int src = 0; src < 4; ++src) {
+    for (int dst = 0; dst < 4; ++dst) {
+      if (src == dst) continue;
+      const SeriesKey key{ResourceKind::bandwidth, "h" + std::to_string(src),
+                          "h" + std::to_string(dst)};
+      const TimeSeries* series = system->find_series(key);
+      ASSERT_NE(series, nullptr) << key.to_string();
+      for (const double v : series->values()) {
+        EXPECT_GT(v, mbps(9)) << key.to_string() << " saw a collided measurement";
+      }
     }
   }
   system->stop();
@@ -295,8 +299,16 @@ TEST(System, NameServerDirectoryIsPopulated) {
   system->start();
   const NameServer& ns = system->nameserver();
   EXPECT_GE(ns.processes().size(), 3u);  // nameserver, forecaster, memory
-  EXPECT_GE(ns.known_series().size(), 6u * 3u);
-  EXPECT_TRUE(ns.locate_memory({ResourceKind::bandwidth, "h0", "h1"}).ok());
+  // Every ordered pair's bandwidth, latency and connect-time series.
+  for (const char* src : {"h0", "h1", "h2"}) {
+    for (const char* dst : {"h0", "h1", "h2"}) {
+      if (std::string(src) == dst) continue;
+      for (const ResourceKind kind :
+           {ResourceKind::bandwidth, ResourceKind::latency, ResourceKind::connect_time}) {
+        EXPECT_TRUE(ns.locate_memory({kind, src, dst}).ok()) << src << "->" << dst;
+      }
+    }
+  }
   EXPECT_FALSE(ns.locate_memory({ResourceKind::bandwidth, "x", "y"}).ok());
   system->stop();
 }

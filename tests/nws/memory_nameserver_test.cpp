@@ -22,7 +22,6 @@ TEST(MemoryServer, StoresAndFinds) {
   ASSERT_NE(series, nullptr);
   EXPECT_EQ(series->size(), 2u);
   EXPECT_DOUBLE_EQ(series->latest().value, 20.0);
-  EXPECT_EQ(memory.stored_count(), 2u);
 }
 
 TEST(MemoryServer, CapacityBoundsEverySeries) {
@@ -47,14 +46,13 @@ TEST(NameServer, ProcessAndSeriesRegistry) {
   ns.register_process(ProcessInfo{ProcessKind::memory, "mem@h1", NodeId(1)});
   ns.register_process(ProcessInfo{ProcessKind::sensor, "sensor@h2", NodeId(2)});
   EXPECT_EQ(ns.processes().size(), 2u);
-  EXPECT_STREQ(to_string(ns.processes()[0].kind), "memory");
+  EXPECT_EQ(ns.processes()[0].kind, ProcessKind::memory);
 
   const SeriesKey key{ResourceKind::bandwidth, "h1", "h2"};
   ns.register_series(key, "mem@h1");
   const auto located = ns.locate_memory(key);
   ASSERT_TRUE(located.ok());
   EXPECT_EQ(located.value(), "mem@h1");
-  EXPECT_EQ(ns.known_series().size(), 1u);
   EXPECT_EQ(ns.registration_count(), 3u);
 }
 
@@ -64,7 +62,6 @@ TEST(NameServer, ReRegistrationOverwrites) {
   ns.register_series(key, "mem-a");
   ns.register_series(key, "mem-b");
   EXPECT_EQ(ns.locate_memory(key).value(), "mem-b");
-  EXPECT_EQ(ns.known_series().size(), 1u);
 }
 
 TEST(System, SeriesCapacityConfigIsHonored) {

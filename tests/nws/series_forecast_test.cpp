@@ -41,8 +41,6 @@ TEST(Series, KeyOrderingAndNames) {
   EXPECT_EQ(a, (SeriesKey{ResourceKind::bandwidth, "a", "b"}));
   EXPECT_EQ(a.to_string(), "bandwidth:a->b");
   EXPECT_EQ((SeriesKey{ResourceKind::cpu, "h", ""}).to_string(), "availableCpu:h");
-  EXPECT_TRUE(is_network_resource(ResourceKind::connect_time));
-  EXPECT_FALSE(is_network_resource(ResourceKind::cpu));
 }
 
 /// Battery member `name`'s prediction for the next value, read back

@@ -33,15 +33,6 @@ TEST(Ipv4, AddressClasses) {
   EXPECT_EQ(Ipv4(250, 0, 0, 1).address_class(), 'E');
 }
 
-TEST(Ipv4, PrivateRanges) {
-  EXPECT_TRUE(Ipv4(10, 1, 2, 3).is_private());
-  EXPECT_TRUE(Ipv4(172, 16, 0, 1).is_private());
-  EXPECT_TRUE(Ipv4(172, 31, 255, 255).is_private());
-  EXPECT_FALSE(Ipv4(172, 32, 0, 1).is_private());
-  EXPECT_TRUE(Ipv4(192, 168, 81, 50).is_private());
-  EXPECT_FALSE(Ipv4(140, 77, 13, 229).is_private());
-}
-
 TEST(Ipv4, ClassfulNetworkGrouping) {
   // Class B -> /16.
   EXPECT_TRUE(Ipv4(140, 77, 13, 229).same_classful_network(Ipv4(140, 77, 200, 1)));

@@ -24,18 +24,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-TEST(LinkModel, RetransmissionFactorClosedForms) {
-  // No loss: every segment arrives once.
-  EXPECT_DOUBLE_EQ(LinkModelSpec::retransmission_factor(0.0, 0.0), 1.0);
-  // Half the segments dropped: each is sent twice on average.
-  EXPECT_DOUBLE_EQ(LinkModelSpec::retransmission_factor(50.0, 0.0), 2.0);
-  // Loss and corruption compose multiplicatively: 1 / (0.8 * 0.9).
-  EXPECT_DOUBLE_EQ(LinkModelSpec::retransmission_factor(20.0, 10.0), 1.0 / 0.72);
-  // Degenerate total loss: no goodput, not a division by zero.
-  EXPECT_DOUBLE_EQ(LinkModelSpec::retransmission_factor(100.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(LinkModelSpec::retransmission_factor(0.0, 100.0), 0.0);
-}
-
 TEST(LinkModel, EffectiveCapacityAndLatency) {
   const double nominal = units::mbps(100.0);
 
@@ -54,11 +42,8 @@ TEST(LinkModel, EffectiveCapacityAndLatency) {
   LinkModelSpec lossy;
   lossy.loss_pct = 2.0;
   lossy.cksum_pct = 1.0;
-  // Goodput = capacity / retransmission factor = capacity * delivered.
+  // Goodput = capacity * delivered fraction (1 - loss)(1 - cksum).
   EXPECT_DOUBLE_EQ(lossy.effective_capacity(nominal), nominal * 0.98 * 0.99);
-  EXPECT_DOUBLE_EQ(lossy.effective_capacity(nominal) *
-                       LinkModelSpec::retransmission_factor(2.0, 1.0),
-                   nominal * 1.0);
   EXPECT_EQ(lossy.effective_latency(50e-6), 50e-6);  // loss leaves latency alone
 
   // Corrections stack: tcp * lossy.

@@ -255,7 +255,12 @@ MonitordRun run_traced_monitord(const std::string& spec, std::uint64_t cycles,
     keys_out->clear();
     for (const auto& pair : daemon->snapshot()->pairs) keys_out->push_back(pair.key);
   }
-  if (sweep_cycles_out != nullptr) *sweep_cycles_out = daemon->scheduler().full_sweep_cycles();
+  if (sweep_cycles_out != nullptr) {
+    // One clique (star-switch): a sweep visits each of its pairs once.
+    const auto& scheduler = daemon->scheduler();
+    *sweep_cycles_out = (scheduler.pairs_total() + scheduler.probes_per_cycle() - 1) /
+                        scheduler.probes_per_cycle();
+  }
   run.digest = daemon->snapshot()->digest();
   run.render = daemon->snapshot()->render();
   run.decisions = daemon->decision_log();
