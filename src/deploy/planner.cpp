@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "nws/clique.hpp"
+
 namespace envnws::deploy {
 
 using env::EnvNetwork;
@@ -184,10 +186,11 @@ class Planner {
     // Children that hang off a *LAN* network (e.g. the sci switch behind
     // the hub2 gateway sci0) need no inter clique: the gateway membership
     // already stitches the levels together. Only structural (routing)
-    // nodes link their sibling groups.
+    // nodes link their sibling groups. A gateway can stand for several
+    // groups (it sits on each of its zones' networks): it joins once.
     if (network.kind == NetKind::structural && group_representatives.size() >= 2) {
       add_clique(CliqueRole::inter, network.label.empty() ? "root" : network.label,
-                 ranked(group_representatives));
+                 nws::distinct_members(ranked(group_representatives)));
     }
   }
 

@@ -48,8 +48,9 @@ template <class Node>
 }
 
 /// `members` with every repeat dropped, first occurrence kept: the
-/// members a rotating schedule walks, so a host named twice (a planner
-/// inter clique can repeat a representative) is probed once per pair.
+/// members a rotating schedule walks, so a host named twice is probed
+/// once per pair. The planner builds inter cliques through it too: a
+/// gateway that represents several sibling groups joins once.
 template <class Node>
 [[nodiscard]] std::vector<Node> distinct_members(const std::vector<Node>& members) {
   std::set<Node> seen;

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,30 @@ TEST(RegistryPipeline, EveryBuiltinFamilyMapsPlansAndValidatesCompletely) {
     auto scenario = ScenarioRegistry::builtin().make(entry->name);
     ASSERT_TRUE(scenario.ok()) << entry->name << ": " << scenario.error().to_string();
     check_scenario(entry->name, scenario.value());
+  }
+}
+
+TEST(RegistryPipeline, NoPlannedCliqueListsAMemberTwice) {
+  // A gateway that stands for several sibling groups joins their inter
+  // clique once: a repeat would count n(n-1) experiments for n names and
+  // report each of its collisions twice.
+  std::vector<std::string> specs{"multi-firewall:2x3"};
+  for (const auto* entry : ScenarioRegistry::builtin().entries()) {
+    if (entry->name != "file") specs.push_back(entry->name);
+  }
+  for (const auto& spec : specs) {
+    auto scenario = ScenarioRegistry::builtin().make(spec);
+    ASSERT_TRUE(scenario.ok()) << spec << ": " << scenario.error().to_string();
+    simnet::Network net(simnet::Scenario(scenario.value()).topology);
+    Session session(net, scenario.value());
+    ASSERT_TRUE(session.plan().ok()) << spec;
+    for (const auto& clique : session.plan_result().cliques) {
+      std::set<std::string> seen;
+      for (const auto& member : clique.members) {
+        EXPECT_TRUE(seen.insert(member).second)
+            << spec << ": " << clique.name << " lists " << member << " twice";
+      }
+    }
   }
 }
 
