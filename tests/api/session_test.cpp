@@ -63,6 +63,25 @@ TEST(Session, RePlanningReusesTheCachedMapWithoutReProbing) {
   EXPECT_EQ(session.config_text(), first_config);
 }
 
+TEST(Session, LoadedMapIsPlannedWithoutProbing) {
+  // First session maps and publishes; second one re-plans from the
+  // published view.
+  simnet::Network net1(simnet::Scenario(test_scenario()).topology);
+  Session first(net1, test_scenario());
+  ASSERT_TRUE(first.map().ok());
+  ASSERT_TRUE(first.plan().ok());
+  const std::string expected_config = first.config_text();
+  const std::string published = first.map_result().grid.to_string();
+
+  simnet::Network net2(simnet::Scenario(test_scenario()).topology);
+  Session second(net2);  // no scenario: the map stage must come from the view
+  ASSERT_TRUE(second.load_map_from_gridml(published, first.map_result().master_fqdn).ok());
+  ASSERT_TRUE(second.run_all().ok());
+  EXPECT_EQ(probe_flows(net2), 0u);
+  EXPECT_EQ(second.config_text(), expected_config);
+  second.system().stop();
+}
+
 TEST(Session, MapFailsWithoutScenarioOrCache) {
   simnet::Network net(simnet::Scenario(test_scenario()).topology);
   Session session(net);

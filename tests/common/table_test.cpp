@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
+
 namespace envnws {
 namespace {
 
@@ -15,6 +17,14 @@ TEST(Table, RendersAlignedColumns) {
   // Separator line present.
   EXPECT_NE(out.find("----"), std::string::npos);
   EXPECT_EQ(table.rows(), 2u);
+}
+
+TEST(Table, NumericRowFormatsWithPrecision) {
+  Table table({"label", "x", "y"});
+  table.add_row({"row", strings::format_double(1.23456, 3), strings::format_double(2.0, 3)});
+  const std::string out = table.to_string();
+  EXPECT_NE(out.find("1.235"), std::string::npos);
+  EXPECT_NE(out.find("2.000"), std::string::npos);
 }
 
 }  // namespace

@@ -24,6 +24,26 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+TEST(LinkModel, RetransmissionFactorClosedForms) {
+  // Expected (re)transmissions per delivered segment, nominal over
+  // effective capacity: 1 / ((1 - loss)(1 - cksum)).
+  const double nominal = units::mbps(100.0);
+  const auto factor = [nominal](double loss_pct, double cksum_pct) {
+    LinkModelSpec model;
+    model.loss_pct = loss_pct;
+    model.cksum_pct = cksum_pct;
+    return nominal / model.effective_capacity(nominal);
+  };
+  // Half the segments dropped: each is sent twice on average.
+  EXPECT_DOUBLE_EQ(factor(50.0, 0.0), 2.0);
+  // Loss and corruption compose multiplicatively: 1 / (0.8 * 0.9).
+  EXPECT_DOUBLE_EQ(factor(20.0, 10.0), 1.0 / 0.72);
+  // Degenerate total loss: no goodput at all.
+  LinkModelSpec dead;
+  dead.loss_pct = 100.0;
+  EXPECT_EQ(dead.effective_capacity(nominal), 0.0);
+}
+
 TEST(LinkModel, EffectiveCapacityAndLatency) {
   const double nominal = units::mbps(100.0);
 
