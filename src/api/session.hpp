@@ -14,9 +14,8 @@
 // Calling a stage whose prerequisites have not run yet runs them first;
 // calling a stage again re-runs it from the cached output of the stage
 // before it and drops everything downstream. `load_map_from_gridml()`
-// seeds the map stage without probing — the
-// §4.3 "publish the mapping" workflow — so a platform mapped once can
-// be re-planned forever; `set_map_cache()` makes that durable across
+// seeds the map stage without probing — the §4.3 "publish the mapping"
+// workflow — so a platform mapped once can be re-planned forever; `set_map_cache()` makes that durable across
 // processes (a second map() of the same spec performs zero probes).
 // Probing itself goes through a pluggable `ProbeEngineFactory`
 // (simulator by default; scripted traces and real sockets implement the
