@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Check that a monitord cycle costs the same at 8,000 cycles as at 2,000.
+"""Check that a monitord cycle costs the same at 32,000 cycles as at 8,000.
 
     python3 scripts/check_monitord_scaling.py [--binary build/examples/envnws_monitord]
 
 Runs the daemon (plan only, simulated engine) on star-switch:256 with
---max-pairwise=64 for 2,000 and then 8,000 cycles. That plan has one
+--max-pairwise=64 for 8,000 and then 32,000 cycles. That plan has one
 switched clique of 65,280 pairs and measures one new pair per cycle, so
-the snapshot grows by a pair every cycle. Fails (exit 1) when the 8k run's
-wall time exceeds 4.5x the 2k run's: a publish that walks every pair
-measured so far makes the run quadratic in cycles (16x for 4x the cycles).
+the snapshot grows by a pair every cycle. Fails (exit 1) when the 32k
+run's wall time exceeds 4.5x the 8k run's: a publish that walks every
+pair measured so far makes the run quadratic in cycles (16x for 4x the
+cycles).
 Each size runs twice and keeps its faster run, which damps a slow moment
 of a shared machine.
 """
@@ -20,7 +21,7 @@ import time
 
 SCENARIO = "star-switch:256"
 MAX_PAIRWISE = 64
-CYCLES = (2000, 8000)
+CYCLES = (8000, 32000)
 BOUND = 4.5  # allowed wall-time ratio for 4x the cycles
 RUNS = 2
 

@@ -562,13 +562,11 @@ Result<std::unique_ptr<monitor::MonitorDaemon>> Session::make_monitor(
   // (probe payload, stabilization gap, thresholds).
   auto daemon = std::make_unique<monitor::MonitorDaemon>(*plan_, std::move(engine.value()),
                                                          options_.mapper, options);
-  // The daemon takes over network measurement: an applied system's
-  // cliques would otherwise probe the same links beside it, uncoordinated.
-  // Its host sensors, name server and memories send no flows and keep
-  // running.
-  if (system_ != nullptr) {
-    for (const auto& clique : system_->cliques()) clique->stop();
-  }
+  // The daemon takes over the platform: an applied system's cliques
+  // would otherwise probe the same links beside it, uncoordinated, and
+  // its host sensors' and name server's messages would run inside the
+  // daemon's probe stepping, which never reads them.
+  if (system_ != nullptr) system_->stop();
   daemon->set_observer([this](const monitor::MonitorEvent& event) {
     if (observer_ == nullptr) return;  // nothing to format for
     std::string detail = std::string("monitor ") + monitor::to_string(event.kind) +

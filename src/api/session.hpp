@@ -184,11 +184,12 @@ class Session {
   /// invalidates the session's map-cache entry: the platform provably
   /// changed under the cached view. The daemon must not outlive the
   /// session.
-  /// When an NWS is applied, the daemon takes over network measurement:
-  /// every clique of that system stops (its host sensors, name server
-  /// and memories keep running), so `queries()` then serves the series
-  /// as they stood when the daemon was created. Calling apply() again
-  /// restarts the cliques.
+  /// When an NWS is applied, the daemon takes over the platform: the
+  /// whole applied system stops (cliques, host sensors and any
+  /// uncoordinated probe), so `queries()` then serves every series,
+  /// CPU, memory and disk included, as it stood when the daemon was
+  /// created. Calling apply() again deploys a fresh system that runs
+  /// everything beside the daemon again.
   Result<std::unique_ptr<monitor::MonitorDaemon>> make_monitor(
       monitor::MonitorOptions options = {});
 

@@ -174,18 +174,24 @@ std::vector<std::string> MonitorDaemon::decision_log() const {
 }
 
 void MonitorDaemon::run_one_cycle() {
-  const std::vector<ScheduledProbe> probes = scheduler_.cycle(clock_.cycles());
-  std::vector<env::ProbeExperiment> experiments;
-  experiments.reserve(probes.size());
-  for (const ScheduledProbe& probe : probes) {
-    experiments.push_back(env::ProbeExperiment::single(probe.transfer.from, probe.transfer.to));
+  // The probe, experiment and record-order buffers live across cycles:
+  // a warm cycle overwrites their strings in place.
+  std::vector<ScheduledProbe>& probes = probes_;
+  scheduler_.cycle(clock_.cycles(), probes);
+  if (experiments_.size() != probes.size()) {
+    experiments_.assign(probes.size(), env::ProbeExperiment::single({}, {}));
+  }
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    env::BandwidthRequest& transfer = experiments_[i].transfers.front();
+    transfer.from = probes[i].transfer.from;
+    transfer.to = probes[i].transfer.to;
   }
   const std::size_t probe_jobs = std::max<std::size_t>(options_.probe_jobs, 1);
   const std::vector<env::ProbeExperimentOutcome> outcomes =
       options_.virtual_scheduler != nullptr
-          ? env::run_batch_virtual(*engine_, experiments, probe_jobs,
+          ? env::run_batch_virtual(*engine_, experiments_, probe_jobs,
                                    *options_.virtual_scheduler)
-          : engine_->run_batch(experiments, probe_jobs);
+          : engine_->run_batch(experiments_, probe_jobs);
 
   clock_.tick();
   const double now = clock_.now();
@@ -194,7 +200,8 @@ void MonitorDaemon::run_one_cycle() {
   // attached, the order itself becomes a decision ("monitor-record"),
   // and the replay suite asserts that every permutation yields the same
   // snapshot digests, drift decisions and counters.
-  std::vector<std::size_t> record_order(probes.size());
+  std::vector<std::size_t>& record_order = record_order_;
+  record_order.resize(probes.size());
   std::iota(record_order.begin(), record_order.end(), 0);
   if (options_.virtual_scheduler != nullptr) {
     std::vector<std::size_t> remaining = record_order;
@@ -217,7 +224,7 @@ void MonitorDaemon::run_one_cycle() {
     ++cycle_failures;
     probe_failures_.fetch_add(1);
     if (!observer_) return;
-    emit(MonitorEvent::Kind::probe_failed, probe.segment,
+    emit(MonitorEvent::Kind::probe_failed, std::string(probe.segment),
          probe.transfer.from + "->" + probe.transfer.to + ": " + why);
   };
   for (const std::size_t i : record_order) {

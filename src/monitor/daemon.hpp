@@ -198,6 +198,10 @@ class MonitorDaemon {
   CycleScheduler scheduler_;
   SeriesStore store_;
   SnapshotBoard board_;
+  /// run_one_cycle's buffers, kept so a warm cycle reuses their storage.
+  std::vector<ScheduledProbe> probes_;
+  std::vector<env::ProbeExperiment> experiments_;
+  std::vector<std::size_t> record_order_;
   std::unique_ptr<QueryServer> query_server_;
 
   /// segment -> hosts it spans (for the re-map ZoneSpec).

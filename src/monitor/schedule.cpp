@@ -19,9 +19,9 @@ CycleScheduler::CycleScheduler(const deploy::DeploymentPlan& plan) {
   }
 }
 
-std::vector<ScheduledProbe> CycleScheduler::cycle(std::uint64_t k) const {
-  std::vector<ScheduledProbe> probes;
-  probes.reserve(probes_per_cycle());
+void CycleScheduler::cycle(std::uint64_t k, std::vector<ScheduledProbe>& probes) const {
+  probes.resize(probes_per_cycle());
+  std::size_t next = 0;
   for (const CliqueSchedule& clique : cliques_) {
     // Token t of cycle k probes pair (k*tokens + t) mod pairs: the
     // multi-token walk covers every pair exactly like the
@@ -31,13 +31,12 @@ std::vector<ScheduledProbe> CycleScheduler::cycle(std::uint64_t k) const {
     const std::uint64_t pairs = nws::pair_count(clique.members);
     for (std::size_t t = 0; t < clique.tokens; ++t) {
       const auto [from, to] = nws::pair_at(clique.members, (k * clique.tokens + t) % pairs);
-      ScheduledProbe probe;
+      ScheduledProbe& probe = probes[next++];
       probe.segment = clique.segment;
-      probe.transfer = env::BandwidthRequest{from, to, {}};
-      probes.push_back(std::move(probe));
+      probe.transfer.from = from;
+      probe.transfer.to = to;
     }
   }
-  return probes;
 }
 
 std::size_t CycleScheduler::probes_per_cycle() const {

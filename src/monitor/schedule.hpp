@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "deploy/plan.hpp"
@@ -48,7 +49,8 @@ class MonitorClock {
 
 /// One experiment of a monitoring cycle.
 struct ScheduledProbe {
-  std::string segment;  ///< PlannedClique::segment() (drift/re-map unit)
+  /// PlannedClique::segment() (drift/re-map unit), held by the scheduler.
+  std::string_view segment;
   env::BandwidthRequest transfer;
 };
 
@@ -56,9 +58,11 @@ class CycleScheduler {
  public:
   explicit CycleScheduler(const deploy::DeploymentPlan& plan);
 
-  /// The experiments of cycle `k`, in plan order (the canonical batch
-  /// order). Deterministic: same plan + same k => same list.
-  [[nodiscard]] std::vector<ScheduledProbe> cycle(std::uint64_t k) const;
+  /// Replace `probes` with the experiments of cycle `k`, in plan order
+  /// (the canonical batch order). Deterministic: same plan + same k =>
+  /// same list. A buffer reused across cycles keeps its strings' storage,
+  /// so a warm cycle allocates nothing here.
+  void cycle(std::uint64_t k, std::vector<ScheduledProbe>& probes) const;
 
   /// Experiments every cycle issues (constant across cycles).
   [[nodiscard]] std::size_t probes_per_cycle() const;

@@ -35,9 +35,7 @@ std::string MonitorSnapshot::render() const {
 
 const std::string& MonitorSnapshot::digest() const {
   std::call_once(digest_once_, [this] {
-    std::uint64_t state = hash::fnv1a64(header());
-    for (const PairList::Slot& slot : pairs.chunks()) state = hash::fnv1a64(slot.chunk->lines, state);
-    digest_ = hash::hex64(state);
+    digest_ = hash::hex64(pairs.hash_lines(hash::fnv1a64(header())));
   });
   return digest_;
 }

@@ -9,10 +9,11 @@
 // touch again; the previous snapshot dies when its last reader drops
 // it — classic RCU with shared_ptr as the grace period.
 //
-// Publishing costs O(pairs the cycle refreshed), not O(pairs): a
-// snapshot's pairs are the store's copy-on-write PairChunks (see
-// monitor/store.hpp), so it shares every chunk no probe touched with
-// the snapshot before it, and nothing is hashed at publication.
+// Publishing costs O(pairs the cycle refreshed + √pairs), not O(pairs):
+// a snapshot's pairs are the store's copy-on-write table of leaves and
+// interior nodes (see monitor/store.hpp), so it shares every leaf and
+// node no probe touched with the snapshot before it, and nothing is
+// hashed at publication.
 //
 // Like env::MapResult, a snapshot has ONE definition of bit-identity:
 // the FNV-1a digest of the full-precision render(), and the replay
@@ -20,7 +21,7 @@
 // exactly digest equality. The digest is computed on its first read (a
 // SNAPSHOT reply, an observer, a test), at most once per snapshot and
 // safely from any thread: FNV-1a chains, so hashing the header and then
-// each chunk's rendered lines gives the digest of render() without
+// each leaf's rendered lines gives the digest of render() without
 // rendering it. BatchStats-style schedule metadata is deliberately
 // absent: a snapshot records what was measured and predicted, never how
 // the probing was scheduled, so digests are invariant under probe_jobs

@@ -4,6 +4,7 @@
 #include <iterator>
 
 #include "common/codec.hpp"
+#include "common/hash.hpp"
 
 namespace envnws::monitor {
 
@@ -29,24 +30,135 @@ void append_pair_line(std::string& out, const PairReading& reading) {
   out += '\n';
 }
 
-const PairReading& PairList::operator[](std::size_t i) const {
-  const auto slot = std::upper_bound(slots_.begin(), slots_.end(), i,
+namespace {
+
+[[nodiscard]] const PairReading& last_reading(const PairNode::Slot& slot) {
+  return slot.leaf->back();
+}
+[[nodiscard]] const PairReading& last_reading(const PairList::Slot& slot) {
+  return slot.node->back();
+}
+[[nodiscard]] std::size_t pairs_in(const PairNode::Slot& slot) { return slot.leaf->size; }
+[[nodiscard]] std::size_t pairs_in(const PairList::Slot& slot) { return slot.node->size(); }
+
+/// The slot holding pair `i` of one level; `i` becomes its index there.
+template <class Slot>
+const Slot& slot_holding(const std::vector<Slot>& slots, std::size_t& i) {
+  const auto slot = std::upper_bound(slots.begin(), slots.end(), i,
                                      [](std::size_t index, const Slot& s) { return index < s.end; });
-  const std::size_t first = slot == slots_.begin() ? 0 : std::prev(slot)->end;
-  return slot->chunk->readings[i - first];
+  if (slot != slots.begin()) i -= std::prev(slot)->end;
+  return *slot;
+}
+
+/// The first slot of one level whose last key is not below `key`: the
+/// only one that can hold it.
+template <class Slot>
+auto first_not_below(const std::vector<Slot>& slots, const nws::SeriesKey& key) {
+  return std::lower_bound(slots.begin(), slots.end(), key,
+                          [](const Slot& s, const nws::SeriesKey& wanted) {
+                            return last_reading(s).key < wanted;
+                          });
+}
+
+/// End of the run that starts at `begin` when `size` items are cut into
+/// runs of `split`, the last run taking a remainder of at most `max`.
+[[nodiscard]] std::size_t run_end(std::size_t begin, std::size_t size, std::size_t max,
+                                  std::size_t split) {
+  return size - begin > max ? begin + split : size;
+}
+
+/// Fold the sorted dirty keys [dirty, dirty + count) into one level of
+/// the table. A key belongs to the first slot whose last key is not
+/// below it, or to the last slot; that slot takes every dirty key up to
+/// its last key (the last slot takes the rest), and `rebuild(at, keys,
+/// n)` replaces it with the slot(s) of its rebuilt subtree, returning
+/// how many. Every slot's cumulative `end` comes out right, and no
+/// subtree that no key reaches is read.
+template <class Slot, class Dirty, class Rebuild>
+void fold_level(std::vector<Slot>& slots, const Dirty* dirty, std::size_t count,
+                Rebuild&& rebuild) {
+  std::size_t at = 0;
+  // Slots before `fixed` carry their new `end`; a slot no dirty key
+  // touches only moves by `added`, the pairs the rebuilt slots before it
+  // gained.
+  std::size_t fixed = 0;
+  std::size_t added = 0;
+  for (std::size_t first = 0; first < count;) {
+    if (at + 1 < slots.size()) {
+      const nws::SeriesKey& key = dirty[first]->first;
+      at = static_cast<std::size_t>(
+          std::partition_point(slots.begin() + static_cast<std::ptrdiff_t>(at), slots.end() - 1,
+                               [&](const Slot& slot) { return last_reading(slot).key < key; }) -
+          slots.begin());
+    }
+    std::size_t last = count;
+    if (at + 1 < slots.size()) {
+      const nws::SeriesKey& bound = last_reading(slots[at]).key;
+      last = first + 1;
+      while (last < count && !(bound < dirty[last]->first)) ++last;
+    }
+    for (; fixed < at; ++fixed) slots[fixed].end += added;
+    const std::size_t old_end = at < slots.size() ? slots[at].end : 0;
+    const std::size_t pieces = rebuild(at, dirty + first, last - first);
+    std::size_t end = at == 0 ? 0 : slots[at - 1].end;
+    for (; fixed < at + pieces; ++fixed) slots[fixed].end = end += pairs_in(slots[fixed]);
+    added = end - old_end;
+    at = fixed;
+    first = last;
+  }
+  for (; fixed < slots.size(); ++fixed) slots[fixed].end += added;
+}
+
+/// Nodes of `fanout` leaves over leaves [first, last), the last node
+/// taking a remainder of at most 2 × `fanout`. Each node's leaf ends are
+/// recounted from its own first leaf; the root ends are left to the
+/// caller.
+void cut_into_nodes(const PairNode::Slot* first, const PairNode::Slot* last, std::size_t fanout,
+                    std::vector<PairList::Slot>& out) {
+  const auto count = static_cast<std::size_t>(last - first);
+  for (std::size_t begin = 0; begin < count;) {
+    const std::size_t end = run_end(begin, count, 2 * fanout, fanout);
+    auto node = std::make_shared<PairNode>();
+    node->leaves.assign(first + begin, first + end);
+    std::size_t pairs = 0;
+    for (PairNode::Slot& slot : node->leaves) slot.end = pairs += slot.leaf->size;
+    out.push_back({std::move(node), 0});
+    begin = end;
+  }
+}
+
+}  // namespace
+
+const PairReading& PairList::operator[](std::size_t i) const {
+  const PairNode& node = *slot_holding(nodes_, i).node;
+  return slot_holding(node.leaves, i).leaf->readings[i];
 }
 
 const PairReading* PairList::find(const nws::SeriesKey& key) const {
-  // Only the first chunk whose last key is not below `key` can hold it.
-  const auto slot = std::lower_bound(
-      slots_.begin(), slots_.end(), key,
-      [](const Slot& s, const nws::SeriesKey& wanted) { return s.chunk->readings.back().key < wanted; });
-  if (slot == slots_.end()) return nullptr;
-  const std::vector<PairReading>& readings = slot->chunk->readings;
-  const auto it = std::lower_bound(
-      readings.begin(), readings.end(), key,
+  const auto node = first_not_below(nodes_, key);
+  if (node == nodes_.end()) return nullptr;
+  // The node's last key is not below `key`, so one of its leaves is not.
+  const PairLeaf& leaf = *first_not_below(node->node->leaves, key)->leaf;
+  const PairReading* const begin = leaf.readings.data();
+  const PairReading* const found = std::lower_bound(
+      begin, begin + leaf.size, key,
       [](const PairReading& reading, const nws::SeriesKey& wanted) { return reading.key < wanted; });
-  return it->key == key ? &*it : nullptr;
+  return found->key == key ? found : nullptr;
+}
+
+std::uint64_t PairList::hash_lines(std::uint64_t state) const {
+  for (const Slot& node : nodes_) {
+    for (const PairNode::Slot& leaf : node.node->leaves) {
+      state = hash::fnv1a64(leaf.leaf->lines, state);
+    }
+  }
+  return state;
+}
+
+std::size_t SeriesStore::node_fanout(std::size_t leaves) {
+  std::size_t root = 8;
+  while (root * root < leaves) ++root;
+  return root;
 }
 
 SeriesStore::SeriesStore(std::size_t history, DriftPolicy policy)
@@ -94,53 +206,75 @@ PairReading SeriesStore::fresh_reading(const TrackedMap::value_type& entry) cons
   return reading;
 }
 
-std::size_t SeriesStore::rebuild_chunk(std::size_t at, const TrackedMap::iterator* dirty,
-                                       std::size_t count) {
-  std::vector<PairList::Slot>& slots = pairs_.slots_;
-  const PairChunk* old = at < slots.size() ? slots[at].chunk.get() : nullptr;
-  const std::size_t old_size = old == nullptr ? 0 : old->readings.size();
+std::size_t SeriesStore::rebuild_leaf(std::vector<PairNode::Slot>& leaves, std::size_t at,
+                                      const TrackedMap::iterator* dirty, std::size_t count) {
+  const PairLeaf* old = at < leaves.size() ? leaves[at].leaf.get() : nullptr;
+  const std::size_t old_size = old == nullptr ? 0 : old->size;
 
-  // Merge the old chunk with the dirty keys: a dirty key replaces the
+  // Merge the old leaf with the dirty keys: a dirty key replaces the
   // reading and line of an equal key, or slots in as a new pair.
-  auto merged = std::make_shared<PairChunk>();
-  merged->readings.reserve(old_size + count);
-  merged->line_ends.reserve(old_size + count);
-  if (old != nullptr) merged->lines.reserve(old->lines.size() + old->lines.size() / old_size * count);
+  merged_.clear();
+  merged_lines_.clear();
+  merged_ends_.clear();
   std::size_t i = 0, j = 0;
   while (i < old_size || j < count) {
     if (j < count && (i == old_size || !(old->readings[i].key < dirty[j]->first))) {
       if (i < old_size && old->readings[i].key == dirty[j]->first) ++i;
-      merged->readings.push_back(fresh_reading(*dirty[j++]));
-      append_pair_line(merged->lines, merged->readings.back());
+      merged_.push_back(fresh_reading(*dirty[j++]));
+      append_pair_line(merged_lines_, merged_.back());
     } else {
-      merged->readings.push_back(old->readings[i]);
+      merged_.push_back(old->readings[i]);
       const std::size_t begin = i == 0 ? 0 : old->line_ends[i - 1];
-      merged->lines.append(old->lines, begin, old->line_ends[i] - begin);
+      merged_lines_.append(old->lines, begin, old->line_ends[i] - begin);
       ++i;
     }
-    merged->line_ends.push_back(merged->lines.size());
+    merged_ends_.push_back(merged_lines_.size());
   }
 
-  const std::size_t size = merged->readings.size();
-  if (size <= kChunkMax) {
-    if (old == nullptr) slots.emplace_back();
-    slots[at].chunk = std::move(merged);
+  // Cut the merge into leaves: the first takes the old leaf's slot, the
+  // rest are inserted after it.
+  const std::size_t size = merged_.size();
+  std::size_t pieces = 0;
+  for (std::size_t begin = 0; begin < size; ++pieces) {
+    const std::size_t end = run_end(begin, size, PairLeaf::kMax, kLeafSplit);
+    const std::size_t from = begin == 0 ? 0 : merged_ends_[begin - 1];
+    auto leaf = std::make_shared<PairLeaf>();
+    leaf->size = end - begin;
+    leaf->lines.assign(merged_lines_, from, merged_ends_[end - 1] - from);
+    for (std::size_t k = begin; k < end; ++k) {
+      leaf->readings[k - begin] = std::move(merged_[k]);
+      leaf->line_ends[k - begin] = merged_ends_[k] - from;
+    }
+    if (pieces == 0 && old != nullptr) {
+      leaves[at].leaf = std::move(leaf);
+    } else {
+      leaves.insert(leaves.begin() + static_cast<std::ptrdiff_t>(at + pieces),
+                    PairNode::Slot{std::move(leaf), 0});
+    }
+    begin = end;
+  }
+  leaves_ += pieces - (old == nullptr ? 0 : 1);
+  return pieces;
+}
+
+std::size_t SeriesStore::rebuild_node(std::size_t at, const TrackedMap::iterator* dirty,
+                                      std::size_t count, std::size_t fanout) {
+  std::vector<PairList::Slot>& nodes = pairs_.nodes_;
+  const bool existed = at < nodes.size();
+  auto node = existed ? std::make_shared<PairNode>(*nodes[at].node) : std::make_shared<PairNode>();
+  fold_level(node->leaves, dirty, count,
+             [&](std::size_t leaf, const TrackedMap::iterator* keys, std::size_t n) {
+               return rebuild_leaf(node->leaves, leaf, keys, n);
+             });
+  if (node->leaves.size() <= 2 * fanout) {
+    if (!existed) nodes.emplace_back();
+    nodes[at].node = std::move(node);
     return 1;
   }
   std::vector<PairList::Slot> pieces;
-  for (std::size_t begin = 0; begin < size;) {
-    const std::size_t end = size - begin > kChunkMax ? begin + kChunkSplit : size;
-    const std::size_t from = begin == 0 ? 0 : merged->line_ends[begin - 1];
-    auto piece = std::make_shared<PairChunk>();
-    piece->readings.assign(std::make_move_iterator(merged->readings.begin() + begin),
-                           std::make_move_iterator(merged->readings.begin() + end));
-    piece->lines.assign(merged->lines, from, merged->line_ends[end - 1] - from);
-    for (std::size_t k = begin; k < end; ++k) piece->line_ends.push_back(merged->line_ends[k] - from);
-    pieces.push_back({std::move(piece), 0});
-    begin = end;
-  }
-  if (old != nullptr) slots.erase(slots.begin() + static_cast<std::ptrdiff_t>(at));
-  slots.insert(slots.begin() + static_cast<std::ptrdiff_t>(at),
+  cut_into_nodes(node->leaves.data(), node->leaves.data() + node->leaves.size(), fanout, pieces);
+  if (existed) nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(at));
+  nodes.insert(nodes.begin() + static_cast<std::ptrdiff_t>(at),
                std::make_move_iterator(pieces.begin()), std::make_move_iterator(pieces.end()));
   return pieces.size();
 }
@@ -150,45 +284,25 @@ PairList SeriesStore::collect() {
   if (dirty_.empty()) return pairs_;
   std::sort(dirty_.begin(), dirty_.end(),
             [](TrackedMap::iterator a, TrackedMap::iterator b) { return a->first < b->first; });
-  std::vector<PairList::Slot>& slots = pairs_.slots_;
-  std::size_t at = 0;
-  // Slots before `fixed` carry their new `end`; a slot no dirty key
-  // touches only moves by `added`, the pairs the rebuilt chunks before
-  // it gained. So no untouched chunk is read.
-  std::size_t fixed = 0;
-  std::size_t added = 0;
-  for (std::size_t first = 0; first < dirty_.size();) {
-    // A key belongs to the first chunk whose last key is not below it,
-    // or to the last chunk; that chunk takes every dirty key up to its
-    // last key (the last chunk takes the rest). The chunks are sorted,
-    // so a binary search finds it.
-    if (at + 1 < slots.size()) {
-      const nws::SeriesKey& key = dirty_[first]->first;
-      at = static_cast<std::size_t>(
-          std::partition_point(slots.begin() + static_cast<std::ptrdiff_t>(at), slots.end() - 1,
-                               [&](const PairList::Slot& slot) {
-                                 return slot.chunk->readings.back().key < key;
-                               }) -
-          slots.begin());
+  const std::size_t fanout = node_fanout(leaves_);
+  std::vector<PairList::Slot>& nodes = pairs_.nodes_;
+  fold_level(nodes, dirty_.data(), dirty_.size(),
+             [&](std::size_t at, const TrackedMap::iterator* keys, std::size_t n) {
+               return rebuild_node(at, keys, n, fanout);
+             });
+  // Nodes split at the √ of the table as it was then; once the root has
+  // gathered too many small ones, regroup every leaf at today's √.
+  if (const std::size_t now = node_fanout(leaves_); nodes.size() > 2 * now) {
+    std::vector<PairNode::Slot> leaves;
+    leaves.reserve(leaves_);
+    for (const PairList::Slot& slot : nodes) {
+      leaves.insert(leaves.end(), slot.node->leaves.begin(), slot.node->leaves.end());
     }
-    std::size_t last = dirty_.size();
-    if (at + 1 < slots.size()) {
-      const nws::SeriesKey& bound = slots[at].chunk->readings.back().key;
-      last = first + 1;
-      while (last < dirty_.size() && !(bound < dirty_[last]->first)) ++last;
-    }
-    for (; fixed < at; ++fixed) slots[fixed].end += added;
-    const std::size_t old_end = at < slots.size() ? slots[at].end : 0;
-    const std::size_t pieces = rebuild_chunk(at, dirty_.data() + first, last - first);
-    std::size_t end = at == 0 ? 0 : slots[at - 1].end;
-    for (; fixed < at + pieces; ++fixed) {
-      slots[fixed].end = end += slots[fixed].chunk->readings.size();
-    }
-    added = end - old_end;
-    at = fixed;
-    first = last;
+    nodes.clear();
+    cut_into_nodes(leaves.data(), leaves.data() + leaves.size(), now, nodes);
+    std::size_t pairs = 0;
+    for (PairList::Slot& slot : nodes) slot.end = pairs += slot.node->size();
   }
-  for (; fixed < slots.size(); ++fixed) slots[fixed].end += added;
   for (const TrackedMap::iterator entry : dirty_) entry->second.dirty = false;
   dirty_.clear();
   return pairs_;

@@ -69,15 +69,17 @@ TEST(AllocBudget, MappingStarSwitch50CostsAtMostTwoAllocationsPerFlow) {
   EXPECT_LE(per_flow, 2.0) << allocations << " allocations for " << flows << " flows";
 }
 
-TEST(AllocBudget, MonitordDumbbell8x8CycleCostsAtMost18Allocations) {
-  // envnws_monitord --scenario=dumbbell:8x8 with its defaults: plan only,
-  // the simulated engine, 3 probes per cycle over 114 pairs. Warmed up
-  // until every pair has been measured, so no cycle adds a series.
+/// Allocations per cycle of envnws_monitord --scenario=dumbbell:8x8 with
+/// its defaults (the simulated engine, 3 probes per cycle over 114
+/// pairs), after plan() alone or after run_all(). Warmed up until every
+/// pair has been measured, so no cycle adds a series.
+void monitord_cycle_allocations(bool applied, double& per_cycle) {
   const auto scenario = api::ScenarioRegistry::builtin().make("dumbbell:8x8");
   ASSERT_TRUE(scenario.ok()) << scenario.error().to_string();
   simnet::Network net(simnet::Scenario(scenario.value()).topology);
   api::Session session(net, scenario.value());
   ASSERT_TRUE(session.set_probe_engine_spec("sim").ok());
+  ASSERT_TRUE((applied ? session.run_all() : session.plan()).ok());
   auto daemon = session.make_monitor(monitor::MonitorOptions{});
   ASSERT_TRUE(daemon.ok()) << daemon.error().to_string();
   ASSERT_TRUE(daemon.value()->run_cycles(2000).ok());
@@ -88,16 +90,37 @@ TEST(AllocBudget, MonitordDumbbell8x8CycleCostsAtMost18Allocations) {
   const std::uint64_t allocations =
       allocations_during([&] { ran = daemon.value()->run_cycles(kCycles).ok(); });
   ASSERT_TRUE(ran);
-  const double per_cycle = static_cast<double>(allocations) / static_cast<double>(kCycles);
+  per_cycle = static_cast<double>(allocations) / static_cast<double>(kCycles);
+}
+
+TEST(AllocBudget, MonitordDumbbell8x8CycleCostsAtMost14Allocations) {
+  double per_cycle = 0.0;
+  monitord_cycle_allocations(false, per_cycle);
+  if (HasFatalFailure()) return;
   RecordProperty("allocations_per_cycle", std::to_string(per_cycle));
-  // 17.04 a cycle: 11 on the probe path (the scheduled probes, the
-  // experiment, request and result vectors, the batch outcomes) and 6
-  // for the publish (the snapshot, its chunk list, and the one rebuilt
-  // chunk with its readings, lines and line ends). It was 20.04 while
-  // each scheduled probe copied its clique's name, and 45.04 while each
+  // 13.64 a cycle: 4 on the probe path (the batch's outcome vector and
+  // each outcome's result vector) and 9.64 for the publish (the
+  // snapshot, its root, the one copied interior node with its leaf list,
+  // and for each of the 2-3 leaves the probes touched, the leaf and its
+  // text). It was 17.04 while the scheduled probes, the experiments and
+  // the record order were built afresh every cycle, 20.04 while each
+  // scheduled probe copied its clique's name, and 45.04 while each
   // publish copied all 114 readings and lines and event text was
   // formatted with no observer to read it.
-  EXPECT_LE(per_cycle, 18.0) << allocations << " allocations for " << kCycles << " cycles";
+  EXPECT_LE(per_cycle, 14.0);
+}
+
+TEST(AllocBudget, MonitordAppliedDumbbell8x8CycleCostsAtMost14Allocations) {
+  // The same daemon after run_all(): the stopped system leaves nothing
+  // running beside it, so a cycle allocates exactly what it does after
+  // plan() alone.
+  double applied = 0.0, planned = 0.0;
+  monitord_cycle_allocations(true, applied);
+  monitord_cycle_allocations(false, planned);
+  if (HasFatalFailure()) return;
+  RecordProperty("allocations_per_cycle", std::to_string(applied));
+  EXPECT_EQ(applied, planned);
+  EXPECT_LE(applied, 14.0);
 }
 
 TEST(AllocBudget, ForecasterObservesWithoutAllocating) {

@@ -75,14 +75,15 @@ TEST(CycleScheduler, RotatesRoundRobinThroughOrderedPairs) {
   // function of the cycle index.
   std::set<std::string> lan_pairs;
   std::set<std::string> wan_pairs;
+  std::vector<ScheduledProbe> probes, again;
   for (std::uint64_t k = 0; k < 6; ++k) {
-    const auto probes = scheduler.cycle(k);
+    scheduler.cycle(k, probes);
     ASSERT_EQ(probes.size(), 2u);
     EXPECT_EQ(probes[0].segment, "lan");
     EXPECT_EQ(probes[1].segment, "wan");
     lan_pairs.insert(probes[0].transfer.from + ">" + probes[0].transfer.to);
     wan_pairs.insert(probes[1].transfer.from + ">" + probes[1].transfer.to);
-    const auto again = scheduler.cycle(k);
+    scheduler.cycle(k, again);
     EXPECT_EQ(again[0].transfer.from, probes[0].transfer.from);
     EXPECT_EQ(again[0].transfer.to, probes[0].transfer.to);
   }
@@ -99,8 +100,10 @@ TEST(CycleScheduler, ParallelTokensMultiplyTheRefreshRate) {
   // Distinct pairs visited in the first `cycles` cycles of `schedule`.
   const auto visited = [](const CycleScheduler& schedule, std::uint64_t cycles) {
     std::set<std::string> pairs;
+    std::vector<ScheduledProbe> probes;
     for (std::uint64_t k = 0; k < cycles; ++k) {
-      for (const auto& probe : schedule.cycle(k)) {
+      schedule.cycle(k, probes);
+      for (const auto& probe : probes) {
         pairs.insert(probe.transfer.from + ">" + probe.transfer.to);
       }
     }
@@ -123,7 +126,9 @@ TEST(CycleScheduler, SingleMemberCliquesScheduleNothing) {
   plan.cliques = {lonely};
   CycleScheduler scheduler(plan);
   EXPECT_EQ(scheduler.probes_per_cycle(), 0u);
-  EXPECT_TRUE(scheduler.cycle(0).empty());
+  std::vector<ScheduledProbe> probes(1);
+  scheduler.cycle(0, probes);
+  EXPECT_TRUE(probes.empty());
 }
 
 /// Every experiment fails: the platform is unreachable.
@@ -156,8 +161,11 @@ TEST(CycleScheduler, UnlabeledCliquesReportTheirNameAsSegment) {
   unlabeled.name = "clique-1-switched";
   unlabeled.members = {"a", "b"};
   plan.cliques = {unlabeled};
-  ASSERT_EQ(CycleScheduler(plan).cycle(0).size(), 1u);
-  EXPECT_EQ(CycleScheduler(plan).cycle(0).front().segment, "clique-1-switched");
+  const CycleScheduler scheduler(plan);  // the probes' segments point into it
+  std::vector<ScheduledProbe> probes;
+  scheduler.cycle(0, probes);
+  ASSERT_EQ(probes.size(), 1u);
+  EXPECT_EQ(probes.front().segment, "clique-1-switched");
 
   MonitorOptions options;
   options.remap_on_drift = false;

@@ -2,10 +2,11 @@
 // digests, and the bounded decision log.
 //
 // SeriesStore::collect() refreshes only the pairs record() and
-// reset_learning() marked, copying only the chunks they live in, and a
-// snapshot's digest is computed on first read, from the chunks' cached
-// lines. OracleStore below is the fold as it was before that: every pair
-// re-forecast and re-rendered on every publish, into one flat vector.
+// reset_learning() marked, copying only the leaves they live in and the
+// interior nodes above those, and a snapshot's digest is computed on
+// first read, from the leaves' cached lines. OracleStore below is the
+// fold as it was before that: every pair re-forecast and re-rendered on
+// every publish, into one flat vector.
 // Every snapshot must render exactly as the oracle renders it, and its
 // digest must be the FNV-1a of that render.
 #include <gtest/gtest.h>
@@ -240,14 +241,32 @@ bool same_reading(const PairReading& a, const PairReading& b) {
          a.drift_relative_mae == b.drift_relative_mae && a.drifting == b.drifting;
 }
 
+/// The leaf pointers of a snapshot's table, node by node.
+std::vector<std::vector<const PairLeaf*>> leaves_of(const PairList& pairs) {
+  std::vector<std::vector<const PairLeaf*>> out;
+  for (const PairList::Slot& node : pairs.nodes()) {
+    out.emplace_back();
+    for (const PairNode::Slot& leaf : node.node->leaves) out.back().push_back(leaf.leaf.get());
+  }
+  return out;
+}
+
 TEST(MonitorFold, ChunkedPairsMatchAFlatOracleAcrossSplits) {
-  for (const std::uint64_t seed : {11u, 12u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    std::mt19937_64 rng(seed);
+  // Two runs of up to 600 keys (a few interior nodes) and one of up to
+  // 5,000 (dozens, regrouped as the table grows).
+  struct Case {
+    std::uint64_t seed;
+    std::size_t max_keys;
+    std::uint64_t burst;  ///< most operations a burst adds
+  };
+  for (const Case& run : {Case{11, 600, 160}, Case{12, 600, 160}, Case{13, 5000, 1600}}) {
+    SCOPED_TRACE("seed " + std::to_string(run.seed));
+    std::mt19937_64 rng(run.seed);
     const DriftPolicy policy = twitchy_policy();
     SeriesStore store(8, policy);
     OracleStore oracle(policy);
-    std::set<long> known;  // key numbers recorded so far
+    std::set<long> known;            // key numbers recorded so far
+    std::vector<long> known_listed;  // the same, in recording order
     double now = 0.0;
     const auto record = [&](long n) {
       now += 1.0;
@@ -255,11 +274,9 @@ TEST(MonitorFold, ChunkedPairsMatchAFlatOracleAcrossSplits) {
       const double value = level * (rng() % 6 == 0 ? 2.5 : 1.0 + (rng() % 100) * 1e-4);
       store.record(numbered_key(n), now, value);
       oracle.record(numbered_key(n), now, value);
-      known.insert(n);
+      if (known.insert(n).second) known_listed.push_back(n);
     };
-    const auto any_known = [&] {
-      return *std::next(known.begin(), static_cast<std::ptrdiff_t>(rng() % known.size()));
-    };
+    const auto any_known = [&] { return known_listed[rng() % known_listed.size()]; };
     // A new key before the first, after the last, or anywhere between.
     const auto fresh = [&]() -> long {
       if (known.empty()) return 500000;
@@ -284,16 +301,16 @@ TEST(MonitorFold, ChunkedPairsMatchAFlatOracleAcrossSplits) {
     // key's reading recomputed by the oracle after each burst.
     std::map<nws::SeriesKey, PairReading> readings;
     std::vector<PairReading> previous;  // the flat oracle at the last publish
-    std::size_t most_chunks = 0;
+    std::size_t most_nodes = 0;
     for (std::uint64_t version = 1; version <= 100; ++version) {
       // Mostly a few operations, sometimes a burst of new keys that
-      // splits chunks.
-      const std::uint64_t ops = rng() % 6 == 0 ? 40 + rng() % 160 : 1 + rng() % 6;
+      // splits leaves and nodes.
+      const std::uint64_t ops = rng() % 6 == 0 ? 40 + rng() % run.burst : 1 + rng() % 6;
       std::set<nws::SeriesKey> touched;
       bool added = false;
       for (std::uint64_t op = 0; op < ops; ++op) {
         const std::uint64_t kind = rng() % 10;
-        if (known.empty() || (kind < 5 && known.size() < 600)) {
+        if (known.empty() || (kind < 5 && known.size() < run.max_keys)) {
           const long n = fresh();
           added = added || known.count(n) == 0;
           record(n);
@@ -332,30 +349,59 @@ TEST(MonitorFold, ChunkedPairsMatchAFlatOracleAcrossSplits) {
         if (known.count(n) == 0) EXPECT_EQ(snapshot->find(numbered_key(n)), nullptr) << n;
       }
 
-      for (const PairList::Slot& slot : pairs.chunks()) {
-        EXPECT_FALSE(slot.chunk->readings.empty());
-        EXPECT_LE(slot.chunk->readings.size(), SeriesStore::kChunkMax);
-      }
-      most_chunks = std::max(most_chunks, pairs.chunks().size());
-      // Without new keys no chunk grows, so a publish copies at most
-      // one chunk per touched key and shares the rest.
-      if (!added && !history.empty()) {
-        const auto& before = history.back().snapshot->pairs.chunks();
-        std::size_t copied = 0;
-        for (const PairList::Slot& slot : pairs.chunks()) {
-          const bool shared = std::any_of(before.begin(), before.end(), [&](const PairList::Slot& old) {
-            return old.chunk == slot.chunk;
-          });
-          if (!shared) ++copied;
+      // Leaves hold 1..kMax pairs, and both levels stay within twice
+      // the √ of the leaf count.
+      const auto table = leaves_of(pairs);
+      std::size_t leaves = 0;
+      for (const auto& node : table) {
+        EXPECT_FALSE(node.empty());
+        leaves += node.size();
+        for (const PairLeaf* leaf : node) {
+          EXPECT_GE(leaf->size, 1u);
+          EXPECT_LE(leaf->size, PairLeaf::kMax);
         }
-        EXPECT_LE(copied, touched.size());
-        EXPECT_EQ(pairs.chunks().size(), before.size());
+      }
+      const std::size_t fanout = SeriesStore::node_fanout(leaves);
+      EXPECT_LE(table.size(), 2 * fanout);
+      for (const auto& node : table) EXPECT_LE(node.size(), 2 * fanout);
+      most_nodes = std::max(most_nodes, table.size());
+      // Without new keys nothing splits or regroups, so a publish
+      // replaces at most one leaf per touched key, shares every other
+      // leaf, and shares every node holding no touched key.
+      if (!added && !history.empty()) {
+        const auto before = leaves_of(history.back().snapshot->pairs);
+        ASSERT_EQ(table.size(), before.size());
+        std::size_t replaced = 0;
+        for (std::size_t n = 0; n < table.size(); ++n) {
+          const PairNode* node = pairs.nodes()[n].node.get();
+          ASSERT_EQ(table[n].size(), before[n].size()) << "node " << n;
+          bool node_touched = false;
+          for (std::size_t l = 0; l < table[n].size(); ++l) {
+            const PairLeaf* leaf = table[n][l];
+            bool leaf_touched = false;
+            for (std::size_t r = 0; r < leaf->size; ++r) {
+              leaf_touched = leaf_touched || touched.count(leaf->readings[r].key) > 0;
+            }
+            node_touched = node_touched || leaf_touched;
+            if (!leaf_touched) {
+              EXPECT_EQ(leaf, before[n][l]) << "untouched leaf " << l << " of node " << n;
+            } else if (leaf != before[n][l]) {
+              ++replaced;
+            }
+          }
+          if (!node_touched) {
+            EXPECT_EQ(node, history.back().snapshot->pairs.nodes()[n].node.get())
+                << "untouched node " << n;
+          }
+        }
+        EXPECT_LE(replaced, touched.size());
       }
 
       const std::string rendered = snapshot->render();
       const std::string digest = hash::hex64(hash::fnv1a64(rendered));
       // Half the digests are first read now; the rest only after every
-      // later publish, from chunks later snapshots share.
+      // later publish, from leaves later snapshots share. Either way the
+      // digest is the hash of render(), wherever the leaf boundaries lie.
       if (version % 2 == 0) EXPECT_EQ(snapshot->digest(), digest);
       // The previous snapshot still holds what it held when published.
       if (!history.empty()) {
@@ -368,10 +414,10 @@ TEST(MonitorFold, ChunkedPairsMatchAFlatOracleAcrossSplits) {
       previous = std::move(flat);
       if (::testing::Test::HasFailure()) return;
     }
-    EXPECT_GE(known.size(), 400u);
-    EXPECT_GE(most_chunks, 4u) << "the sequence never split a chunk";
+    EXPECT_GE(known.size(), run.max_keys * 2 / 3);
+    EXPECT_GE(most_nodes, run.max_keys / 200) << "the sequence never split a node";
     // Every earlier snapshot renders and digests as it did when
-    // published: shared chunks were never written.
+    // published: shared leaves and nodes were never written.
     for (const Published& earlier : history) {
       EXPECT_EQ(earlier.snapshot->digest(), earlier.digest) << "v" << earlier.snapshot->version;
       if (earlier.snapshot->version % 5 == 0) {
@@ -428,7 +474,9 @@ TEST(MonitorFold, MatchesTheOracleThroughMonitordRunsThatDrift) {
       if (event.cycle != synced_cycle) {
         synced_cycle = event.cycle;
         std::set<nws::SeriesKey> keys;
-        for (const ScheduledProbe& probe : daemon->scheduler().cycle(event.cycle - 1)) {
+        std::vector<ScheduledProbe> probes;
+        daemon->scheduler().cycle(event.cycle - 1, probes);
+        for (const ScheduledProbe& probe : probes) {
           keys.insert(bw_key(probe.transfer.from, probe.transfer.to));
         }
         for (const nws::SeriesKey& key : keys) {
@@ -520,6 +568,41 @@ TEST(MonitorTakeover, DaemonAfterRunAllMeasuresWhatItMeasuresAfterPlanAlone) {
       return daemon->snapshot()->digest();
     };
     EXPECT_EQ(digest_after(true), digest_after(false));
+  }
+}
+
+// After apply(), make_monitor() stops the whole applied system: its
+// cliques, host sensors and any uncoordinated probe. A daemon cycle then
+// sends no message and starts exactly the flows of its own probes. The
+// digests below were recorded while the host sensors and name server
+// still ran beside the daemon; their traffic never changed what it
+// measured, and no later change may make it.
+TEST(MonitorTakeover, AppliedSessionCyclesRunOnlyTheDaemonsProbes) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"dumbbell:8x8", "da647d7d3fce5523"},
+      {"multi-firewall:4x4", "486647d9176d6611"},
+      {"bg:4:tcp-lv08:dumbbell:4x4", "baaaa2fbe52d83ff"},
+  };
+  for (const auto& [spec, digest] : cases) {
+    SCOPED_TRACE(spec);
+    const simnet::Scenario scenario = make_scenario(spec);
+    simnet::Network net(simnet::Scenario(scenario).topology);
+    api::Session session(net, scenario);
+    ASSERT_TRUE(session.run_all().ok());
+    auto daemon = make_daemon(session, MonitorOptions{});
+    ASSERT_NE(daemon, nullptr);
+    if (spec == "dumbbell:8x8") {
+      const simnet::NetStats before = net.stats();
+      const std::uint64_t probes_before = daemon->measurements() + daemon->probe_failures();
+      ASSERT_TRUE(daemon->run_cycles(100).ok());
+      const std::uint64_t probes =
+          daemon->measurements() + daemon->probe_failures() - probes_before;
+      EXPECT_EQ(probes, 100 * daemon->scheduler().probes_per_cycle());
+      EXPECT_EQ(net.stats().messages_sent, before.messages_sent);
+      EXPECT_EQ(net.stats().flows_started, before.flows_started + probes);
+    }
+    ASSERT_TRUE(daemon->run_cycles(2000 - daemon->cycles()).ok());
+    EXPECT_EQ(daemon->snapshot()->digest(), digest);
   }
 }
 

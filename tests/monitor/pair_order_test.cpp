@@ -89,7 +89,9 @@ TEST(OrderedExperimentPairs, RepeatedMembersAreWalkedOnce) {
   const CycleScheduler scheduler(plan);
   EXPECT_EQ(scheduler.pairs_total(), 6u);
   std::vector<std::pair<std::string, std::string>> scheduled;
-  for (const ScheduledProbe& probe : scheduler.cycle(0)) {
+  std::vector<ScheduledProbe> probes;
+  scheduler.cycle(0, probes);
+  for (const ScheduledProbe& probe : probes) {
     scheduled.emplace_back(probe.transfer.from, probe.transfer.to);
   }
   EXPECT_EQ(scheduled, first_seen);
