@@ -1,6 +1,7 @@
 #include "monitor/store.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 
 #include "common/codec.hpp"
@@ -109,17 +110,17 @@ void fold_level(std::vector<Slot>& slots, const Dirty* dirty, std::size_t count,
   for (; fixed < slots.size(); ++fixed) slots[fixed].end += added;
 }
 
-/// Nodes of `fanout` leaves over leaves [first, last), the last node
-/// taking a remainder of at most 2 × `fanout`. Each node's leaf ends are
+/// Append to `out` nodes of `fanout` of `leaves`, the last node taking a
+/// remainder of at most 2 × `fanout`. Each node's leaf ends are
 /// recounted from its own first leaf; the root ends are left to the
 /// caller.
-void cut_into_nodes(const PairNode::Slot* first, const PairNode::Slot* last, std::size_t fanout,
+void cut_into_nodes(const std::vector<PairNode::Slot>& leaves, std::size_t fanout,
                     std::vector<PairList::Slot>& out) {
-  const auto count = static_cast<std::size_t>(last - first);
-  for (std::size_t begin = 0; begin < count;) {
-    const std::size_t end = run_end(begin, count, 2 * fanout, fanout);
+  for (std::size_t begin = 0; begin < leaves.size();) {
+    const std::size_t end = run_end(begin, leaves.size(), 2 * fanout, fanout);
     auto node = std::make_shared<PairNode>();
-    node->leaves.assign(first + begin, first + end);
+    node->leaves.assign(leaves.begin() + static_cast<std::ptrdiff_t>(begin),
+                        leaves.begin() + static_cast<std::ptrdiff_t>(end));
     std::size_t pairs = 0;
     for (PairNode::Slot& slot : node->leaves) slot.end = pairs += slot.leaf->size;
     out.push_back({std::move(node), 0});
@@ -156,9 +157,9 @@ std::uint64_t PairList::hash_lines(std::uint64_t state) const {
 }
 
 std::size_t SeriesStore::node_fanout(std::size_t leaves) {
-  std::size_t root = 8;
-  while (root * root < leaves) ++root;
-  return root;
+  auto fanout = static_cast<std::size_t>(std::sqrt(static_cast<double>(leaves)));
+  while (fanout * fanout < leaves) ++fanout;
+  return std::max<std::size_t>(fanout, 8);
 }
 
 SeriesStore::SeriesStore(std::size_t history, DriftPolicy policy)
@@ -272,7 +273,7 @@ std::size_t SeriesStore::rebuild_node(std::size_t at, const TrackedMap::iterator
     return 1;
   }
   std::vector<PairList::Slot> pieces;
-  cut_into_nodes(node->leaves.data(), node->leaves.data() + node->leaves.size(), fanout, pieces);
+  cut_into_nodes(node->leaves, fanout, pieces);
   if (existed) nodes.erase(nodes.begin() + static_cast<std::ptrdiff_t>(at));
   nodes.insert(nodes.begin() + static_cast<std::ptrdiff_t>(at),
                std::make_move_iterator(pieces.begin()), std::make_move_iterator(pieces.end()));
@@ -299,7 +300,7 @@ PairList SeriesStore::collect() {
       leaves.insert(leaves.end(), slot.node->leaves.begin(), slot.node->leaves.end());
     }
     nodes.clear();
-    cut_into_nodes(leaves.data(), leaves.data() + leaves.size(), now, nodes);
+    cut_into_nodes(leaves, now, nodes);
     std::size_t pairs = 0;
     for (PairList::Slot& slot : nodes) slot.end = pairs += slot.node->size();
   }
